@@ -181,26 +181,29 @@ def kernel(h: Homomorphism) -> Rel:
     return k & relations.inverse(k)
 
 
-def is_congruence(alg: OrderedAlgebra, theta: Rel) -> bool:
-    """Equivalence compatible with the ops of the unordered reduct."""
+def _compatible(alg: OrderedAlgebra, rel: Rel) -> bool:
+    """Whether every operation maps rel-related arguments in one slot,
+    all other arguments fixed, to rel-related values."""
     carrier = alg.carrier
-    if not relations.is_reflexive(theta, carrier):
-        return False
-    if theta != relations.inverse(theta):
-        return False
-    if not relations.is_transitive(theta):
-        return False
     for f, k in alg.sig.ops.items():
         if k == 0:
             continue
         for args in itertools.product(carrier, repeat=k):
             for i in range(k):
                 for b in carrier:
-                    if (args[i], b) in theta:
+                    if (args[i], b) in rel:
                         other = args[:i] + (b,) + args[i + 1:]
-                        if (alg.op(f, args), alg.op(f, other)) not in theta:
+                        if (alg.op(f, args), alg.op(f, other)) not in rel:
                             return False
     return True
+
+
+def is_congruence(alg: OrderedAlgebra, theta: Rel) -> bool:
+    """Equivalence compatible with the ops of the unordered reduct."""
+    return (relations.is_reflexive(theta, alg.carrier)
+            and theta == relations.inverse(theta)
+            and relations.is_transitive(theta)
+            and _compatible(alg, theta))
 
 
 def leq_theta(alg: OrderedAlgebra, theta: Rel) -> Rel:
@@ -222,24 +225,10 @@ def is_order_congruence(alg: OrderedAlgebra, theta: Rel) -> bool:
 
 
 def is_compatible_quasiorder(alg: OrderedAlgebra, sigma: Rel) -> bool:
-    carrier = alg.carrier
-    if not relations.is_reflexive(sigma, carrier):
-        return False
-    if not relations.is_transitive(sigma):
-        return False
-    if not alg.order <= sigma:
-        return False
-    for f, k in alg.sig.ops.items():
-        if k == 0:
-            continue
-        for args in itertools.product(carrier, repeat=k):
-            for i in range(k):
-                for b in carrier:
-                    if (args[i], b) in sigma:
-                        other = args[:i] + (b,) + args[i + 1:]
-                        if (alg.op(f, args), alg.op(f, other)) not in sigma:
-                            return False
-    return True
+    return (relations.is_reflexive(sigma, alg.carrier)
+            and relations.is_transitive(sigma)
+            and alg.order <= sigma
+            and _compatible(alg, sigma))
 
 
 def _class_map(alg: OrderedAlgebra, eq: Rel) -> tuple[list[list[str]], dict[str, str]]:
@@ -409,13 +398,13 @@ def subalgebra(alg: OrderedAlgebra, subset: list[str], name: str | None = None) 
 
 
 def all_congruences(alg: OrderedAlgebra) -> list[Rel]:
-    """Every congruence of the unordered reduct, by partition enumeration."""
-    out = []
-    for part in relations.all_partitions(alg.carrier):
-        theta = relations.partition_to_pairs(part)
-        if is_congruence(alg, theta):
-            out.append(theta)
-    return out
+    """Every congruence of the unordered reduct, by partition enumeration.
+
+    A partition's pairs are an equivalence by construction, so only
+    compatibility is tested.
+    """
+    thetas = map(relations.partition_to_pairs, relations.all_partitions(alg.carrier))
+    return [theta for theta in thetas if _compatible(alg, theta)]
 
 
 def all_homomorphisms(dom: OrderedAlgebra, cod: OrderedAlgebra) -> list[Homomorphism]:

@@ -50,6 +50,7 @@ from .schemes import (
 from .signature import Signature
 from .terms import (
     Term,
+    compositions,
     leaf,
     leaf_paths,
     leaves,
@@ -346,7 +347,7 @@ def _unfold_pool(am: Amalgam, side: int, max_ops: int) -> dict[str, list[Term]]:
         for f, k in alg.sig.ops.items():
             if k == 0:
                 continue
-            for split in _splits(n - 1, k):
+            for split in compositions(n - 1, k):
                 pools = [by_ops[m] for m in split]
                 keys = [sorted(p.keys(), key=alg.index.get) for p in pools]
                 for vals in itertools.product(*keys):
@@ -360,15 +361,6 @@ def _unfold_pool(am: Amalgam, side: int, max_ops: int) -> dict[str, list[Term]]:
             pool.setdefault(val, []).extend(ts)
     cache[key] = pool
     return pool
-
-
-def _splits(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _splits(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _achievable_cached(am: Amalgam, sub: Term, side: int) -> dict[str, Term]:
@@ -511,20 +503,14 @@ def pushout_equal(am: Amalgam, s: Term, t: Term,
     if not fwd.proven:
         return Unknown(fwd.stats)
     bwd = pushout_leq(am, t, s, budget)
-    if not bwd.proven:
-        merged = SearchStats(
-            fwd.stats.nodes_expanded + bwd.stats.nodes_expanded,
-            fwd.stats.nodes_generated + bwd.stats.nodes_generated,
-            max(fwd.stats.depth_reached, bwd.stats.depth_reached),
-            fwd.stats.capped or bwd.stats.capped,
-            fwd.stats.pruned + bwd.stats.pruned)
-        return Unknown(merged)
     merged = SearchStats(
         fwd.stats.nodes_expanded + bwd.stats.nodes_expanded,
         fwd.stats.nodes_generated + bwd.stats.nodes_generated,
         max(fwd.stats.depth_reached, bwd.stats.depth_reached),
         fwd.stats.capped or bwd.stats.capped,
         fwd.stats.pruned + bwd.stats.pruned)
+    if not bwd.proven:
+        return Unknown(merged)
     return ProvenEqual(fwd.scheme, bwd.scheme, merged)
 
 
@@ -625,6 +611,14 @@ def _chain_products(sig: Signature, max_size: int) -> list[OrderedAlgebra]:
     return out
 
 
+def _fingerprint(d: OrderedAlgebra) -> tuple:
+    """Carrier, order, tables and constants: equal exactly for equal algebras."""
+    return (tuple(d.carrier), tuple(sorted(d.order)),
+            tuple(sorted((f, tuple(sorted(tbl.items())))
+                         for f, tbl in d.op_tables.items())),
+            tuple(sorted(d.const_vals.items())))
+
+
 def separator_candidates(alg: OrderedAlgebra, max_size: int):
     """Codomains tried by the separator search, lazily and in order:
     regular quotients, non-regular quotients (same classes under coarser
@@ -634,15 +628,9 @@ def separator_candidates(alg: OrderedAlgebra, max_size: int):
 
     seen: set = set()
 
-    def fingerprint(d: OrderedAlgebra):
-        return (tuple(d.carrier), tuple(sorted(d.order)),
-                tuple(sorted((f, tuple(sorted(tbl.items())))
-                             for f, tbl in d.op_tables.items())),
-                tuple(sorted(d.const_vals.items())))
-
     def emit(d: OrderedAlgebra):
         if len(d.carrier) <= max_size and not validate_algebra(d):
-            fp = fingerprint(d)
+            fp = _fingerprint(d)
             if fp not in seen:
                 seen.add(fp)
                 yield d
@@ -670,9 +658,7 @@ def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
         raise PreconditionFailed(f"{x} already lies in the subalgebra")
     cache = alg.__dict__.setdefault("_separator_hom_cache", {})
     for cod in separator_candidates(alg, max_size):
-        key = (tuple(cod.carrier), tuple(sorted(cod.order)),
-               tuple(sorted((f, tuple(sorted(t.items())))
-                            for f, t in cod.op_tables.items())))
+        key = _fingerprint(cod)
         if key in cache:
             homs = cache[key]
         else:

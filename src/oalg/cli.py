@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import relations
 from .algebra import (
+    OrderedAlgebra,
     load_algebra,
     nonregular_quotient,
     parse_homomorphism,
@@ -58,7 +59,8 @@ class Reporter:
             print(f"{__label}: {body}" if body else __label)
 
 
-def _read_pairs(path: str) -> frozenset:
+def _read_pairs(path: str, alg: OrderedAlgebra) -> frozenset:
+    """The `pair a b` lines of a `.pairs` file, on the carrier of alg."""
     pairs = set()
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -67,6 +69,9 @@ def _read_pairs(path: str) -> frozenset:
         tokens = line.split()
         if len(tokens) != 3 or tokens[0] != "pair":
             raise ParseError(f"expected `pair a b` lines, got {line!r}")
+        outside = [e for e in tokens[1:] if e not in alg.index]
+        if outside:
+            raise ParseError(f"pair elements {outside} not in the carrier of {alg.name}")
         pairs.add((tokens[1], tokens[2]))
     return frozenset(pairs)
 
@@ -96,7 +101,7 @@ def cmd_validate(args, rep: Reporter) -> int:
 
 def cmd_closure(args, rep: Reporter) -> int:
     alg = load_algebra(args.algebra)
-    hyp = _read_pairs(args.pairs)
+    hyp = _read_pairs(args.pairs, alg)
     if args.congruence:
         res = gen_order_congruence(alg, hyp)
         rel = res.leq
@@ -128,7 +133,7 @@ def cmd_closure(args, rep: Reporter) -> int:
 
 def cmd_quotient(args, rep: Reporter) -> int:
     alg = load_algebra(args.algebra)
-    pairs = _read_pairs(args.pairs)
+    pairs = _read_pairs(args.pairs, alg)
     if args.nonregular:
         sigma = relations.reflexive_transitive_closure(
             set(pairs) | set(alg.order), alg.carrier)

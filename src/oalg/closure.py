@@ -1,9 +1,11 @@
 """Generated compatible quasiorders and order-congruences on finite algebras.
 
-The closure itself is a fixpoint interleaving transitivity with one-slot
-operation compatibility; scheme witnesses are reconstructed on demand from
-back-pointers recorded while the fixpoint runs.  A literal breadth-first
-search over translated generator steps serves as the independent oracle.
+Both closures run the one engine `relations.close`, with
+`_one_slot_images` as its extension: transitivity interleaved with
+one-slot operation compatibility.  Scheme witnesses are reconstructed on
+demand from the derivations the engine records.  A literal breadth-first
+search over translated generator steps serves as the independent oracle;
+it keeps its own loops and shares no code with the engine.
 """
 
 from __future__ import annotations
@@ -23,17 +25,9 @@ from .schemes import (
     Translation,
     compose,
 )
-from .terms import Term, formal_var, leaf, leaf_count, substitute_leaves
+from .terms import Term, enumerate_terms, formal_var, leaf, leaf_count, regularize
 
 Pair = tuple[str, str]
-
-
-@dataclass(frozen=True)
-class _OpExtension:
-    op: str
-    fillers: tuple[str, ...]
-    slot: int
-    inner: Pair
 
 
 def _single_op_translation(alg: OrderedAlgebra, op: str, fillers: tuple[str, ...],
@@ -56,6 +50,26 @@ def _eval_translation(alg: OrderedAlgebra, trans: Translation, value: str) -> st
     return ev(trans.template, fills)
 
 
+def _one_slot_images(alg: OrderedAlgebra):
+    """The `extend` of `relations.close` for compatible closures: for a pair
+    (x, y), every (f(..x..), f(..y..)) with x and y in one argument slot
+    and fixed fillers elsewhere, in op / fillers / slot order."""
+    ops = [(f, k, list(itertools.product(alg.carrier, repeat=k - 1)))
+           for f, k in alg.sig.ops.items() if k > 0]
+
+    def images(pair: Pair):
+        x, y = pair
+        for f, k, all_fillers in ops:
+            table = alg.op_tables[f]
+            for fillers in all_fillers:
+                for slot in range(1, k + 1):
+                    args_x = fillers[: slot - 1] + (x,) + fillers[slot - 1:]
+                    args_y = fillers[: slot - 1] + (y,) + fillers[slot - 1:]
+                    yield (table[args_x], table[args_y]), ("op", f, fillers, slot, pair)
+
+    return images
+
+
 class GeneratedClosure:
     """Least compatible quasiorder containing the order and a relation H.
 
@@ -70,42 +84,14 @@ class GeneratedClosure:
         self.hyp = frozenset(hyp)
         self.symmetric = symmetric
         self.hyp_all = self.hyp | relations.inverse(self.hyp) if symmetric else self.hyp
-        self._prov: dict[Pair, tuple] = {}
-        self.relation = self._fixpoint()
+        def by_position(p: Pair):
+            return (alg.index[p[0]], alg.index[p[1]])
+
+        seeds = ([(p, ("base",)) for p in sorted(alg.order, key=by_position)]
+                 + [(p, ("hyp", p)) for p in sorted(self.hyp_all, key=by_position)])
+        self._prov: dict[Pair, tuple] = relations.close(seeds, _one_slot_images(alg))
+        self.relation = frozenset(self._prov)
         self._memo: dict[Pair, tuple[Step, ...]] = {}
-
-    def _add(self, pair: Pair, prov: tuple, todo: list[Pair]) -> None:
-        if pair not in self._prov:
-            self._prov[pair] = prov
-            todo.append(pair)
-
-    def _fixpoint(self) -> frozenset[Pair]:
-        alg = self.alg
-        todo: list[Pair] = []
-        for (a, b) in sorted(alg.order, key=lambda p: (alg.index[p[0]], alg.index[p[1]])):
-            self._add((a, b), ("base",), todo)
-        for (a, b) in sorted(self.hyp_all, key=lambda p: (alg.index[p[0]], alg.index[p[1]])):
-            self._add((a, b), ("hyp", (a, b)), todo)
-        ops = [(f, k) for f, k in alg.sig.ops.items() if k > 0]
-        while todo:
-            pair = todo.pop()
-            x, y = pair
-            # transitivity in both directions
-            for (a, b) in list(self._prov):
-                if b == x and (a, y) not in self._prov:
-                    self._add((a, y), ("trans", (a, x), (x, y)), todo)
-                if y == a and (x, b) not in self._prov:
-                    self._add((x, b), ("trans", (x, y), (y, b)), todo)
-            # one-slot op compatibility
-            for f, k in ops:
-                for fillers in itertools.product(alg.carrier, repeat=k - 1):
-                    for slot in range(1, k + 1):
-                        args_x = fillers[: slot - 1] + (x,) + fillers[slot - 1:]
-                        args_y = fillers[: slot - 1] + (y,) + fillers[slot - 1:]
-                        new = (alg.op(f, args_x), alg.op(f, args_y))
-                        if new not in self._prov:
-                            self._add(new, ("op", f, fillers, slot, pair), todo)
-        return frozenset(self._prov)
 
     def witness(self, c: str, c2: str) -> Scheme | None:
         if (c, c2) not in self.relation:
@@ -175,50 +161,14 @@ def enumerate_translations(alg: OrderedAlgebra, x_labels: list[str],
     labels = list(dict.fromkeys(list(x_labels)
                                 + [alg.const(c) for c in alg.sig.constants()]))
     out = [IDENTITY_TRANSLATION]
-    templates = _regular_templates(alg, max_ops)
+    templates = [regularize(t)[0] for t in enumerate_terms(alg.sig, ["_"], max_ops)
+                 if not t.is_leaf]
     for template in templates:
         n = leaf_count(template)
         for slot in range(1, n + 1):
             for fillers in itertools.product(labels, repeat=n - 1):
                 out.append(Translation(template, slot, tuple(fillers)))
     return out
-
-
-def _regular_templates(alg: OrderedAlgebra, max_ops: int) -> list[Term]:
-    """Constant-free regular templates with 1..max_ops operation symbols."""
-    shapes: list[list[Term]] = [[leaf("_")]]
-    for n in range(1, max_ops + 1):
-        layer: list[Term] = []
-        for f, k in alg.sig.ops.items():
-            if k == 0:
-                continue
-            for split in _splits(n - 1, k):
-                for kids in itertools.product(*[shapes[m] for m in split]):
-                    layer.append(Term(f, kids))
-        shapes.append(layer)
-
-    def renumber(t: Term) -> Term:
-        counter = 0
-
-        def go(n: Term) -> Term:
-            nonlocal counter
-            if n.is_leaf:
-                counter += 1
-                return leaf(formal_var(counter))
-            return Term(n.label, tuple(go(c) for c in n.children))
-
-        return go(t)
-
-    return [renumber(t) for layer in shapes[1:] for t in layer]
-
-
-def _splits(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _splits(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def step_relation(alg: OrderedAlgebra, x_labels: list[str],
@@ -272,29 +222,9 @@ def gen_compatible_quasiorder(alg: OrderedAlgebra, hyp) -> GeneratedClosure:
 
 
 def compatible_closure(alg: OrderedAlgebra, pairs) -> frozenset[Pair]:
-    """Fixpoint closure of order + pairs, without witness bookkeeping."""
-    rel = set(alg.order) | set(pairs)
-    ops = [(f, k) for f, k in alg.sig.ops.items() if k > 0]
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(rel)
-        for (a, b) in snapshot:
-            for (c, d) in snapshot:
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-        for (x, y) in list(rel):
-            for f, k in ops:
-                for fillers in itertools.product(alg.carrier, repeat=k - 1):
-                    for slot in range(1, k + 1):
-                        ax = fillers[: slot - 1] + (x,) + fillers[slot - 1:]
-                        ay = fillers[: slot - 1] + (y,) + fillers[slot - 1:]
-                        p = (alg.op(f, ax), alg.op(f, ay))
-                        if p not in rel:
-                            rel.add(p)
-                            changed = True
-    return frozenset(rel)
+    """Least compatible quasiorder containing the order and the pairs."""
+    seeds = [(p, ("seed",)) for p in itertools.chain(alg.order, pairs)]
+    return frozenset(relations.close(seeds, _one_slot_images(alg)))
 
 
 def all_compatible_quasiorders(alg: OrderedAlgebra) -> list[frozenset[Pair]]:

@@ -1,12 +1,16 @@
 """Small helpers for binary relations stored as sets of pairs.
 
-All relations here live on modest finite carriers (at most a few dozen
-elements), so plain fixpoint loops are fine.
+`close` is the one closure engine: a worklist that adds transitive
+composites and, through a caller-supplied `extend`, any further images
+of each pair (one-slot operation compatibility, for the algebra closures
+in `closure.py`).  It indexes the known pairs by their endpoints, so a
+popped pair meets only the pairs it composes with (semi-naive
+evaluation) instead of a rescan of the whole relation.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Callable, Hashable, Iterable
 
 Pair = tuple[Hashable, Hashable]
 
@@ -26,21 +30,51 @@ def compose(r: Iterable[Pair], s: Iterable[Pair]) -> frozenset:
     return frozenset((a, c) for (a, b) in r for c in by_left.get(b, ()))
 
 
+def close(seeds: Iterable[tuple[Pair, tuple]],
+          extend: Callable[[Pair], Iterable[tuple[Pair, tuple]]] | None = None) -> dict:
+    """Least relation containing the seeds, closed under transitivity and
+    under `extend`; maps each pair to the derivation it was first found by.
+
+    `seeds` yields `(pair, derivation)`; a transitive composite is derived
+    as `("trans", left, right)`, and `extend(pair)` yields further
+    `(pair, derivation)` images.  The dict is in discovery order, which is
+    deterministic: the worklist is LIFO, and a popped pair (x, y) first
+    meets the pairs known when it is popped, in the order they were found
+    (a pair (a, x) gives (a, y), then a pair (y, b) gives (x, b)), and
+    then its `extend` images.
+    """
+    found: dict = {}
+    todo: list[Pair] = []
+    ending: dict = {}       # v -> [(seq, (a, v)), ...] in discovery order
+    starting: dict = {}     # v -> [(seq, (v, b)), ...] in discovery order
+
+    def add(pair: Pair, derivation: tuple) -> None:
+        entry = (len(found), pair)
+        found[pair] = derivation
+        ending.setdefault(pair[1], []).append(entry)
+        starting.setdefault(pair[0], []).append(entry)
+        todo.append(pair)
+
+    for pair, derivation in seeds:
+        if pair not in found:
+            add(pair, derivation)
+    while todo:
+        pair = todo.pop()
+        x, y = pair
+        for _, (a, b) in sorted(ending.get(x, []) + starting.get(y, [])):
+            if b == x and (a, y) not in found:
+                add((a, y), ("trans", (a, x), pair))
+            if a == y and (x, b) not in found:
+                add((x, b), ("trans", pair, (y, b)))
+        if extend is not None:
+            for image, derivation in extend(pair):
+                if image not in found:
+                    add(image, derivation)
+    return found
+
+
 def transitive_closure(pairs: Iterable[Pair]) -> frozenset:
-    rel = set(pairs)
-    succ: dict = {}
-    for (a, b) in rel:
-        succ.setdefault(a, set()).add(b)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for c in list(succ.get(b, ())):
-                if (a, c) not in rel:
-                    rel.add((a, c))
-                    succ.setdefault(a, set()).add(c)
-                    changed = True
-    return frozenset(rel)
+    return frozenset(close((p, ("seed",)) for p in pairs))
 
 
 def reflexive_transitive_closure(pairs: Iterable[Pair], elements: Iterable) -> frozenset:

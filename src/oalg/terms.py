@@ -7,6 +7,7 @@ is the prefix word; `f(x1,x2)` style input is a parser convenience.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -330,26 +331,19 @@ def enumerate_terms(sig: Signature, labels: list[str], max_ops: int) -> list[Ter
         for op_name, k in sig.ops.items():
             if k == 0:
                 continue
-            for split in _compositions(n - 1, k):
+            for split in compositions(n - 1, k):
                 pools = [by_ops[m] for m in split]
-                layer.extend(Term(op_name, kids) for kids in _product(pools))
+                layer.extend(Term(op_name, kids) for kids in itertools.product(*pools))
         by_ops.append(layer)
     return [t for layer in by_ops for t in layer]
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every way to write `total` as an ordered sum of `parts` naturals,
+    in lexicographic order: how operation counts split over children."""
     if parts == 1:
         yield (total,)
         return
     for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+        for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _product(pools: list[list[Term]]) -> Iterator[tuple[Term, ...]]:
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for tail in _product(pools[1:]):
-            yield (head,) + tail

@@ -16,6 +16,7 @@ from oalg.algebra import (
     factor_through,
     generated_subalgebra,
     is_compatible_quasiorder,
+    is_congruence,
     is_order_congruence,
     kernel,
     leq_theta,
@@ -126,6 +127,16 @@ def test_directed_kernel_identity_and_constant():
 
 
 GLUE01 = partition_to_pairs([["e0", "e1"], ["e2"]])
+
+
+def test_all_congruences_match_congruence_filter():
+    rng = random.Random(21)
+    for _ in range(20):
+        alg = random_algebra(rng, SIG1, rng.randrange(1, 6))
+        expected = [theta for theta in map(partition_to_pairs,
+                                           relations.all_partitions(alg.carrier))
+                    if is_congruence(alg, theta)]
+        assert all_congruences(alg) == expected
 
 
 def test_leq_theta():

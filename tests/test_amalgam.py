@@ -18,7 +18,7 @@ from oalg.amalgam import (
     validate_amalgam,
 )
 from oalg.errors import CommutationFailure, PreconditionFailed
-from oalg.generators import random_special_amalgam
+from oalg.generators import random_algebra, random_special_amalgam
 from oalg.schemes import validate_scheme
 from oalg.signature import SIG1, Signature
 from oalg.terms import leaf, node, parse_term
@@ -135,6 +135,16 @@ def test_separator_search_examples():
     with pytest.raises(PreconditionFailed):
         separator_search(CH3, ["e0", "e2"], "e0", 3)
     assert separator_search(CH3, ["e0", "e2"], "e1", 1) is None
+
+
+def test_separator_search_tries_quotients_differing_only_in_constants():
+    rng = random.Random(40)
+    alg = random_algebra(rng, SIG1, rng.randrange(3, 6))
+    sep = separator_search(alg, ["e0", "e3"], "e1", 4)
+    assert sep.codomain.carrier == ["[e0]", "[e1]"]
+    assert sep.codomain.const_vals == {"c": "[e0]", "d": "[e0]"}
+    assert sep.f.map["e1"] != sep.g.map["e1"]
+    assert all(sep.f.map[e] == sep.g.map[e] for e in ("e0", "e3"))
 
 
 def test_epi_check_examples():

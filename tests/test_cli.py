@@ -73,6 +73,68 @@ def test_closure_and_witness(workspace):
     assert "REL HYP" in out
 
 
+# Pinned output: the closure engine's discovery order decides which
+# derivation, and so which witness, each pair gets.
+GOLDEN_CLOSURE = (
+    'record=quasiorder left=e0 right=e0\n'
+    'record=quasiorder left=e0 right=e1\n'
+    'record=quasiorder left=e0 right=e2\n'
+    'record=quasiorder left=e1 right=e0\n'
+    'record=quasiorder left=e1 right=e1\n'
+    'record=quasiorder left=e1 right=e2\n'
+    'record=quasiorder left=e2 right=e0\n'
+    'record=quasiorder left=e2 right=e1\n'
+    'record=quasiorder left=e2 right=e2\n'
+    'record=oracle agrees=True max_len=6 max_ops=3\n'
+    'record=witness left=e1 right=e0 steps=2\n'
+    '  INEQ e1 <= e2\n'
+    '  REL HYP z1 1 e2 -> e0\n'
+    'record=witness left=e2 right=e0 steps=1\n'
+    '  REL HYP z1 1 e2 -> e0\n'
+    'record=witness left=e2 right=e1 steps=2\n'
+    '  REL HYP z1 1 e2 -> e0\n'
+    '  INEQ e0 <= e1\n'
+)
+GOLDEN_CONGRUENCE = (
+    'record=leq left=e0 right=e0\n'
+    'record=leq left=e0 right=e1\n'
+    'record=leq left=e0 right=e2\n'
+    'record=leq left=e1 right=e0\n'
+    'record=leq left=e1 right=e1\n'
+    'record=leq left=e1 right=e2\n'
+    'record=leq left=e2 right=e0\n'
+    'record=leq left=e2 right=e1\n'
+    'record=leq left=e2 right=e2\n'
+    'record=oracle agrees=True max_len=6 max_ops=3\n'
+    'record=witness left=e1 right=e0 steps=2\n'
+    '  INEQ e1 <= e2\n'
+    '  REL HYP z1 1 e2 -> e0\n'
+    'record=witness left=e2 right=e0 steps=1\n'
+    '  REL HYP z1 1 e2 -> e0\n'
+    'record=witness left=e2 right=e1 steps=2\n'
+    '  REL HYP z1 1 e2 -> e0\n'
+    '  INEQ e0 <= e1\n'
+)
+
+
+@pytest.mark.parametrize("extra, expected", [((), GOLDEN_CLOSURE),
+                                             (("--congruence",), GOLDEN_CONGRUENCE)])
+def test_closure_witness_golden(workspace, extra, expected):
+    code, out = run("--format", "structured", "closure", str(workspace / "ch3.oalg"),
+                    str(workspace / "rel.pairs"), "--witness", *extra)
+    assert code == 0 and out == expected
+
+
+@pytest.mark.parametrize("argv", [("closure",), ("closure", "--congruence"),
+                                  ("quotient",), ("quotient", "--nonregular")])
+def test_pairs_outside_carrier_is_parse_error(workspace, argv, capsys):
+    (workspace / "bad.pairs").write_text("pair e3 e2\n")
+    code, _ = run(argv[0], str(workspace / "ch3.oalg"), str(workspace / "bad.pairs"),
+                  *argv[1:])
+    assert code == 2
+    assert "not in the carrier" in capsys.readouterr().err
+
+
 def test_quotient(workspace):
     code, out = run("quotient", str(workspace / "ch3.oalg"),
                     str(workspace / "rel.pairs"), "--nonregular",

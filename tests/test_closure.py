@@ -5,6 +5,7 @@ from oalg.algebra import all_congruences, chain, is_order_congruence, leq_theta
 from oalg.closure import (
     bfs_generated_quasiorder,
     check_generated_scheme,
+    compatible_closure,
     enumerate_translations,
     gen_compatible_quasiorder,
     gen_order_congruence,
@@ -12,6 +13,7 @@ from oalg.closure import (
     step_relation,
 )
 from oalg.generators import random_algebra, random_relation
+from oalg.schemes import scheme_to_lines
 from oalg.signature import SIG1
 from oalg.terms import print_term
 
@@ -73,6 +75,48 @@ def test_witnesses_validate():
         check_generated_scheme(CH3, {("e0", "e1")}, sch, allow_inverse=True)
 
 
+# On these inputs a change to the closure engine's discovery order (the
+# worklist discipline, the order a popped pair meets the known pairs, or
+# transitivity before compatibility) changes some witness.
+PINNED_CONGRUENCE_WITNESSES = {
+    295: [
+        'e1 e0: INEQ e1 <= e4 ; REL HYPINV g z1 z2 z3 3 e0 e0 e2 -> e1 ; INEQ e1 <= e2 ; REL HYPINV g z1 z2 z3 2 e0 e0 e2 -> e1',
+        'e2 e0: REL HYPINV g z1 z2 z3 2 e0 e0 e2 -> e1',
+        'e2 e1: REL HYPINV z1 1 e2 -> e1',
+        'e3 e0: INEQ e3 <= e4 ; REL HYPINV g z1 z2 z3 3 e0 e0 e2 -> e1 ; INEQ e1 <= e2 ; REL HYPINV g z1 z2 z3 2 e0 e0 e2 -> e1',
+        'e3 e1: INEQ e3 <= e4 ; REL HYPINV g z1 z2 z3 3 e0 e0 e2 -> e1',
+        'e3 e2: INEQ e3 <= e4 ; REL HYPINV g z1 z2 z3 3 e0 e0 e2 -> e1 ; INEQ e1 <= e2',
+        'e4 e0: REL HYPINV g z1 z2 z3 3 e0 e1 e2 -> e1 ; INEQ e3 <= e4 ; REL HYPINV g z1 z2 z3 3 e0 e0 e2 -> e1 ; INEQ e1 <= e2 ; REL HYPINV g z1 z2 z3 2 e0 e0 e2 -> e1',
+        'e4 e1: REL HYPINV g z1 z2 z3 3 e0 e0 e2 -> e1',
+        'e4 e2: REL HYPINV g z1 z2 z3 3 e0 e0 e2 -> e1 ; INEQ e1 <= e2',
+        'e4 e3: REL HYPINV g z1 z2 z3 3 e0 e1 e2 -> e1',
+    ],
+    371: [
+        'e1 e0: INEQ e1 <= e4 ; REL HYPINV z1 1 e4 -> e2 ; REL HYP z1 1 e2 -> e0',
+        'e2 e0: REL HYP z1 1 e2 -> e0',
+        'e2 e1: INEQ e2 <= e4 ; REL HYPINV z1 1 e4 -> e2 ; REL HYP z1 1 e2 -> e0 ; INEQ e0 <= e1',
+        'e3 e0: INEQ e3 <= e4 ; REL HYPINV z1 1 e4 -> e2 ; REL HYP z1 1 e2 -> e0',
+        'e3 e1: INEQ e3 <= e4 ; REL HYPINV z1 1 e4 -> e2 ; REL HYP z1 1 e2 -> e0 ; INEQ e0 <= e1',
+        'e3 e2: INEQ e3 <= e4 ; REL HYPINV z1 1 e4 -> e2',
+        'e4 e0: REL HYPINV z1 1 e4 -> e2 ; REL HYP z1 1 e2 -> e0',
+        'e4 e1: REL HYPINV z1 1 e4 -> e2 ; REL HYP z1 1 e2 -> e0 ; INEQ e0 <= e1',
+        'e4 e2: REL HYPINV z1 1 e4 -> e2',
+        'e4 e3: REL HYPINV z1 1 e4 -> e2 ; INEQ e2 <= e3',
+    ],
+}
+
+
+def test_congruence_witnesses_pinned():
+    for seed, expected in PINNED_CONGRUENCE_WITNESSES.items():
+        rng = random.Random(seed)
+        alg = random_algebra(rng, SIG1, 5)
+        hyp = random_relation(rng, alg.carrier, 3)
+        res = gen_order_congruence(alg, hyp)
+        got = [f"{a} {b}: " + " ; ".join(scheme_to_lines(res.witness(a, b)))
+               for (a, b) in sorted(res.leq - alg.order)]
+        assert got == expected
+
+
 def test_witness_none_for_unrelated():
     clo = gen_compatible_quasiorder(CH3, frozenset())
     assert clo.witness("e2", "e0") is None
@@ -98,6 +142,7 @@ def test_oracle_equivalence_sample():
         hyp = random_relation(rng, alg.carrier, 3)
         fix = gen_compatible_quasiorder(alg, hyp).relation
         assert bfs_generated_quasiorder(alg, alg.carrier, hyp, 3, 6) == fix
+        assert compatible_closure(alg, hyp) == fix
 
 
 def test_literal_and_one_slot_step_relations_agree():
