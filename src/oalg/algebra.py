@@ -481,6 +481,18 @@ def parse_algebra(text: str, base_dir: str | FsPath = ".",
             raise ParseError(f"unknown line {line!r}")
     if sig is None:
         raise ParseError("no signature: need an `algebra <name> over <sigfile>` line")
+    elements = set(carrier)
+    for fname, tbl in tables.items():
+        if not sig.has(fname) or sig.arity(fname) == 0:
+            raise ParseError(f"op line for unknown operation {fname!r}")
+        k = sig.arity(fname)
+        for args, value in tbl.items():
+            if len(args) != k:
+                raise ParseError(f"op {fname} has arity {k}, got the arguments {args}")
+            outside = sorted({*args, value} - elements)
+            if outside:
+                raise ParseError(f"op {fname} entry {args} -> {value}: "
+                                 f"{outside} not in the carrier")
     return OrderedAlgebra(sig, carrier, order, tables, consts, name=name)
 
 

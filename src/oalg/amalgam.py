@@ -57,7 +57,6 @@ from .terms import (
     op_count,
     all_paths,
     replace_at,
-    skeleton,
     subterm_at,
 )
 from .termorder import VarPoset, extend_monotone_map
@@ -125,9 +124,17 @@ class Amalgam:
         return self.sig.const_leq(a, b)
 
     def term_leq(self, s: Term, t: Term) -> bool:
-        if skeleton(s) != skeleton(t):
-            return False
-        return all(self.leaf_leq(a, b) for a, b in zip(leaves(s), leaves(t)))
+        """The leafwise order: one skeleton, each leaf of s below t's."""
+        stack = [(s, t)]
+        while stack:
+            a, b = stack.pop()
+            if a.children:
+                if a.label != b.label or len(a.children) != len(b.children):
+                    return False
+                stack.extend(zip(a.children, b.children))
+            elif b.children or not self.leaf_leq(a.label, b.label):
+                return False
+        return True
 
     def side(self, i: int) -> OrderedAlgebra:
         return self.a1 if i == 1 else self.a2
@@ -239,15 +246,24 @@ class SpecialAmalgam(Amalgam):
             return self.nu_inv[label]
         return self.a1.const(label)
 
-    def collapse_eval(self, t: Term) -> str:
+    def collapse_eval(self, t: Term, memo: dict[Term, str] | None = None) -> str:
         """Evaluate a mixed term in side 1 after collapsing the copies.
 
         Any scheme from s to t forces collapse_eval(s) <= collapse_eval(t),
-        which is what makes this map a sound search prune.
+        which is what makes this map a sound search prune.  `memo`, if
+        given, holds the values of terms already evaluated and is filled in.
         """
-        if t.is_leaf:
-            return self.to_side1(t.label)
-        return self.a1.op(t.label, tuple(self.collapse_eval(c) for c in t.children))
+        if memo is None:
+            memo = {}
+        value = memo.get(t)
+        if value is None:
+            if t.is_leaf:
+                value = self.to_side1(t.label)
+            else:
+                value = self.a1.op(t.label, tuple(self.collapse_eval(c, memo)
+                                                  for c in t.children))
+            memo[t] = value
+        return value
 
     def center_of_side1(self, label: str) -> str | None:
         return self._img1.get(label)
@@ -363,17 +379,24 @@ def _unfold_pool(am: Amalgam, side: int, max_ops: int) -> dict[str, list[Term]]:
     return pool
 
 
-def _achievable_cached(am: Amalgam, sub: Term, side: int) -> dict[str, Term]:
+def _achievable_cached(am: Amalgam, sub: Term, side: int) -> list[tuple[str, Term]]:
+    """The items of `_achievable_values`, sorted by value; cached per amalgam."""
     cache = am.__dict__.setdefault("_achievable_cache", {})
     key = (sub, side)
     if key not in cache:
-        cache[key] = _achievable_values(am, sub, side)
+        cache[key] = sorted(_achievable_values(am, sub, side).items())
     return cache[key]
 
 
 def _moves(am: Amalgam, u: Term, budget: Budget):
     """Candidate successor states, each a raise step fused with one
-    relation step.  Deterministic order: folds, glue swaps, unfolds."""
+    relation step.  Deterministic order: folds, glue swaps, unfolds.
+
+    A move is `(v, raised, tag, path, new)`: u is raised to `raised`, whose
+    subterm at `path` is rewritten by `tag` to `new`, giving the state
+    `v = replace_at(raised, path, new)`.  No step is built here; see
+    `_fused_steps`.
+    """
     ops_left = budget.max_term_ops - op_count(u)
     # Folds of raised subterms, sides 1 then 2.
     for side, tag in ((1, "EV1"), (2, "EV2")):
@@ -381,15 +404,13 @@ def _moves(am: Amalgam, u: Term, budget: Budget):
             sub = subterm_at(u, path)
             if sub.is_leaf:
                 continue
-            for value, witness in sorted(_achievable_cached(am, sub, side).items()):
+            for value, witness in _achievable_cached(am, sub, side):
                 raised = replace_at(u, path, witness)
-                steps: list[Step] = []
-                if raised != u:
-                    steps.append(IneqStep(u, raised))
-                steps.append(make_rel(tag, raised, path, leaf(value)))
-                yield steps
+                new = leaf(value)
+                yield replace_at(raised, path, new), raised, tag, path, new
+    lpaths = leaf_paths(u)
     # Glue swaps at raised leaves.
-    for path in leaf_paths(u):
+    for path in lpaths:
         a = subterm_at(u, path).label
         cls = am.label_class(a)
         if cls == 0:
@@ -403,50 +424,58 @@ def _moves(am: Amalgam, u: Term, budget: Budget):
             if z is None:
                 continue
             raised = replace_at(u, path, leaf(b)) if b != a else u
-            steps = []
-            if raised != u:
-                steps.append(IneqStep(u, raised))
-            steps.append(make_rel(tag, raised, path, leaf(other[z])))
-            yield steps
+            new = leaf(other[z])
+            yield replace_at(raised, path, new), raised, tag, path, new
     # Unfolds at raised leaves, cheapest terms first.
     if ops_left > 0:
         width = min(ops_left, budget.max_unfold_ops)
         for side, tag in ((1, "EV1INV"), (2, "EV2INV")):
             alg = am.side(side)
-            for path in leaf_paths(u):
+            pool = _unfold_pool(am, side, width)
+            for path in lpaths:
                 a = subterm_at(u, path).label
                 if am.label_class(a) != side:
                     continue
                 for b in alg.up_set(a):
                     raised = replace_at(u, path, leaf(b)) if b != a else u
-                    for w in _unfold_pool(am, side, width).get(b, ()):
-                        steps = []
-                        if raised != u:
-                            steps.append(IneqStep(u, raised))
-                        steps.append(make_rel(tag, raised, path, w))
-                        yield steps
+                    for w in pool.get(b, ()):
+                        yield replace_at(raised, path, w), raised, tag, path, w
+
+
+def _fused_steps(u: Term, raised: Term, tag: str, path: tuple[int, ...],
+                 new: Term) -> list[Step]:
+    """The certificate steps of one move out of u: the raise, unless it is
+    trivial, then the relation step."""
+    steps: list[Step] = [IneqStep(u, raised)] if raised != u else []
+    steps.append(make_rel(tag, raised, path, new))
+    return steps
 
 
 def pushout_leq(am: Amalgam, s: Term, t: Term,
                 budget: Budget | None = None) -> Proven | Unknown:
     """Search for a certificate that s precedes t in the pushout order.
 
-    Breadth-first over fused raise-and-rewrite moves; a hit is returned as
-    a validated scheme.  Unknown covers both a genuinely exhausted budget
-    and hitting the node cap; the stats say which.
+    Breadth-first over fused raise-and-rewrite moves.  Each reached state
+    remembers only the move that reached it; the steps of the one path
+    found are built at the end and returned as a validated scheme.
+    Unknown covers both a genuinely exhausted budget and hitting the node
+    cap; the stats say which.  On a special amalgam, a state whose
+    collapsed value is not below t's is pruned; one memo of collapsed
+    subterm values serves the whole search.
     """
     budget = budget or Budget()
     stats = SearchStats()
     prune = getattr(am, "collapse_eval", None)
-    target_img = prune(t) if prune else None
-    back: dict[Term, tuple[Term, tuple[Step, ...]] | None] = {s: None}
+    memo: dict[Term, str] = {}
+    target_img = prune(t, memo) if prune else None
+    back: dict[Term, tuple | None] = {s: None}
 
     def finish(u: Term) -> Proven:
         steps: list[Step] = []
         cur = u
         while back[cur] is not None:
-            prev, part = back[cur]
-            steps = list(part) + steps
+            prev, *move = back[cur]
+            steps = _fused_steps(prev, *move) + steps
             cur = prev
         if u != t:
             steps.append(IneqStep(u, t))
@@ -454,7 +483,7 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
         assert_valid(am, sch, "search result")
         return Proven(sch, stats)
 
-    if prune and not am.a1.leq(prune(s), target_img):
+    if prune and not am.a1.leq(prune(s, memo), target_img):
         return Unknown(stats)
     if am.term_leq(s, t):
         return finish(s)
@@ -464,18 +493,17 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
         new_frontier: list[Term] = []
         for u in frontier:
             stats.nodes_expanded += 1
-            for steps in _moves(am, u, budget):
+            for v, *move in _moves(am, u, budget):
                 stats.nodes_generated += 1
                 if stats.nodes_generated > budget.max_nodes:
                     stats.capped = True
                     return Unknown(stats)
-                v = steps[-1].right
                 if v in back:
                     continue
-                if prune and not am.a1.leq(prune(v), target_img):
+                if prune and not am.a1.leq(prune(v, memo), target_img):
                     stats.pruned += 1
                     continue
-                back[v] = (u, tuple(steps))
+                back[v] = (u, *move)
                 if am.term_leq(v, t):
                     return finish(v)
                 new_frontier.append(v)
@@ -656,6 +684,11 @@ def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
     """
     if x in center:
         raise PreconditionFailed(f"{x} already lies in the subalgebra")
+    if (any(e not in alg.index for e in center)
+            or set(generated_subalgebra(alg, center)) != set(center)):
+        raise PreconditionFailed(
+            f"{sorted(center)} is not a subalgebra: not closed under the "
+            f"operations or missing a constant")
     cache = alg.__dict__.setdefault("_separator_hom_cache", {})
     for cod in separator_candidates(alg, max_size):
         key = _fingerprint(cod)

@@ -776,10 +776,10 @@ def scheme_from_lines(sig: Signature, variables: list[str], lines: list[str]) ->
             right = parse_term(sig, variables, r.strip())
             steps.append(IneqStep(left, right))
         elif line.startswith("REL"):
-            body = line[len("REL"):].strip()
-            tag, rest = body.split(None, 1)
-            if "->" not in rest:
+            parts = line[len("REL"):].split(None, 1)
+            if len(parts) != 2 or "->" not in parts[1]:
                 raise ParseError(f"malformed REL line: {line!r}")
+            tag, rest = parts
             lhs, rhs = rest.rsplit("->", 1)
             if tag.startswith("MULTI:"):
                 tags = tuple(tag[len("MULTI:"):].split(","))
@@ -789,8 +789,11 @@ def scheme_from_lines(sig: Signature, variables: list[str], lines: list[str]) ->
                 continue
             tokens = lhs.split()
             template, used = _read_prefix(sig, z_vars, tokens)
-            slot = int(tokens[used])
             n = leaf_count(template)
+            slot_token = tokens[used] if used < len(tokens) else ""
+            if not (slot_token.isdecimal() and 1 <= int(slot_token) <= n):
+                raise ParseError(f"REL line needs a slot in 1..{n} after the template: {line!r}")
+            slot = int(slot_token)
             fills = tuple(tokens[used + 1: used + n])
             u_tokens = tokens[used + n:]
             u = parse_term(sig, variables, " ".join(u_tokens))

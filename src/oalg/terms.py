@@ -17,8 +17,22 @@ from .signature import Signature, is_formal_variable
 
 @dataclass(frozen=True)
 class Term:
+    """Equality is structural; the hash, the same value as the hash of
+    (label, children), is computed once per node from the children's."""
+
     label: str
     children: tuple["Term", ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.label, self.children)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild rather than copy the cached hash: string hashes differ
+        # between interpreter runs.
+        return Term, (self.label, self.children)
 
     @property
     def is_leaf(self) -> bool:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from oalg.algebra import Homomorphism, chain, subalgebra, with_trivial_order
 from oalg.amalgam import (
@@ -19,9 +20,9 @@ from oalg.amalgam import (
 )
 from oalg.errors import CommutationFailure, PreconditionFailed
 from oalg.generators import random_algebra, random_special_amalgam
-from oalg.schemes import validate_scheme
+from oalg.schemes import scheme_to_lines, validate_scheme
 from oalg.signature import SIG1, Signature
-from oalg.terms import leaf, node, parse_term
+from oalg.terms import Term, leaf, leaves, node, parse_term, skeleton
 
 CH3 = chain(3, SIG1)
 SP = make_special(CH3, [])
@@ -210,3 +211,101 @@ def test_mediate_into_first_copy():
         assert med(leaf(x)) == x
     res = pushout_equal(SP, leaf("e0<1>"), leaf("e0<2>"))
     med.check_pair(res)
+
+
+def _p(word):
+    return parse_term(SP.sig, SP.variables(), word)
+
+
+# Certificates and statistics of the pushout search, pinned: a change that
+# only makes the search cheaper must leave every line and count as it is.
+GOLDEN_SEARCHES = [
+    (pushout_equal, "f e2<1> e2<2>", "e2<1>", None,
+     {"nodes_expanded": 6, "nodes_generated": 6132, "depth_reached": 2,
+      "capped": False, "pruned": 0},
+     [["REL GLUEINV f z1 z2 2 e2<1> e2<2> -> e2<1>",
+       "REL EV1 z1 1 f e2<1> e2<1> -> e2<1>"],
+      ["REL EV1INV z1 1 e2<1> -> f e0<1> e2<1>",
+       "REL GLUE f z1 z2 2 e0<1> e2<1> -> e2<2>",
+       "INEQ f e0<1> e2<2> <= f e2<1> e2<2>"]]),
+    (pushout_equal, "f e0<1> e0<2>", "e0<1>", None,
+     {"nodes_expanded": 6, "nodes_generated": 7366, "depth_reached": 2,
+      "capped": False, "pruned": 7283},
+     [["REL GLUEINV f z1 z2 2 e0<1> e0<2> -> e0<1>",
+       "REL EV1 z1 1 f e0<1> e0<1> -> e0<1>"],
+      ["REL EV1INV z1 1 e0<1> -> f e0<1> e0<1>",
+       "REL GLUE f z1 z2 2 e0<1> e0<1> -> e0<2>"]]),
+    (pushout_leq, "e1<2>", "f e1<1> e2<1>", None,
+     {"nodes_expanded": 2, "nodes_generated": 1215, "depth_reached": 2,
+      "capped": False, "pruned": 0},
+     [["INEQ e1<2> <= e2<2>",
+       "REL GLUEINV z1 1 e2<2> -> e2<1>",
+       "REL EV1INV z1 1 e2<1> -> f e0<1> e2<1>",
+       "INEQ f e0<1> e2<1> <= f e1<1> e2<1>"]]),
+    (pushout_leq, "e1<1>", "e1<2>", Budget(max_nodes=2000),
+     {"nodes_expanded": 2, "nodes_generated": 2001, "depth_reached": 2,
+      "capped": True, "pruned": 1602}, []),
+    (pushout_leq, "e2<1>", "e0<1>", None,
+     {"nodes_expanded": 0, "nodes_generated": 0, "depth_reached": 0,
+      "capped": False, "pruned": 0}, []),
+]
+
+
+@pytest.mark.parametrize("search,s,t,budget,stats,schemes", GOLDEN_SEARCHES)
+def test_pushout_search_golden(search, s, t, budget, stats, schemes):
+    res = search(SP, _p(s), _p(t), budget)
+    assert res.stats.as_dict() == stats
+    found = [getattr(res, name) for name in ("scheme", "forward", "backward")
+             if hasattr(res, name)]
+    assert [scheme_to_lines(sch) for sch in found] == schemes
+    for sch in found:
+        assert validate_scheme(SP, sch) == []
+
+
+def _skeleton_leaves_term_leq(am, s, t):
+    """The definition of the leafwise order: one skeleton, leaves pairwise below."""
+    if skeleton(s) != skeleton(t):
+        return False
+    return all(am.leaf_leq(a, b) for a, b in zip(leaves(s), leaves(t)))
+
+
+LABELS = SP.a1.carrier + SP.a2.carrier + ["c", "d"]
+
+
+def _labels_above(label):
+    cls = SP.label_class(label)
+    if cls == 0:
+        return [b for b in ("c", "d") if SP.sig.const_leq(label, b)]
+    return SP.side(cls).up_set(label)
+
+
+@st.composite
+def term_pairs(draw):
+    def term(depth):
+        op = draw(st.sampled_from(["f", "g", None, None] if depth else [None]))
+        if op is None:
+            return leaf(draw(st.sampled_from(LABELS)))
+        return node(op, *(term(depth - 1) for _ in range(SP.sig.arity(op))))
+
+    def relabel(u):
+        if u.children:
+            return Term(u.label, tuple(relabel(c) for c in u.children))
+        above = draw(st.booleans())
+        return leaf(draw(st.sampled_from(_labels_above(u.label) if above else LABELS)))
+
+    s = term(3)
+    t = relabel(s) if draw(st.booleans()) else term(3)
+    return s, t
+
+
+@given(term_pairs())
+def test_term_leq_agrees_with_skeleton_and_leaves(pair):
+    s, t = pair
+    assert SP.term_leq(s, t) == _skeleton_leaves_term_leq(SP, s, t)
+    assert SP.term_leq(s, s)
+
+
+def test_separator_search_rejects_a_center_that_is_not_closed():
+    # The constant d is e5 in chain(6), so e0..e3 is not a subalgebra.
+    with pytest.raises(PreconditionFailed, match="subalgebra"):
+        separator_search(chain(6, SIG1), ["e0", "e1", "e2", "e3"], "e5", 4)

@@ -184,3 +184,33 @@ def test_structured_output_deterministic(workspace):
     code2, out2 = run(*args)
     assert code1 == code2 == 0 and out1 == out2
     assert out1.startswith("record=dominion")
+
+
+@pytest.mark.parametrize("line", [
+    "REL EV1",
+    "REL EV1 f z1 z2 x e0<1> e1<1> -> e1<1>",
+    "REL EV1 f z1 z2 3 e0<1> e1<1> -> e1<1>",
+    "REL EV1 f z1 z2",
+])
+def test_normalize_malformed_rel_line_is_parse_error(workspace, line, capsys):
+    scheme = workspace / "bad.scheme"
+    scheme.write_text(line + "\n")
+    code, _ = run("normalize", str(scheme), "--amalgam", str(workspace / "sp.amalgam"))
+    assert code == 2
+    assert "REL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,problem", [
+    ("op h: (e0,e1) -> e1", "unknown operation"),
+    ("op c: () -> e1", "unknown operation"),
+    ("op f: (e0) -> e1", "arity"),
+    ("op f: (e0,e1,e2) -> e1", "arity"),
+    ("op f: (e0,e7) -> e1", "not in the carrier"),
+    ("op f: (e0,e1) -> e7", "not in the carrier"),
+])
+def test_validate_bad_op_line_is_parse_error(workspace, line, problem, capsys):
+    bad = workspace / "bad.oalg"
+    bad.write_text((workspace / "ch3.oalg").read_text() + line + "\n")
+    code, out = run("validate", str(bad))
+    assert code == 2 and "violations" not in out
+    assert problem in capsys.readouterr().err

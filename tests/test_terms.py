@@ -154,3 +154,29 @@ def test_leaf_count_additivity():
     for t in enumerate_terms(SIG1, ["x1", "c"], 2):
         if not t.is_leaf:
             assert leaf_count(t) == sum(leaf_count(c) for c in t.children)
+
+
+def test_hash_is_the_hash_of_label_and_children():
+    for t in enumerate_terms(SIG1, ["x1", "c"], 2):
+        assert hash(t) == hash((t.label, t.children))
+    built = Term("f", (leaf("x1"), Term("g", (leaf("x2"), leaf("c"), leaf("x1")))))
+    assert built == p("f x1 g x2 c x1") and built is not p("f x1 g x2 c x1")
+
+
+def test_unpickled_term_rehashes_under_this_interpreter():
+    # String hashes differ between interpreter runs, so a term pickled by
+    # another run must not bring its cached hash along.
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    code = ("import pickle, sys; from oalg.terms import leaf, node; "
+            "sys.stdout.buffer.write(pickle.dumps(node('f', leaf('x1'), leaf('c'))))")
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    data = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, check=True).stdout
+    t = pickle.loads(data)
+    assert t == p("f x1 c") and hash(t) == hash(p("f x1 c"))
+    assert {p("f x1 c"): 1}[t] == 1
