@@ -131,16 +131,30 @@ def validate_algebra(alg: OrderedAlgebra) -> list[dict]:
     return report
 
 
-def evaluate(alg: OrderedAlgebra, t: Term, env: dict[str, str]) -> str:
-    """Evaluate a term; variables come from env, constants from the algebra."""
-    if t.is_leaf:
+def evaluate(alg: OrderedAlgebra, t: Term, env: dict[str, str],
+             memo: dict[Term, str] | None = None) -> str:
+    """Evaluate a term; variables come from env, constants from the algebra.
+
+    This is the one term evaluator: the unique homomorphic extension of
+    env.  `memo`, if given, holds the values of terms already evaluated
+    under the same algebra and env, and is filled in.
+    """
+    if memo is None:
+        memo = {}
+    value = memo.get(t)
+    if value is None:
         l = t.label
-        if alg.sig.has(l):
-            return alg.const(l)
-        if l not in env:
+        if t.children:
+            value = alg.op_tables[l][tuple([evaluate(alg, c, env, memo)
+                                            for c in t.children])]
+        elif alg.sig.has(l):
+            value = alg.const_vals[l]
+        elif l in env:
+            value = env[l]
+        else:
             raise UnboundVariable(f"variable {l!r} not bound")
-        return env[l]
-    return alg.op(t.label, tuple(evaluate(alg, c, env) for c in t.children))
+        memo[t] = value
+    return value
 
 
 def check_homomorphism(h: Homomorphism) -> dict[str, bool]:
@@ -355,6 +369,9 @@ def terminal(sig: Signature) -> OrderedAlgebra:
 
 def generated_subalgebra(alg: OrderedAlgebra, seed) -> list[str]:
     """Closure of seed plus all constants under every operation table."""
+    outside = [e for e in seed if e not in alg.index]
+    if outside:
+        raise PreconditionFailed(f"seed elements {outside} not in the carrier of {alg.name}")
     current = {alg.const(c) for c in alg.sig.constants()}
     current.update(seed)
     changed = True
@@ -540,6 +557,12 @@ def parse_homomorphism(text: str, base_dir: str | FsPath = ".") -> Homomorphism:
     missing = [e for e in dom.carrier if e not in mapping]
     if missing:
         raise ParseError(f"map not total, missing {missing}")
+    outside = [e for e in mapping if e not in dom.index]
+    if outside:
+        raise ParseError(f"map sources {outside} not in the domain {dom.name}")
+    outside = [v for v in mapping.values() if v not in cod.index]
+    if outside:
+        raise ParseError(f"map values {outside} not in the codomain {cod.name}")
     return Homomorphism(dom, cod, mapping)
 
 

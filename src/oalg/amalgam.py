@@ -32,6 +32,7 @@ from .algebra import (
 )
 from .errors import (
     CommutationFailure,
+    NotAHomomorphism,
     ParseError,
     PreconditionFailed,
     TheoremContradiction,
@@ -93,6 +94,7 @@ class Amalgam:
         self.phi2 = {c: ren2[phi2[c]] for c in center.carrier}
         self._img1 = {v: k for k, v in self.phi1.items()}
         self._img2 = {v: k for k, v in self.phi2.items()}
+        self._side_env = {i: {e: e for e in self.side(i).carrier} for i in (1, 2)}
 
     # -- amalgam-level term helpers ------------------------------------------
 
@@ -149,9 +151,7 @@ class Amalgam:
         return None
 
     def eval_in_side(self, t: Term, i: int) -> str:
-        alg = self.side(i)
-        env = {e: e for e in alg.carrier}
-        return evaluate(alg, t, env)
+        return evaluate(self.side(i), t, self._side_env[i])
 
     def glue_tag(self, a: str, b: str) -> str | None:
         if a == b:
@@ -230,6 +230,7 @@ class SpecialAmalgam(Amalgam):
         self.alpha2 = {e: side_tag(e, 2) for e in base.carrier}
         self.nu = {side_tag(e, 1): side_tag(e, 2) for e in base.carrier}
         self.nu_inv = {v: k for k, v in self.nu.items()}
+        self._collapse_env = {e: self.to_side1(e) for e in self.variables()}
 
     def transport(self, label: str, side: int) -> str:
         cls = self.label_class(label)
@@ -250,20 +251,10 @@ class SpecialAmalgam(Amalgam):
         """Evaluate a mixed term in side 1 after collapsing the copies.
 
         Any scheme from s to t forces collapse_eval(s) <= collapse_eval(t),
-        which is what makes this map a sound search prune.  `memo`, if
-        given, holds the values of terms already evaluated and is filled in.
+        which is what makes this map a sound search prune.  `memo` is
+        passed on to `evaluate`.
         """
-        if memo is None:
-            memo = {}
-        value = memo.get(t)
-        if value is None:
-            if t.is_leaf:
-                value = self.to_side1(t.label)
-            else:
-                value = self.a1.op(t.label, tuple(self.collapse_eval(c, memo)
-                                                  for c in t.children))
-            memo[t] = value
-        return value
+        return evaluate(self.a1, t, self._collapse_env, memo)
 
     def center_of_side1(self, label: str) -> str | None:
         return self._img1.get(label)
@@ -825,7 +816,11 @@ def epi_check(h: Homomorphism, max_size: int) -> EpiReport:
 
     A separator found for any element outside the image shows the map is
     not an epimorphism; trivial-order algebras are supported unchanged.
+    The map must be a monotone homomorphism.
     """
+    flags = check_homomorphism(h)
+    if not (flags["is_hom"] and flags["is_monotone"]):
+        raise NotAHomomorphism("epi check needs a monotone homomorphism")
     image = h.image()
     missing = [e for e in h.cod.carrier if e not in image]
     if not missing:

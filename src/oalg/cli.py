@@ -33,7 +33,7 @@ from .amalgam import (
 )
 from .closure import (bfs_generated_quasiorder, gen_compatible_quasiorder,
                       gen_order_congruence)
-from .errors import OalgError, ParseError, TheoremContradiction
+from .errors import OalgError, ParseError, PreconditionFailed, TheoremContradiction
 from .schemes import normalize, scheme_from_lines, scheme_to_lines, validate_scheme
 from .selftest import run_all
 from .signature import parse_signature
@@ -173,8 +173,10 @@ def cmd_pushout_eq(args, rep: Reporter) -> int:
 def cmd_dominion(args, rep: Reporter) -> int:
     if args.special:
         base = load_algebra(args.special)
-        seed = args.seed_elems or []
-        sp = make_special(base, seed)
+        try:
+            sp = make_special(base, args.seed_elems or [])
+        except PreconditionFailed as exc:
+            raise ParseError(str(exc)) from exc
     else:
         am = load_amalgam(args.amalgam)
         if not hasattr(am, "base"):
@@ -268,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=cmd_pushout_eq)
 
     d = sub.add_parser("dominion", help="dominion of the core of a special amalgam")
-    d.add_argument("amalgam", nargs="?")
-    d.add_argument("--special", help=".oalg file for the base algebra")
+    source = d.add_mutually_exclusive_group(required=True)
+    source.add_argument("amalgam", nargs="?")
+    source.add_argument("--special", help=".oalg file for the base algebra")
     d.add_argument("--seed-elems", nargs="*", default=None)
     d.set_defaults(fn=cmd_dominion)
 

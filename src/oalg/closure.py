@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import relations
-from .algebra import OrderedAlgebra
+from .algebra import OrderedAlgebra, evaluate
 from .errors import WitnessInconsistency
 from .schemes import (
     IDENTITY_TRANSLATION,
@@ -39,15 +39,8 @@ def _single_op_translation(alg: OrderedAlgebra, op: str, fillers: tuple[str, ...
 
 def _eval_translation(alg: OrderedAlgebra, trans: Translation, value: str) -> str:
     """Evaluate a translation at a carrier element; fillers are elements."""
-    def ev(t: Term, fills: list[str]) -> str:
-        if t.is_leaf:
-            if alg.sig.has(t.label):
-                return alg.const(t.label)
-            return fills.pop(0)
-        return alg.op(t.label, tuple(ev(c, fills) for c in t.children))
-
-    fills = [f for f in trans.fills_with(value)]
-    return ev(trans.template, fills)
+    return evaluate(alg, trans.template, {formal_var(i): e for i, e in
+                                          enumerate(trans.fills_with(value), start=1)})
 
 
 def _one_slot_images(alg: OrderedAlgebra):

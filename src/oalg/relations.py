@@ -101,10 +101,6 @@ def is_partial_order(pairs: frozenset, elements: Iterable) -> bool:
     return is_reflexive(pairs, elements) and is_transitive(pairs) and is_antisymmetric(pairs)
 
 
-def up_set(pairs: frozenset, x) -> frozenset:
-    return frozenset(b for (a, b) in pairs if a == x)
-
-
 def all_partitions(elements: list) -> list[list[list]]:
     """Every partition of `elements`, deterministically ordered."""
     if not elements:

@@ -91,9 +91,6 @@ class Translation:
     def hole_path(self) -> Path:
         return path_of_leaf(self.template, self.slot)
 
-    def is_identity(self) -> bool:
-        return self.template.is_leaf and not self.fillers
-
 
 IDENTITY_TRANSLATION = Translation(leaf("z1"), 1, ())
 
@@ -158,9 +155,6 @@ class Scheme:
     def __len__(self):
         return len(self.steps)
 
-    def rel_steps(self):
-        return [s for s in self.steps if isinstance(s, RelStep)]
-
     def ev_load(self) -> int:
         """Total operation count of terms sitting under EV-family tags.
 
@@ -181,15 +175,6 @@ def make_rel(tag: str, whole: Term, path: Path, new_sub: Term) -> RelStep:
     u = subterm_at(whole, path)
     return RelStep(tag, context_translation(whole, path), u, new_sub,
                    whole, replace_at(whole, path, new_sub))
-
-
-def chain_ok(sch: Scheme) -> bool:
-    prev = sch.source
-    for s in sch.steps:
-        if s.left != prev:
-            return False
-        prev = s.right
-    return prev == sch.target
 
 
 def validate_scheme(am, sch: Scheme) -> list[dict]:

@@ -9,6 +9,8 @@ the same relation is kept as an independent oracle for tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from . import relations
 from .algebra import OrderedAlgebra, evaluate, validate_algebra
@@ -207,23 +209,10 @@ def _check_op_compat(sig: Signature, xp: VarPoset, pool: list[Term],
     return report
 
 
-class MonotoneEvaluator:
-    """The unique homomorphic extension of a monotone variable assignment."""
-
-    def __init__(self, sig: Signature, xp: VarPoset, target: OrderedAlgebra,
-                 alpha: dict[str, str]):
-        self.sig = sig
-        self.xp = xp
-        self.target = target
-        self.alpha = dict(alpha)
-
-    def __call__(self, t: Term) -> str:
-        return evaluate(self.target, t, self.alpha)
-
-
 def extend_monotone_map(xp: VarPoset, target: OrderedAlgebra,
-                        alpha: dict[str, str]) -> MonotoneEvaluator:
-    """Extend a monotone map on variables to an evaluator on all terms.
+                        alpha: dict[str, str]) -> Callable[[Term], str]:
+    """Extend a monotone map on variables to an evaluator on all terms:
+    the unique homomorphic extension, memoized over the evaluator's life.
 
     The target must belong to the constant-inequality variety; violations
     of either precondition are reported with a concrete witness.
@@ -240,4 +229,4 @@ def extend_monotone_map(xp: VarPoset, target: OrderedAlgebra,
         if not target.leq(alpha[x], alpha[y]):
             raise NotMonotone(f"assignment breaks {x} <= {y}: "
                               f"{alpha[x]} !<= {alpha[y]}")
-    return MonotoneEvaluator(sig, xp, target, alpha)
+    return partial(evaluate, target, env=dict(alpha), memo={})

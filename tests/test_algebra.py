@@ -266,6 +266,8 @@ def test_generated_subalgebra():
     assert generated_subalgebra(CH3, []) == ["e0", "e2"]
     assert generated_subalgebra(CH3, CH3.carrier) == CH3.carrier
     assert generated_subalgebra(CH3, ["e1"]) == ["e0", "e1", "e2"]
+    with pytest.raises(PreconditionFailed, match="not in the carrier"):
+        generated_subalgebra(CH3, ["zz"])
     sub = subalgebra(CH3, ["e0", "e2"])
     assert validate_algebra(sub) == []
     assert sub.order == frozenset({("e0", "e0"), ("e2", "e2"), ("e0", "e2")})

@@ -18,11 +18,13 @@ from oalg.amalgam import (
     separator_search,
     validate_amalgam,
 )
-from oalg.errors import CommutationFailure, PreconditionFailed
+from oalg.errors import CommutationFailure, NotAHomomorphism, PreconditionFailed, \
+    UnboundVariable
 from oalg.generators import random_algebra, random_special_amalgam
 from oalg.schemes import scheme_to_lines, validate_scheme
 from oalg.signature import SIG1, Signature
-from oalg.terms import Term, leaf, leaves, node, parse_term, skeleton
+from oalg.terms import Term, enumerate_terms, leaf, leaves, node, parse_term, skeleton
+from oalg.termorder import extend_monotone_map
 
 CH3 = chain(3, SIG1)
 SP = make_special(CH3, [])
@@ -35,6 +37,8 @@ def test_make_special_examples():
     assert full.c.carrier == CH3.carrier
     tiny = make_special(chain(1, Signature({"f": 2, "c": 0})), [])
     assert len(tiny.base.carrier) == 1
+    with pytest.raises(PreconditionFailed, match="not in the carrier"):
+        make_special(CH3, ["e0", "zz"])
 
 
 def test_validate_amalgam():
@@ -157,6 +161,9 @@ def test_epi_check_examples():
     assert rep.verdict == "NotEpi" and rep.separator.element == "e1"
     tight = epi_check(incl, 1)
     assert tight.verdict == "Inconclusive"
+    swap = Homomorphism(sub, CH3, {"e0": "e2", "e2": "e0"})
+    with pytest.raises(NotAHomomorphism):
+        epi_check(swap, 3)
 
 
 def test_epi_check_trivial_order():
@@ -309,3 +316,42 @@ def test_separator_search_rejects_a_center_that_is_not_closed():
     # The constant d is e5 in chain(6), so e0..e3 is not a subalgebra.
     with pytest.raises(PreconditionFailed, match="subalgebra"):
         separator_search(chain(6, SIG1), ["e0", "e1", "e2", "e3"], "e5", 4)
+
+
+def _raw_values(alg, pool, leaf_value):
+    """Independent oracle: the value of each pool term, or None where a
+    leaf has none, by one raw table lookup per term.  The pool must list
+    children before parents."""
+    out = {}
+    for t in pool:
+        if t.children:
+            args = tuple(out[c] for c in t.children)
+            out[t] = None if None in args else alg.op_tables[t.label][args]
+        elif t.label in alg.const_vals:
+            out[t] = alg.const_vals[t.label]
+        else:
+            out[t] = leaf_value.get(t.label)
+    return out
+
+
+def test_evaluators_agree_with_raw_tables():
+    # A monotone map from both copies into CH3 that is not the collapse.
+    squash = {"e0": "e0", "e1": "e2", "e2": "e2"}
+    alpha = {**{SP.alpha1[e]: e for e in CH3.carrier},
+             **{SP.alpha2[e]: squash[e] for e in CH3.carrier}}
+    beta = extend_monotone_map(SP.var_poset(), CH3, alpha)
+    pool = enumerate_terms(SIG1, SP.variables() + SIG1.constants(), 2)
+    collapsed = _raw_values(SP.a1, pool, {x: SP.to_side1(x) for x in SP.variables()})
+    on_side = {i: _raw_values(SP.side(i), pool, {e: e for e in SP.side(i).carrier})
+               for i in (1, 2)}
+    extended = _raw_values(CH3, pool, alpha)
+    memo = {}
+    for t in pool:
+        assert SP.collapse_eval(t, memo) == collapsed[t]
+        assert beta(t) == extended[t]
+        for i in (1, 2):
+            if on_side[i][t] is None:
+                with pytest.raises(UnboundVariable):
+                    SP.eval_in_side(t, i)
+            else:
+                assert SP.eval_in_side(t, i) == on_side[i][t]

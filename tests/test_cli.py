@@ -214,3 +214,39 @@ def test_validate_bad_op_line_is_parse_error(workspace, line, problem, capsys):
     code, out = run("validate", str(bad))
     assert code == 2 and "violations" not in out
     assert problem in capsys.readouterr().err
+
+
+def test_dominion_seed_outside_carrier_is_parse_error(workspace, capsys):
+    code, out = run("dominion", "--special", str(workspace / "ch3.oalg"),
+                    "--seed-elems", "zz")
+    assert code == 2 and out == ""
+    assert "not in the carrier" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("both", [False, True])
+def test_dominion_needs_exactly_one_input(workspace, both, capsys):
+    argv = [str(workspace / "sp.amalgam"), "--special", str(workspace / "ch3.oalg")]
+    with pytest.raises(SystemExit) as exc:
+        run("dominion", *(argv if both else []))
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("maps,problem", [
+    (("e0 -> e0", "e2 -> e2", "zz -> e1"), "not in the domain"),
+    (("e0 -> e0", "e2 -> e3"), "not in the codomain"),
+])
+def test_hom_outside_carriers_is_parse_error(workspace, maps, problem, capsys):
+    (workspace / "bad.hom").write_text(
+        "hom from c2.oalg to ch3.oalg\n" + "".join(f"map {m}\n" for m in maps))
+    code, out = run("epi", "--hom", str(workspace / "bad.hom"), "--max-codomain", "3")
+    assert code == 2 and "verdict" not in out
+    assert problem in capsys.readouterr().err
+
+
+def test_epi_rejects_a_map_that_is_not_a_homomorphism(workspace, capsys):
+    (workspace / "swap.hom").write_text(
+        "hom from c2.oalg to ch3.oalg\nmap e0 -> e2\nmap e2 -> e0\n")
+    code, out = run("epi", "--hom", str(workspace / "swap.hom"), "--max-codomain", "3")
+    assert code == 1 and "verdict" not in out
+    assert "homomorphism" in capsys.readouterr().err
