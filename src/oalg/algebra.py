@@ -233,9 +233,9 @@ def leq_theta(alg: OrderedAlgebra, theta: Rel) -> Rel:
 
 def is_order_congruence(alg: OrderedAlgebra, theta: Rel) -> bool:
     """Closed chain condition: mutually leq-theta-related elements are glued."""
-    lt = leq_theta(alg, theta)
-    return all((a, b) in theta
-               for (a, b) in lt if (b, a) in lt)
+    if not is_congruence(alg, theta):
+        raise NotACongruence("relation is not a congruence of the reduct")
+    return _order_quotient(alg, theta)[1] is not None
 
 
 def is_compatible_quasiorder(alg: OrderedAlgebra, sigma: Rel) -> bool:
@@ -280,6 +280,16 @@ def _quotient_algebra(alg: OrderedAlgebra, eq: Rel, order_source: Rel,
     return q, nat
 
 
+def _order_quotient(alg: OrderedAlgebra, theta: Rel):
+    """leq-theta, and the regular quotient with its natural map or None
+    if theta fails the closed chain condition, which for a congruence
+    (not rechecked here) reads `lt & lt^-1 == theta`."""
+    lt = relations.transitive_closure(alg.order | theta)
+    if lt & relations.inverse(lt) != theta:
+        return lt, None
+    return lt, _quotient_algebra(alg, theta, lt, name=f"{alg.name}/theta")
+
+
 def regular_quotient(alg: OrderedAlgebra, theta: Rel) -> tuple[OrderedAlgebra, Homomorphism]:
     """Quotient by an order-congruence, ordered by the projected chain relation.
 
@@ -288,10 +298,10 @@ def regular_quotient(alg: OrderedAlgebra, theta: Rel) -> tuple[OrderedAlgebra, H
     """
     if not is_congruence(alg, theta):
         raise NotOrderCongruence("not a congruence")
-    if not is_order_congruence(alg, theta):
+    quotient = _order_quotient(alg, theta)[1]
+    if quotient is None:
         raise NotOrderCongruence("congruence fails the closed chain condition")
-    return _quotient_algebra(alg, theta, leq_theta(alg, theta),
-                             name=f"{alg.name}/theta")
+    return quotient
 
 
 def nonregular_quotient(alg: OrderedAlgebra, sigma: Rel) -> OrderedAlgebra:
@@ -306,22 +316,19 @@ def nonregular_quotient(alg: OrderedAlgebra, sigma: Rel) -> OrderedAlgebra:
 def factor_through(f: Homomorphism, theta: Rel) -> Homomorphism:
     """The unique map g from the quotient with g after the natural map = f."""
     alg = f.dom
-    lt = leq_theta(alg, theta)
+    if not is_congruence(alg, theta):
+        raise NotACongruence("relation is not a congruence of the reduct")
+    lt, quotient = _order_quotient(alg, theta)
     dk = directed_kernel(f)
-    missing = sorted(set(lt) - set(dk))
+    missing = sorted(lt - dk)
     if missing:
         raise PreconditionFailed(
             f"leq-theta pair {missing[0]} is not in the directed kernel")
-    q, nat = regular_quotient(alg, theta)
-    gmap: dict[str, str] = {}
-    for e in alg.carrier:
-        cls = nat.map[e]
-        val = f.map[e]
-        if cls in gmap and gmap[cls] != val:
-            raise PreconditionFailed(
-                f"representatives of {cls} disagree under f")
-        gmap.setdefault(cls, val)
-    return Homomorphism(q, f.cod, gmap)
+    if quotient is None:
+        raise NotOrderCongruence("congruence fails the closed chain condition")
+    # theta lies in the kernel of f now, so f is constant on each class.
+    q, nat = quotient
+    return Homomorphism(q, f.cod, {nat.map[e]: f.map[e] for e in alg.carrier})
 
 
 def product(algebras: list[OrderedAlgebra]) -> OrderedAlgebra:
@@ -510,6 +517,9 @@ def parse_algebra(text: str, base_dir: str | FsPath = ".",
             if outside:
                 raise ParseError(f"op {fname} entry {args} -> {value}: "
                                  f"{outside} not in the carrier")
+    unknown = sorted(c for c in consts if not sig.has(c) or sig.arity(c) != 0)
+    if unknown:
+        raise ParseError(f"const lines for {unknown}: not constants of the signature")
     return OrderedAlgebra(sig, carrier, order, tables, consts, name=name)
 
 
@@ -549,6 +559,8 @@ def parse_homomorphism(text: str, base_dir: str | FsPath = ".") -> Homomorphism:
         elif tokens[0] == "map":
             if len(tokens) != 4 or tokens[2] != "->":
                 raise ParseError(f"malformed map line: {line!r}")
+            if tokens[1] in mapping:
+                raise ParseError(f"second map line for {tokens[1]}: {line!r}")
             mapping[tokens[1]] = tokens[3]
         else:
             raise ParseError(f"unknown line {line!r}")

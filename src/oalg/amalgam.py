@@ -15,6 +15,7 @@ from pathlib import Path as FsPath
 
 from . import relations
 from .algebra import (
+    _order_quotient,
     Homomorphism,
     OrderedAlgebra,
     all_congruences,
@@ -23,10 +24,9 @@ from .algebra import (
     check_homomorphism,
     evaluate,
     generated_subalgebra,
-    is_order_congruence,
     load_algebra,
+    nonregular_quotient,
     product as product_algebra,
-    regular_quotient,
     subalgebra,
     validate_algebra,
 )
@@ -643,7 +643,6 @@ def separator_candidates(alg: OrderedAlgebra, max_size: int):
     regular quotients, non-regular quotients (same classes under coarser
     compatible quasiorders), then chains and products of chains."""
     from .closure import all_compatible_quasiorders
-    from .algebra import nonregular_quotient
 
     seen: set = set()
 
@@ -655,9 +654,9 @@ def separator_candidates(alg: OrderedAlgebra, max_size: int):
                 yield d
 
     for theta in all_congruences(alg):
-        if is_order_congruence(alg, theta):
-            q, _ = regular_quotient(alg, theta)
-            yield from emit(q)
+        quotient = _order_quotient(alg, theta)[1]
+        if quotient is not None:
+            yield from emit(quotient[0])
     for sigma in all_compatible_quasiorders(alg):
         yield from emit(nonregular_quotient(alg, sigma))
     for d in _chain_products(alg.sig, max_size):
@@ -697,6 +696,18 @@ def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
                 if f.map[x] != g.map[x]:
                     return Separator(cod, f, g, x)
     return exhaustive_separator(alg, center, x, max_size)
+
+
+def _forced_table(table: dict, maps, arity: int, elements: list[str],
+                  order: frozenset) -> dict | None:
+    """A total monotone codomain table under which every map commutes
+    with this operation, or None: the forced entries, completed."""
+    forced: dict = {}
+    for h in maps:
+        for args, v in table.items():
+            if forced.setdefault(tuple(h[a] for a in args), h[v]) != h[v]:
+                return None
+    return _complete_monotone(forced, arity, elements, order)
 
 
 def _complete_monotone(table: dict, arity: int, elements: list[str],
@@ -743,10 +754,10 @@ def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
     """Complete search over all codomains of at most max_size elements.
 
     Enumerates the two maps jointly; the codomain's order can be taken as
-    the least quasiorder making both maps monotone (optionally extended by
-    the constant inequalities), and its tables as any monotone completion
-    of the entries the homomorphism conditions force.  Any separator at
-    the cap is found this way.
+    the least quasiorder making both maps monotone and ordering the
+    constants as the signature does, and its tables as any monotone
+    completion of the entries the homomorphism conditions force.  Any
+    separator at the cap is found this way.
     """
     elements = [f"d{i}" for i in range(max_size)]
     consts = alg.sig.constants()
@@ -754,53 +765,36 @@ def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
     op_items = [(f, k) for f, k in alg.sig.ops.items() if k > 0]
     for h1v in itertools.product(elements, repeat=len(alg.carrier)):
         h1 = dict(zip(alg.carrier, h1v))
+        const_pairs = {(h1[alg.const(c)], h1[alg.const(d)])
+                       for (c, d) in alg.sig.const_order if c != d}
+        cvals = {c: h1[alg.const(c)] for c in consts}
         for h2v in itertools.product(elements, repeat=len(alg.carrier)):
             h2 = dict(zip(alg.carrier, h2v))
             if any(h1[z] != h2[z] for z in center) or h1[x] == h2[x]:
                 continue
             base = {(h[a], h[b]) for h in (h1, h2) for (a, b) in strict}
-            const_pairs = {(h1[alg.const(c)], h1[alg.const(d)])
-                           for (c, d) in alg.sig.const_order if c != d}
-            for extra in ({frozenset()} | {frozenset(const_pairs)}):
-                order = relations.reflexive_transitive_closure(base | set(extra), elements)
-                if not relations.is_antisymmetric(order):
-                    continue
-                if not all(p in order for p in const_pairs):
-                    continue
-                tables = {}
-                ok = True
-                for f, k in op_items:
-                    forced: dict = {}
-                    for h in (h1, h2):
-                        for args, v in alg.op_tables[f].items():
-                            key = tuple(h[a] for a in args)
-                            if forced.get(key, h[v]) != h[v]:
-                                ok = False
-                                break
-                            forced[key] = h[v]
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                    total = _complete_monotone(forced, k, elements, order)
-                    if total is None:
-                        ok = False
-                        break
-                    tables[f] = total
-                if not ok:
-                    continue
-                cvals = {c: h1[alg.const(c)] for c in consts}
-                cod = OrderedAlgebra(alg.sig, elements, order, tables, cvals,
-                                     name=f"S{max_size}")
-                if validate_algebra(cod):
-                    continue
-                f_hom = Homomorphism(alg, cod, h1)
-                g_hom = Homomorphism(alg, cod, h2)
-                for h in (f_hom, g_hom):
-                    flags = check_homomorphism(h)
-                    if not (flags["is_hom"] and flags["is_monotone"]):
-                        raise WitnessInconsistency("exhaustive separator produced a bad map")
-                return Separator(cod, f_hom, g_hom, x)
+            order = relations.reflexive_transitive_closure(base | const_pairs, elements)
+            if not relations.is_antisymmetric(order):
+                continue
+            tables = {}
+            for f, k in op_items:
+                total = _forced_table(alg.op_tables[f], (h1, h2), k, elements, order)
+                if total is None:
+                    break
+                tables[f] = total
+            if len(tables) < len(op_items):
+                continue
+            cod = OrderedAlgebra(alg.sig, elements, order, tables, cvals,
+                                 name=f"S{max_size}")
+            if validate_algebra(cod):
+                continue
+            f_hom = Homomorphism(alg, cod, h1)
+            g_hom = Homomorphism(alg, cod, h2)
+            for h in (f_hom, g_hom):
+                flags = check_homomorphism(h)
+                if not (flags["is_hom"] and flags["is_monotone"]):
+                    raise WitnessInconsistency("exhaustive separator produced a bad map")
+            return Separator(cod, f_hom, g_hom, x)
     return None
 
 

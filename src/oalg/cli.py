@@ -116,8 +116,7 @@ def cmd_closure(args, rep: Reporter) -> int:
         seed = hyp
     for (a, b) in sorted(rel, key=lambda p: (alg.index[p[0]], alg.index[p[1]])):
         rep.record(label, left=a, right=b)
-    oracle = bfs_generated_quasiorder(alg, alg.carrier, seed,
-                                      args.max_ops, args.max_len)
+    oracle = bfs_generated_quasiorder(alg, seed, args.max_ops, args.max_len)
     rep.record("oracle", max_ops=args.max_ops, max_len=args.max_len,
                agrees=oracle == rel)
     if args.witness:
@@ -178,6 +177,8 @@ def cmd_dominion(args, rep: Reporter) -> int:
         except PreconditionFailed as exc:
             raise ParseError(str(exc)) from exc
     else:
+        if args.seed_elems is not None:
+            raise ParseError("--seed-elems needs --special: an .amalgam file names its own seed")
         am = load_amalgam(args.amalgam)
         if not hasattr(am, "base"):
             rep.record("error", reason="dominion needs a special amalgam")

@@ -287,20 +287,15 @@ def bfs_over_step_relation(alg: OrderedAlgebra, rel: frozenset[Pair],
     return frozenset(out)
 
 
-def bfs_generated_quasiorder(alg: OrderedAlgebra, x_labels: list[str], hyp,
-                             max_ops: int, max_len: int,
-                             literal: bool = False) -> frozenset[Pair]:
+def bfs_generated_quasiorder(alg: OrderedAlgebra, hyp, max_ops: int,
+                             max_len: int) -> frozenset[Pair]:
     """Independent oracle: breadth-first over translated generator steps.
 
-    With literal=True the step relation comes from explicit template
-    enumeration; the default uses the equivalent chained one-slot form,
-    which is much cheaper at depth three and beyond.
+    The step relation is the chained one-slot form, which equals the
+    literal template enumeration (`step_relation`) at equal depth and is
+    much cheaper at depth three and beyond.
     """
-    hyp = frozenset(hyp)
-    if literal:
-        rel = step_relation(alg, x_labels, hyp, max_ops)
-    else:
-        rel = one_slot_step_relation(alg, hyp, max_ops)
+    rel = one_slot_step_relation(alg, frozenset(hyp), max_ops)
     return bfs_over_step_relation(alg, rel, max_len)
 
 

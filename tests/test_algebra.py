@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oalg.algebra as algebra
 from oalg import relations
 from oalg.algebra import (
     Homomorphism,
@@ -31,6 +32,7 @@ from oalg.algebra import (
     validate_algebra,
     with_trivial_order,
 )
+from oalg.amalgam import separator_search
 from oalg.errors import (
     NotCompatibleQuasiorder,
     NotOrderCongruence,
@@ -154,21 +156,73 @@ def test_is_order_congruence():
     assert is_order_congruence(CH3, GLUE01)
 
 
-def test_order_congruence_failure_exists_on_projection_diamond():
-    # Componentwise product of two projection-op two-chains; gluing bottom
-    # with top is a congruence whose chain condition fails.
+def _projection_diamond():
+    """Componentwise product of two projection-op two-chains."""
     carrier = ["0", "1"]
     proj = {args: args[0] for args in itertools.product(carrier, repeat=2)}
     proj3 = {args: args[0] for args in itertools.product(carrier, repeat=3)}
     two = OrderedAlgebra(SIG1, carrier, {("0", "1")}, {"f": proj, "g": proj3},
                          {"c": "0", "d": "1"})
     assert validate_algebra(two) == []
-    diamond = product([two, two])
+    return product([two, two])
+
+
+def test_order_congruence_failure_exists_on_projection_diamond():
+    # Gluing bottom with top is a congruence whose chain condition fails.
+    diamond = _projection_diamond()
     failing = [theta for theta in all_congruences(diamond)
                if not is_order_congruence(diamond, theta)]
     assert failing
     glue_ends = partition_to_pairs([["(0,0)", "(1,1)"], ["(0,1)"], ["(1,0)"]])
     assert glue_ends in failing
+
+
+def _closed_chain_all_pairs(alg, theta):
+    """The closed chain condition by its definition: every pair that
+    leq-theta (closed here by a naive fixpoint) relates both ways is in
+    theta."""
+    lt = set(alg.order | theta)
+    while True:
+        new = {(a, d) for (a, b) in lt for (c, d) in lt if b == c} - lt
+        if not new:
+            break
+        lt |= new
+    return all((a, b) in theta for (a, b) in lt if (b, a) in lt)
+
+
+def test_closed_chain_test_agrees_with_all_pairs_definition():
+    rng = random.Random(23)
+    algebras = [_projection_diamond()] + [random_algebra(rng, SIG1, rng.randrange(1, 6))
+                                          for _ in range(40)]
+    outcomes = set()
+    for alg in algebras:
+        for theta in all_congruences(alg):
+            expected = _closed_chain_all_pairs(alg, theta)
+            outcomes.add(expected)
+            assert is_order_congruence(alg, theta) == expected
+            if expected:
+                regular_quotient(alg, theta)
+            else:
+                with pytest.raises(NotOrderCongruence, match="closed chain"):
+                    regular_quotient(alg, theta)
+    assert outcomes == {True, False}
+
+
+def test_each_call_checks_the_congruence_at_most_once(monkeypatch):
+    calls = []
+    check = algebra.is_congruence
+    monkeypatch.setattr(algebra, "is_congruence",
+                        lambda *args: calls.append(args) or check(*args))
+    f = Homomorphism(CH3, CH3, {"e0": "e0", "e1": "e0", "e2": "e2"})
+    for call in (lambda: is_order_congruence(CH3, GLUE01),
+                 lambda: regular_quotient(CH3, GLUE01),
+                 lambda: factor_through(f, GLUE01)):
+        calls.clear()
+        call()
+        assert len(calls) == 1
+    calls.clear()
+    assert separator_search(CH3, ["e0", "e2"], "e1", 3) is not None
+    assert calls == []
 
 
 def test_regular_quotient():

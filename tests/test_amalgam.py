@@ -1,9 +1,12 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oalg.algebra import Homomorphism, chain, subalgebra, with_trivial_order
+import oalg.amalgam as amalgam
+from oalg.algebra import Homomorphism, chain, generated_subalgebra, subalgebra, \
+    with_trivial_order
 from oalg.amalgam import (
     Amalgam,
     Budget,
@@ -150,6 +153,85 @@ def test_separator_search_tries_quotients_differing_only_in_constants():
     assert sep.codomain.const_vals == {"c": "[e0]", "d": "[e0]"}
     assert sep.f.map["e1"] != sep.g.map["e1"]
     assert all(sep.f.map[e] == sep.g.map[e] for e in ("e0", "e3"))
+
+
+def _separator_digest(sep) -> str | None:
+    """A hash of the codomain (carrier, order, tables, constants) and both maps."""
+    if sep is None:
+        return None
+    d = sep.codomain
+    pinned = (d.carrier, sorted(d.order),
+              sorted((f, sorted(tbl.items())) for f, tbl in d.op_tables.items()),
+              sorted(d.const_vals.items()), sorted(sep.f.map.items()),
+              sorted(sep.g.map.items()))
+    return hashlib.sha256(repr(pinned).encode()).hexdigest()[:16]
+
+
+# For each element outside the constants' subalgebra of 60 random
+# algebras: separator_search with codomains of at most two elements, then
+# exhaustive_separator with at most three.
+GOLDEN_SEPARATORS = {
+    'G0 e0': ('8af50d68b86d32b7', 'c733509efb006aca'),
+    'G0 e1': ('0b65926f2b0c9b11', '6b51ec7cf6c6bcfc'),
+    'G1 e1': ('2db9ba7e2d7fb69c', 'b2826d5c7b699592'),
+    'G2 e0': ('533bf3a920206b0b', 'c733509efb006aca'),
+    'G2 e1': ('5578b577f63b6387', '7921a5c68a312ac2'),
+    'G5 e1': ('75fca8ae486d4a3a', 'c30bb5fe7a5ae12e'),
+    'G6 e0': ('cb490e4f525f87b0', '0b1e6bc1dff0edd2'),
+    'G8 e1': ('85b947aaaa607c3e', '50450221e47bfb76'),
+    'G13 e0': ('533bf3a920206b0b', 'c733509efb006aca'),
+    'G13 e1': (None, None),
+    'G16 e0': ('8af50d68b86d32b7', 'c733509efb006aca'),
+    'G16 e1': ('0b65926f2b0c9b11', '6b51ec7cf6c6bcfc'),
+    'G18 e0': ('168cb8c8872d5497', '48b0399b26c1575c'),
+    'G19 e1': (None, 'fe7ccc41119fa167'),
+    'G20 e0': ('1adc0af4b7013d20', '922db0c0464231fb'),
+    'G28 e0': (None, None),
+    'G28 e3': (None, None),
+    'G29 e0': ('35f78831c927c22b', '25fd5e5761d4b4ce'),
+    'G29 e1': (None, 'c2d07d6bcac8dcd6'),
+    'G30 e0': ('533bf3a920206b0b', 'c733509efb006aca'),
+    'G34 e1': ('c13702b09f53bc85', '9df11ef0e46c7be2'),
+    'G35 e0': ('cb490e4f525f87b0', '0b1e6bc1dff0edd2'),
+    'G40 e0': ('cb490e4f525f87b0', '0b1e6bc1dff0edd2'),
+    'G40 e1': (None, '890be1441d93ac26'),
+    'G41 e0': ('8af50d68b86d32b7', 'c733509efb006aca'),
+    'G41 e1': ('0b65926f2b0c9b11', '6b51ec7cf6c6bcfc'),
+    'G41 e2': (None, '1226e583793cee5a'),
+    'G45 e0': (None, '1a3c2d1846a4829f'),
+    'G45 e2': (None, '1a3c2d1846a4829f'),
+    'G48 e0': (None, None),
+    'G48 e1': (None, None),
+    'G48 e2': (None, None),
+    'G49 e1': ('8ed838eb887c7275', 'caf2b9a508231a00'),
+    'G50 e0': (None, None),
+    'G55 e2': ('b0e0869e425526ff', 'b9ba550178e5db0a'),
+    'G57 e0': (None, 'aae0e053629652b6'),
+    'G57 e3': (None, 'aae0e053629652b6'),
+}
+
+
+def test_separators_golden(monkeypatch):
+    reached = []
+    exhaustive = amalgam.exhaustive_separator
+    monkeypatch.setattr(amalgam, "exhaustive_separator",
+                        lambda *args: reached.append(args) or exhaustive(*args))
+    rng = random.Random(5)
+    got = {}
+    decided_by_candidates = 0
+    for i in range(60):
+        alg = random_algebra(rng, SIG1, rng.randrange(2, 5), name=f"G{i}")
+        core = generated_subalgebra(alg, [])
+        for x in alg.carrier:
+            if x in core:
+                continue
+            before = len(reached)
+            sep = separator_search(alg, core, x, 2)
+            decided_by_candidates += len(reached) == before
+            got[f"G{i} {x}"] = (_separator_digest(sep),
+                                _separator_digest(exhaustive(alg, core, x, 3)))
+    assert got == GOLDEN_SEPARATORS
+    assert decided_by_candidates >= 10 and len(reached) >= 10
 
 
 def test_epi_check_examples():

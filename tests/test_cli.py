@@ -250,3 +250,28 @@ def test_epi_rejects_a_map_that_is_not_a_homomorphism(workspace, capsys):
     code, out = run("epi", "--hom", str(workspace / "swap.hom"), "--max-codomain", "3")
     assert code == 1 and "verdict" not in out
     assert "homomorphism" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["zz", "f"])
+def test_validate_const_line_for_a_non_constant_is_parse_error(workspace, name, capsys):
+    bad = workspace / "bad.oalg"
+    bad.write_text((workspace / "ch3.oalg").read_text() + f"const {name} = e1\n")
+    code, out = run("validate", str(bad))
+    assert code == 2 and "violations" not in out
+    assert "not constants of the signature" in capsys.readouterr().err
+
+
+def test_hom_repeated_map_line_is_parse_error(workspace, capsys):
+    # Read last-wins, these lines were the inclusion.
+    (workspace / "twice.hom").write_text(
+        "hom from c2.oalg to ch3.oalg\nmap e0 -> e2\nmap e0 -> e0\nmap e2 -> e2\n")
+    code, out = run("epi", "--hom", str(workspace / "twice.hom"), "--max-codomain", "3")
+    assert code == 2 and "verdict" not in out
+    assert "second map line for e0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [["e1"], []])
+def test_dominion_seed_elems_with_an_amalgam_is_parse_error(workspace, seed, capsys):
+    code, out = run("dominion", str(workspace / "sp.amalgam"), "--seed-elems", *seed)
+    assert code == 2 and out == ""
+    assert "--seed-elems needs --special" in capsys.readouterr().err

@@ -141,7 +141,7 @@ def test_oracle_equivalence_sample():
         alg = random_algebra(rng, SIG1, rng.randrange(2, 5))
         hyp = random_relation(rng, alg.carrier, 3)
         fix = gen_compatible_quasiorder(alg, hyp).relation
-        assert bfs_generated_quasiorder(alg, alg.carrier, hyp, 3, 6) == fix
+        assert bfs_generated_quasiorder(alg, hyp, 3, 6) == fix
         assert compatible_closure(alg, hyp) == fix
 
 
