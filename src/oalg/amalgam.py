@@ -20,13 +20,10 @@ from .algebra import (
     OrderedAlgebra,
     all_congruences,
     all_homomorphisms,
-    chain as chain_algebra,
     check_homomorphism,
     evaluate,
     generated_subalgebra,
     load_algebra,
-    nonregular_quotient,
-    product as product_algebra,
     subalgebra,
     validate_algebra,
 )
@@ -48,7 +45,6 @@ from .schemes import (
     make_rel,
     validate_scheme,
 )
-from .signature import Signature
 from .terms import (
     Term,
     compositions,
@@ -620,16 +616,6 @@ class Separator:
     element: str
 
 
-def _chain_products(sig: Signature, max_size: int) -> list[OrderedAlgebra]:
-    """Chains and products of chains with carrier at most max_size."""
-    singles = [chain_algebra(n, sig) for n in range(2, max_size + 1)]
-    out = list(singles)
-    for a, b in itertools.combinations_with_replacement(singles, 2):
-        if len(a.carrier) * len(b.carrier) <= max_size:
-            out.append(product_algebra([a, b]))
-    return out
-
-
 def _fingerprint(d: OrderedAlgebra) -> tuple:
     """Carrier, order, tables and constants: equal exactly for equal algebras."""
     return (tuple(d.carrier), tuple(sorted(d.order)),
@@ -639,38 +625,29 @@ def _fingerprint(d: OrderedAlgebra) -> tuple:
 
 
 def separator_candidates(alg: OrderedAlgebra, max_size: int):
-    """Codomains tried by the separator search, lazily and in order:
-    regular quotients, non-regular quotients (same classes under coarser
-    compatible quasiorders), then chains and products of chains."""
-    from .closure import all_compatible_quasiorders
-
+    """Codomains tried by the separator search before the complete one,
+    lazily and without repeats: the regular quotients within the cap."""
     seen: set = set()
-
-    def emit(d: OrderedAlgebra):
+    for theta in all_congruences(alg):
+        quotient = _order_quotient(alg, theta)[1]
+        if quotient is None:
+            continue
+        d = quotient[0]
         if len(d.carrier) <= max_size and not validate_algebra(d):
             fp = _fingerprint(d)
             if fp not in seen:
                 seen.add(fp)
                 yield d
 
-    for theta in all_congruences(alg):
-        quotient = _order_quotient(alg, theta)[1]
-        if quotient is not None:
-            yield from emit(quotient[0])
-    for sigma in all_compatible_quasiorders(alg):
-        yield from emit(nonregular_quotient(alg, sigma))
-    for d in _chain_products(alg.sig, max_size):
-        yield from emit(d)
-
 
 def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
                      max_size: int) -> Separator | None:
     """A pair of homomorphisms agreeing on the subalgebra but not at x.
 
-    Structured codomains first (quotients give readable witnesses fast),
-    then a complete joint search over all codomains up to the size cap.
-    None means no separator exists at the cap; it never asserts that x is
-    dominated.
+    Regular quotients first (they give readable witnesses fast), then the
+    complete joint search over all codomains up to the size cap, which
+    alone decides whether a separator exists.  None means no separator
+    exists at the cap; it never asserts that x is dominated.
     """
     if x in center:
         raise PreconditionFailed(f"{x} already lies in the subalgebra")
@@ -751,9 +728,11 @@ def _complete_monotone(table: dict, arity: int, elements: list[str],
 
 def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
                          max_size: int) -> Separator | None:
-    """Complete search over all codomains of at most max_size elements.
+    """Complete search over all codomains of at most max_size elements,
+    the separator search's last stage after the regular quotients.
 
-    Enumerates the two maps jointly; the codomain's order can be taken as
+    Enumerates the two maps jointly, the second only off the core (on it,
+    the two agree); the codomain's order can be taken as
     the least quasiorder making both maps monotone and ordering the
     constants as the signature does, and its tables as any monotone
     completion of the entries the homomorphism conditions force.  Any
@@ -763,14 +742,16 @@ def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
     consts = alg.sig.constants()
     strict = [(a, b) for (a, b) in alg.order if a != b]
     op_items = [(f, k) for f, k in alg.sig.ops.items() if k > 0]
+    free = [e for e in alg.carrier if e not in center]
     for h1v in itertools.product(elements, repeat=len(alg.carrier)):
         h1 = dict(zip(alg.carrier, h1v))
         const_pairs = {(h1[alg.const(c)], h1[alg.const(d)])
                        for (c, d) in alg.sig.const_order if c != d}
         cvals = {c: h1[alg.const(c)] for c in consts}
-        for h2v in itertools.product(elements, repeat=len(alg.carrier)):
-            h2 = dict(zip(alg.carrier, h2v))
-            if any(h1[z] != h2[z] for z in center) or h1[x] == h2[x]:
+        for h2v in itertools.product(elements, repeat=len(free)):
+            h2 = dict(h1)
+            h2.update(zip(free, h2v))
+            if h1[x] == h2[x]:
                 continue
             base = {(h[a], h[b]) for h in (h1, h2) for (a, b) in strict}
             order = relations.reflexive_transitive_closure(base | const_pairs, elements)
@@ -787,7 +768,7 @@ def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
             cod = OrderedAlgebra(alg.sig, elements, order, tables, cvals,
                                  name=f"S{max_size}")
             if validate_algebra(cod):
-                continue
+                raise WitnessInconsistency("exhaustive separator built a bad codomain")
             f_hom = Homomorphism(alg, cod, h1)
             g_hom = Homomorphism(alg, cod, h2)
             for h in (f_hom, g_hom):
@@ -867,7 +848,10 @@ def parse_amalgam(text: str, base_dir: str | FsPath = ".") -> Amalgam:
         elif tokens[0] == "embed":
             if len(tokens) != 5 or tokens[3] != "->" or tokens[1] not in ("phi1:", "phi2:"):
                 raise ParseError(f"malformed embed line: {line!r}")
-            (phi1 if tokens[1] == "phi1:" else phi2)[tokens[2]] = tokens[4]
+            phi = phi1 if tokens[1] == "phi1:" else phi2
+            if tokens[2] in phi:
+                raise ParseError(f"second embed line for {tokens[2]}: {line!r}")
+            phi[tokens[2]] = tokens[4]
         else:
             raise ParseError(f"unknown line {line!r}")
     if left is None or right is None or center is None:
@@ -875,6 +859,13 @@ def parse_amalgam(text: str, base_dir: str | FsPath = ".") -> Amalgam:
     missing = [c for c in center.carrier if c not in phi1 or c not in phi2]
     if missing:
         raise ParseError(f"embeddings not total on {missing}")
+    for name, phi, side in (("phi1", phi1, left), ("phi2", phi2, right)):
+        outside = [c for c in phi if c not in center.index]
+        if outside:
+            raise ParseError(f"{name} sources {outside} not in the center {center.name}")
+        outside = [e for e in phi.values() if e not in side.index]
+        if outside:
+            raise ParseError(f"{name} values {outside} not in {side.name}")
     return Amalgam(center, left, right, phi1, phi2)
 
 

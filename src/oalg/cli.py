@@ -238,6 +238,14 @@ def cmd_selftest(args, rep: Reporter) -> int:
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
+def nonnegative(text: str) -> int:
+    """A budget or cap: a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="oalg",
                                 description="finite ordered algebra toolkit")
@@ -279,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("epi", help="check a homomorphism for epimorphy")
     e.add_argument("--hom", required=True)
-    e.add_argument("--max-codomain", type=int, default=4)
+    e.add_argument("--max-codomain", type=nonnegative, default=4)
     e.set_defaults(fn=cmd_epi)
 
     n = sub.add_parser("normalize", help="normalize a scheme certificate")
@@ -293,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     st.set_defaults(fn=cmd_selftest)
 
     for cmd in (pe, d):
-        cmd.add_argument("--max-scheme-len", type=int, default=8)
-        cmd.add_argument("--max-term-ops", type=int, default=4)
-        cmd.add_argument("--max-nodes", type=int, default=20_000)
+        cmd.add_argument("--max-scheme-len", type=nonnegative, default=8)
+        cmd.add_argument("--max-term-ops", type=nonnegative, default=4)
+        cmd.add_argument("--max-nodes", type=nonnegative, default=20_000)
     return p
 
 
@@ -313,8 +321,9 @@ def main(argv: list[str] | None = None) -> int:
     except OalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError, UnicodeDecodeError) as exc:
+        print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
 

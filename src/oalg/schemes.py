@@ -524,17 +524,6 @@ def _find_core(sch: Scheme) -> tuple[int, int] | None:
     return last_inv, first_ev
 
 
-def _mid_pairs(mid: MultiStep | None, term_left: Term, term_right: Term):
-    """Per-column (from, to, tag) triples between the unfold and the fold."""
-    ls = list(leaves(term_left))
-    rs = list(leaves(term_right))
-    if mid is None:
-        if term_left != term_right:
-            raise WitnessInconsistency("unfold and fold terms differ without a MULTI step")
-        return [(a, a, "ID") for a in ls]
-    return list(zip(ls, rs, mid.tags))
-
-
 def _multi_between(am, left_term: Term, right_term: Term) -> MultiStep | RelStep | None:
     """Build the MULTI step for two same-skeleton terms, or None if equal."""
     if left_term == right_term:
@@ -591,7 +580,8 @@ def _resolve_core(am, sch: Scheme, i: int, j: int, trace: list[str]) -> Scheme:
     elif j != i + 1:
         raise WitnessInconsistency("core segment failed to canonicalize")
     t1, t2 = unfold.right, fold.left
-    pairs = _mid_pairs(mid, t1, t2)
+    if mid is None and t1 != t2:
+        raise WitnessInconsistency("unfold and fold terms differ without a MULTI step")
     cov = covering_of_paths(t1, unfold.hole_path(), fold.hole_path())
     side_l = tag_side(unfold.tag)
     side_r = tag_side(fold.tag)

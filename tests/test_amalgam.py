@@ -1,12 +1,14 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oalg.amalgam as amalgam
-from oalg.algebra import Homomorphism, chain, generated_subalgebra, subalgebra, \
-    with_trivial_order
+import oalg.closure as closure
+from oalg.algebra import Homomorphism, OrderedAlgebra, chain, generated_subalgebra, \
+    subalgebra, with_trivial_order
 from oalg.amalgam import (
     Amalgam,
     Budget,
@@ -232,6 +234,53 @@ def test_separators_golden(monkeypatch):
                                 _separator_digest(exhaustive(alg, core, x, 3)))
     assert got == GOLDEN_SEPARATORS
     assert decided_by_candidates >= 10 and len(reached) >= 10
+
+
+def _r141():
+    """e2 lies below the incomparable e0 and e1; the constants are e0 and e1."""
+    carrier = ["e0", "e1", "e2"]
+    f = {(a, b): a for a in ("e0", "e2") for b in carrier}
+    f.update({("e1", "e0"): "e1", ("e1", "e1"): "e1", ("e1", "e2"): "e2"})
+    g = {args: "e1" for args in itertools.product(carrier, repeat=3)}
+    sig = Signature({"f": 2, "g": 3, "c": 0, "d": 0})
+    return OrderedAlgebra(sig, carrier, {("e2", "e0"), ("e2", "e1")},
+                          {"f": f, "g": g}, {"c": "e0", "d": "e1"}, name="R141")
+
+
+def test_separator_search_needs_no_compatible_quasiorders(monkeypatch):
+    # No regular quotient of R141 separates e2 from the core {e0, e1}.
+    def refuse(alg):
+        raise AssertionError("separator_search enumerated compatible quasiorders")
+
+    monkeypatch.setattr(closure, "all_compatible_quasiorders", refuse)
+    sep = separator_search(_r141(), ["e0", "e1"], "e2", 4)
+    assert sep is not None
+    assert sep.f.map["e0"] == sep.g.map["e0"] and sep.f.map["e1"] == sep.g.map["e1"]
+    assert sep.f.map["e2"] != sep.g.map["e2"]
+
+
+def test_exhaustive_separator_finds_whatever_a_regular_quotient_finds(monkeypatch):
+    # The completeness the separator search rests on: a separator built
+    # from a regular quotient lies within the cap, so the complete search
+    # finds one too.
+    exhaustive = amalgam.exhaustive_separator
+    monkeypatch.setattr(amalgam, "exhaustive_separator", lambda *args: None)
+    rng = random.Random(23)
+    outcomes = []
+    for i in range(80):
+        alg = random_algebra(rng, SIG1, rng.randrange(2, 5), name=f"P{i}")
+        core = generated_subalgebra(alg, rng.sample(alg.carrier, rng.randrange(2)))
+        for x in alg.carrier:
+            if x in core:
+                continue
+            cap = rng.randrange(2, 4)
+            by_quotient = separator_search(alg, core, x, cap)
+            outcomes.append(by_quotient is not None)
+            if by_quotient is not None:
+                sep = exhaustive(alg, core, x, cap)
+                assert sep is not None and sep.f.map[x] != sep.g.map[x]
+                assert all(sep.f.map[z] == sep.g.map[z] for z in core)
+    assert outcomes.count(True) >= 20 and outcomes.count(False) >= 10
 
 
 def test_epi_check_examples():

@@ -275,3 +275,51 @@ def test_dominion_seed_elems_with_an_amalgam_is_parse_error(workspace, seed, cap
     code, out = run("dominion", str(workspace / "sp.amalgam"), "--seed-elems", *seed)
     assert code == 2 and out == ""
     assert "--seed-elems needs --special" in capsys.readouterr().err
+
+
+EMBEDS = ["embed phi1: e0 -> e0", "embed phi1: e2 -> e2",
+          "embed phi2: e0 -> e0", "embed phi2: e2 -> e2"]
+
+
+@pytest.mark.parametrize("lines,problem", [
+    (EMBEDS[:1] + ["embed phi1: e2 -> zz"] + EMBEDS[2:], "phi1 values ['zz'] not in"),
+    (EMBEDS[:3] + ["embed phi2: e2 -> zz"], "phi2 values ['zz'] not in"),
+    (EMBEDS + ["embed phi1: qq -> e1"], "phi1 sources ['qq'] not in the center"),
+    # Read last-wins, these lines were a valid amalgam.
+    (["embed phi1: e2 -> e1"] + EMBEDS, "second embed line for e2"),
+])
+def test_amalgam_embed_line_errors_are_parse_errors(workspace, lines, problem, capsys):
+    text = "left ch3.oalg\nright ch3.oalg\ncenter c2.oalg\n" + "".join(
+        line + "\n" for line in lines)
+    (workspace / "two.amalgam").write_text(text)
+    code, out = run("validate", str(workspace / "two.amalgam"))
+    assert code == 2 and out == ""
+    assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b"algebra A over .\n",                   # the signature path names a directory
+    b"algebra A over s.sig\nelements \xff\n",  # not UTF-8 text
+])
+def test_input_that_is_not_a_readable_file_is_parse_error(workspace, content, capsys):
+    bad = workspace / "bad.oalg"
+    bad.write_bytes(content)
+    code, out = run("validate", str(bad))
+    assert code == 2 and out == ""
+    assert "cannot read input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("pushout-eq", "sp.amalgam", "e0<1>", "e0<2>", "--max-nodes", "-1"),
+    ("pushout-eq", "sp.amalgam", "e0<1>", "e0<2>", "--max-term-ops", "-1"),
+    ("pushout-eq", "sp.amalgam", "e0<1>", "e0<2>", "--max-scheme-len", "-2"),
+    ("dominion", "sp.amalgam", "--max-nodes", "-1"),
+    ("epi", "--hom", "incl.hom", "--max-codomain", "-1"),
+])
+def test_negative_budget_is_usage_error(workspace, argv, capsys):
+    argv = [str(workspace / a) if a.endswith((".amalgam", ".hom")) else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be non-negative" in err

@@ -1,8 +1,11 @@
+import itertools
 import random
 
 from oalg import relations
-from oalg.algebra import all_congruences, chain, is_order_congruence, leq_theta
+from oalg.algebra import (all_congruences, chain, is_compatible_quasiorder,
+                          is_order_congruence, leq_theta)
 from oalg.closure import (
+    all_compatible_quasiorders,
     bfs_generated_quasiorder,
     check_generated_scheme,
     compatible_closure,
@@ -143,6 +146,30 @@ def test_oracle_equivalence_sample():
         fix = gen_compatible_quasiorder(alg, hyp).relation
         assert bfs_generated_quasiorder(alg, hyp, 3, 6) == fix
         assert compatible_closure(alg, hyp) == fix
+
+
+def _brute_compatible_quasiorders(alg):
+    """Oracle: every relation containing the order, kept when it is a
+    (reflexive, transitive) compatible quasiorder."""
+    extra = [(a, b) for a in alg.carrier for b in alg.carrier if (a, b) not in alg.order]
+    out = set()
+    for mask in itertools.product((False, True), repeat=len(extra)):
+        sigma = alg.order | {p for p, keep in zip(extra, mask) if keep}
+        if is_compatible_quasiorder(alg, sigma):
+            out.add(frozenset(sigma))
+    return out
+
+
+def test_all_compatible_quasiorders_agrees_with_brute_force():
+    rng = random.Random(15)
+    algs = [CH3] + [random_algebra(rng, SIG1, rng.randrange(1, 4)) for _ in range(20)]
+    sizes = set()
+    for alg in algs:
+        found = all_compatible_quasiorders(alg)
+        assert len(set(found)) == len(found)
+        assert set(found) == _brute_compatible_quasiorders(alg)
+        sizes.add(len(found))
+    assert len(sizes) > 2
 
 
 def test_literal_and_one_slot_step_relations_agree():
