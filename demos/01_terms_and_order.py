@@ -4,7 +4,8 @@ Run with:  python3 demos/01_terms_and_order.py
 """
 
 from oalg import SIG1, leaves, parse_term, print_term, regularize, skeleton, var_seq
-from oalg.termorder import VarPoset, characterized_up_set, generated_up_set, term_leq
+from oalg.oracles import characterized_up_set, generated_up_set
+from oalg.termorder import VarPoset, term_leq
 
 VARS = ["x1", "x2", "x4"]
 

@@ -43,19 +43,8 @@ from .algebra import (
     validate_algebra,
     with_trivial_order,
 )
-from .closure import (
-    bfs_generated_quasiorder,
-    enumerate_translations,
-    gen_compatible_quasiorder,
-    gen_order_congruence,
-    step_relation,
-)
-from .termorder import (
-    VarPoset,
-    extend_monotone_map,
-    term_leq,
-    verify_partial_order,
-)
+from .closure import gen_compatible_quasiorder, gen_order_congruence
+from .termorder import VarPoset, extend_monotone_map, term_leq
 from .schemes import (
     Covering,
     Grid,
@@ -87,6 +76,8 @@ from .amalgam import (
     separator_search,
     validate_amalgam,
 )
+from .oracles import (bfs_generated_quasiorder, enumerate_translations, step_relation,
+                      verify_partial_order)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

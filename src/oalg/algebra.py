@@ -40,20 +40,11 @@ class OrderedAlgebra:
                  const_vals: dict[str, str], name: str = "A"):
         if len(carrier) > MAX_CARRIER:
             raise SizeLimit(f"carrier too large ({len(carrier)} > {MAX_CARRIER})")
-        if len(set(carrier)) != len(carrier):
-            raise ValidationError("carrier has duplicate element names")
+        self.order: Rel = relations.partial_order(order, carrier)
         self.sig = sig
         self.carrier = list(carrier)
         self.name = name
         self.index = {e: i for i, e in enumerate(carrier)}
-        closed = relations.reflexive_transitive_closure(order, carrier)
-        bad = relations.antisymmetry_violations(closed)
-        if bad:
-            raise ValidationError(f"order is not antisymmetric: {bad[0]}")
-        for (a, b) in closed:
-            if a not in self.index or b not in self.index:
-                raise ValidationError(f"order pair {(a, b)} outside the carrier")
-        self.order: Rel = closed
         self.op_tables = {f: dict(tbl) for f, tbl in op_tables.items()}
         self.const_vals = dict(const_vals)
         self._check_totality()

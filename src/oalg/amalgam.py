@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path as FsPath
 
 from . import relations
@@ -56,7 +57,7 @@ from .terms import (
     replace_at,
     subterm_at,
 )
-from .termorder import VarPoset, extend_monotone_map
+from .termorder import VarPoset, extend_monotone_map, leaf_leq, term_leq
 
 
 def side_tag(name: str, side: int) -> str:
@@ -91,15 +92,15 @@ class Amalgam:
         self._img1 = {v: k for k, v in self.phi1.items()}
         self._img2 = {v: k for k, v in self.phi2.items()}
         self._side_env = {i: {e: e for e in self.side(i).carrier} for i in (1, 2)}
+        # Leaves are side elements, ordered within their side, and constants.
+        self.poset = VarPoset(tuple(self.variables()), self.a1.order | self.a2.order)
+        self.leaf_leq = partial(leaf_leq, self.sig, self.poset)
+        self.term_leq = partial(term_leq, self.sig, self.poset)
 
     # -- amalgam-level term helpers ------------------------------------------
 
     def variables(self) -> list[str]:
         return self.a1.carrier + self.a2.carrier
-
-    def var_poset(self) -> VarPoset:
-        order = set(self.a1.order) | set(self.a2.order)
-        return VarPoset(tuple(self.variables()), frozenset(order))
 
     def label_class(self, label: str) -> int:
         """1 or 2 for side elements, 0 for constant symbols."""
@@ -110,29 +111,6 @@ class Amalgam:
         if self.sig.has(label) and self.sig.arity(label) == 0:
             return 0
         raise ValidationError(f"unknown leaf label {label!r}")
-
-    def leaf_leq(self, a: str, b: str) -> bool:
-        ca, cb = self.label_class(a), self.label_class(b)
-        if ca != cb:
-            return False
-        if ca == 1:
-            return self.a1.leq(a, b)
-        if ca == 2:
-            return self.a2.leq(a, b)
-        return self.sig.const_leq(a, b)
-
-    def term_leq(self, s: Term, t: Term) -> bool:
-        """The leafwise order: one skeleton, each leaf of s below t's."""
-        stack = [(s, t)]
-        while stack:
-            a, b = stack.pop()
-            if a.children:
-                if a.label != b.label or len(a.children) != len(b.children):
-                    return False
-                stack.extend(zip(a.children, b.children))
-            elif b.children or not self.leaf_leq(a.label, b.label):
-                return False
-        return True
 
     def side(self, i: int) -> OrderedAlgebra:
         return self.a1 if i == 1 else self.a2
@@ -541,7 +519,7 @@ class Mediator:
         alpha = {}
         alpha.update({e: gamma1[e] for e in am.a1.carrier})
         alpha.update({e: gamma2[e] for e in am.a2.carrier})
-        self.beta = extend_monotone_map(am.var_poset(), target, alpha)
+        self.beta = extend_monotone_map(am.poset, target, alpha)
 
     def __call__(self, representative: Term) -> str:
         return self.beta(representative)

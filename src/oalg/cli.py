@@ -31,9 +31,9 @@ from .amalgam import (
     pushout_equal,
     validate_amalgam,
 )
-from .closure import (bfs_generated_quasiorder, gen_compatible_quasiorder,
-                      gen_order_congruence)
+from .closure import gen_compatible_quasiorder, gen_order_congruence
 from .errors import OalgError, ParseError, PreconditionFailed, TheoremContradiction
+from .oracles import bfs_generated_quasiorder
 from .schemes import normalize, scheme_from_lines, scheme_to_lines, validate_scheme
 from .selftest import run_all
 from .signature import parse_signature
@@ -261,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("pairs")
     c.add_argument("--congruence", action="store_true")
     c.add_argument("--witness", action="store_true")
-    c.add_argument("--max-ops", type=int, default=3)
-    c.add_argument("--max-len", type=int, default=6)
+    c.add_argument("--max-ops", type=nonnegative, default=3)
+    c.add_argument("--max-len", type=nonnegative, default=6)
     c.set_defaults(fn=cmd_closure)
 
     q = sub.add_parser("quotient", help="regular or non-regular quotient")
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     n = sub.add_parser("normalize", help="normalize a scheme certificate")
     n.add_argument("scheme")
     n.add_argument("--amalgam", required=True)
-    n.add_argument("--max-iters", type=int, default=None)
+    n.add_argument("--max-iters", type=nonnegative, default=None)
     n.set_defaults(fn=cmd_normalize)
 
     st = sub.add_parser("selftest", help="run the acceptance suite")

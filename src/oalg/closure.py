@@ -3,9 +3,8 @@
 Both closures run the one engine `relations.close`, with
 `_one_slot_images` as its extension: transitivity interleaved with
 one-slot operation compatibility.  Scheme witnesses are reconstructed on
-demand from the derivations the engine records.  A literal breadth-first
-search over translated generator steps serves as the independent oracle;
-it keeps its own loops and shares no code with the engine.
+demand from the derivations the engine records.  The independent
+breadth-first oracle over translated generator steps is in `oracles.py`.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 
 from . import relations
 from .algebra import OrderedAlgebra, evaluate
-from .errors import WitnessInconsistency
 from .schemes import (
     IDENTITY_TRANSLATION,
     IneqStep,
@@ -25,7 +23,7 @@ from .schemes import (
     Translation,
     compose,
 )
-from .terms import Term, enumerate_terms, formal_var, leaf, leaf_count, regularize
+from .terms import Term, formal_var, leaf
 
 Pair = tuple[str, str]
 
@@ -144,71 +142,6 @@ def _canonical_steps(source: Term, target: Term, steps: tuple[Step, ...]) -> tup
     return tuple(out)
 
 
-def enumerate_translations(alg: OrderedAlgebra, x_labels: list[str],
-                           max_ops: int) -> list[Translation]:
-    """All one-hole contexts with at most max_ops template operations.
-
-    Fillers range over the given labels plus the interpreted constants;
-    the zero-op case contributes only the identity context.
-    """
-    labels = list(dict.fromkeys(list(x_labels)
-                                + [alg.const(c) for c in alg.sig.constants()]))
-    out = [IDENTITY_TRANSLATION]
-    templates = [regularize(t)[0] for t in enumerate_terms(alg.sig, ["_"], max_ops)
-                 if not t.is_leaf]
-    for template in templates:
-        n = leaf_count(template)
-        for slot in range(1, n + 1):
-            for fillers in itertools.product(labels, repeat=n - 1):
-                out.append(Translation(template, slot, tuple(fillers)))
-    return out
-
-
-def step_relation(alg: OrderedAlgebra, x_labels: list[str],
-                  hyp: frozenset[Pair], max_ops: int) -> frozenset[Pair]:
-    """One translated generator step: pairs (p(u), p(v)) for (u, v) in H."""
-    out = set()
-    full = len(alg.carrier) ** 2
-    for trans in enumerate_translations(alg, x_labels, max_ops):
-        for (u, v) in hyp:
-            out.add((_eval_translation(alg, trans, u),
-                     _eval_translation(alg, trans, v)))
-        if len(out) == full:
-            break
-    return frozenset(out)
-
-
-def one_slot_step_relation(alg: OrderedAlgebra, hyp: frozenset[Pair],
-                           depth: int) -> frozenset[Pair]:
-    """The same relation computed by chained one-slot extensions.
-
-    A translation template deeper than one operation acts on a finite
-    algebra exactly like a chain of single-operation contexts whose side
-    arguments are pre-evaluated elements, so this agrees with the literal
-    template enumeration at equal depth.
-    """
-    current = set(hyp)
-    out = set(hyp)
-    for _ in range(depth):
-        nxt = set()
-        for (x, y) in current:
-            for f, k in alg.sig.ops.items():
-                if k == 0:
-                    continue
-                for fillers in itertools.product(alg.carrier, repeat=k - 1):
-                    for slot in range(1, k + 1):
-                        args_x = fillers[: slot - 1] + (x,) + fillers[slot - 1:]
-                        args_y = fillers[: slot - 1] + (y,) + fillers[slot - 1:]
-                        pair = (alg.op(f, args_x), alg.op(f, args_y))
-                        if pair not in out:
-                            nxt.add(pair)
-        out.update(nxt)
-        current = nxt
-        if not current:
-            break
-    return frozenset(out)
-
-
 def gen_compatible_quasiorder(alg: OrderedAlgebra, hyp) -> GeneratedClosure:
     """Least compatible quasiorder containing the order and H, with witnesses."""
     return GeneratedClosure(alg, frozenset(hyp), symmetric=False)
@@ -264,69 +197,3 @@ def gen_order_congruence(alg: OrderedAlgebra, hyp) -> GeneratedOrderCongruence:
     """Order-congruence generated by H: close H together with its inverse."""
     return GeneratedOrderCongruence(GeneratedClosure(alg, frozenset(hyp),
                                                      symmetric=True))
-
-
-def bfs_over_step_relation(alg: OrderedAlgebra, rel: frozenset[Pair],
-                           max_len: int) -> frozenset[Pair]:
-    """Alternate order moves with steps from rel, at most max_len steps."""
-    succ: dict[str, set[str]] = {}
-    for (a, b) in rel:
-        succ.setdefault(a, set()).add(b)
-    out = set()
-    for c in alg.carrier:
-        reach = set(alg.up_set(c))
-        for _ in range(max_len):
-            nxt = set(reach)
-            for a in reach:
-                for b in succ.get(a, ()):
-                    nxt.update(alg.up_set(b))
-            if nxt == reach:
-                break
-            reach = nxt
-        out.update((c, b) for b in reach)
-    return frozenset(out)
-
-
-def bfs_generated_quasiorder(alg: OrderedAlgebra, hyp, max_ops: int,
-                             max_len: int) -> frozenset[Pair]:
-    """Independent oracle: breadth-first over translated generator steps.
-
-    The step relation is the chained one-slot form, which equals the
-    literal template enumeration (`step_relation`) at equal depth and is
-    much cheaper at depth three and beyond.
-    """
-    rel = one_slot_step_relation(alg, frozenset(hyp), max_ops)
-    return bfs_over_step_relation(alg, rel, max_len)
-
-
-def check_generated_scheme(alg: OrderedAlgebra, hyp, sch: Scheme,
-                           allow_inverse: bool) -> None:
-    """Recheck a closure witness: chaining, inequalities, translated steps."""
-    hyp = frozenset(hyp)
-    hyp_inv = relations.inverse(hyp)
-    prev = sch.source
-    for s in sch.steps:
-        if s.left != prev:
-            raise WitnessInconsistency("steps do not chain")
-        prev = s.right
-        if isinstance(s, IneqStep):
-            if (s.left.label, s.right.label) not in alg.order:
-                raise WitnessInconsistency(f"bad inequality {s}")
-        elif isinstance(s, RelStep):
-            pair = (s.u.label, s.v.label)
-            if s.tag == "HYP":
-                if pair not in hyp:
-                    raise WitnessInconsistency(f"pair {pair} not a generator")
-            elif s.tag == "HYPINV":
-                if not allow_inverse or pair not in hyp_inv:
-                    raise WitnessInconsistency(f"pair {pair} not an inverse generator")
-            else:
-                raise WitnessInconsistency(f"unexpected tag {s.tag}")
-            if _eval_translation(alg, s.trans, s.u.label) != s.left.label:
-                raise WitnessInconsistency("left side does not evaluate")
-            if _eval_translation(alg, s.trans, s.v.label) != s.right.label:
-                raise WitnessInconsistency("right side does not evaluate")
-        else:
-            raise WitnessInconsistency("closure witnesses use single steps only")
-    if prev != sch.target:
-        raise WitnessInconsistency("endpoint mismatch")

@@ -1,0 +1,284 @@
+"""Independent oracles, used only by the command line, the acceptance suite
+and the tests: the generated quasiorder by breadth-first search over
+translated generator steps, and a recheck of closure witnesses, both
+evaluating translations by a raw walk over the tables and sharing no code
+with `closure.py`; the term order as the quasiorder generated by
+single-leaf raises, and an exhaustive check of `termorder.term_leq`.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from . import relations
+from .algebra import OrderedAlgebra
+from .errors import ValidationError, WitnessInconsistency
+from .schemes import IDENTITY_TRANSLATION, IneqStep, RelStep, Scheme, Translation
+from .signature import Signature
+from .termorder import VarPoset, check_disjoint, term_leq
+from .terms import (Term, enumerate_terms, formal_var, leaf, leaf_count, leaf_paths, op_count,
+                    regularize, replace_at, skeleton, subterm_at)
+
+Pair = tuple[str, str]
+
+
+# -- Generated compatible quasiorders -------------------------------------------
+
+def _apply(alg: OrderedAlgebra, trans: Translation, value: str) -> str:
+    """A translation's value at a carrier element: one raw table lookup per
+    template node, the template's leaves z1..zn read off the fillers."""
+    env = {formal_var(i): e for i, e in enumerate(trans.fills_with(value), start=1)}
+
+    def walk(t: Term) -> str:
+        if t.children:
+            return alg.op_tables[t.label][tuple(walk(c) for c in t.children)]
+        return env[t.label]
+
+    return walk(trans.template)
+
+
+def enumerate_translations(alg: OrderedAlgebra, x_labels: list[str],
+                           max_ops: int) -> list[Translation]:
+    """All one-hole contexts with at most max_ops template operations.
+
+    Fillers range over the given labels plus the interpreted constants;
+    the zero-op case contributes only the identity context.
+    """
+    labels = list(dict.fromkeys(list(x_labels)
+                                + [alg.const(c) for c in alg.sig.constants()]))
+    out = [IDENTITY_TRANSLATION]
+    templates = [regularize(t)[0] for t in enumerate_terms(alg.sig, ["_"], max_ops)
+                 if not t.is_leaf]
+    for template in templates:
+        n = leaf_count(template)
+        for slot in range(1, n + 1):
+            for fillers in itertools.product(labels, repeat=n - 1):
+                out.append(Translation(template, slot, tuple(fillers)))
+    return out
+
+
+def step_relation(alg: OrderedAlgebra, x_labels: list[str],
+                  hyp: frozenset[Pair], max_ops: int) -> frozenset[Pair]:
+    """One translated generator step: pairs (p(u), p(v)) for (u, v) in H."""
+    out = set()
+    full = len(alg.carrier) ** 2
+    for trans in enumerate_translations(alg, x_labels, max_ops):
+        for (u, v) in hyp:
+            out.add((_apply(alg, trans, u), _apply(alg, trans, v)))
+        if len(out) == full:
+            break
+    return frozenset(out)
+
+
+def one_slot_step_relation(alg: OrderedAlgebra, hyp: frozenset[Pair],
+                           depth: int) -> frozenset[Pair]:
+    """The same relation computed by chained one-slot extensions.
+
+    A translation template deeper than one operation acts on a finite
+    algebra exactly like a chain of single-operation contexts whose side
+    arguments are pre-evaluated elements, so this agrees with the literal
+    template enumeration at equal depth.
+    """
+    current = set(hyp)
+    out = set(hyp)
+    for _ in range(depth):
+        nxt = set()
+        for (x, y) in current:
+            for f, k in alg.sig.ops.items():
+                if k == 0:
+                    continue
+                for fillers in itertools.product(alg.carrier, repeat=k - 1):
+                    for slot in range(1, k + 1):
+                        args_x = fillers[: slot - 1] + (x,) + fillers[slot - 1:]
+                        args_y = fillers[: slot - 1] + (y,) + fillers[slot - 1:]
+                        pair = (alg.op(f, args_x), alg.op(f, args_y))
+                        if pair not in out:
+                            nxt.add(pair)
+        out.update(nxt)
+        current = nxt
+        if not current:
+            break
+    return frozenset(out)
+
+
+def bfs_over_step_relation(alg: OrderedAlgebra, rel: frozenset[Pair],
+                           max_len: int) -> frozenset[Pair]:
+    """Alternate order moves with steps from rel, at most max_len steps."""
+    succ: dict[str, set[str]] = {}
+    for (a, b) in rel:
+        succ.setdefault(a, set()).add(b)
+    out = set()
+    for c in alg.carrier:
+        reach = set(alg.up_set(c))
+        for _ in range(max_len):
+            nxt = set(reach)
+            for a in reach:
+                for b in succ.get(a, ()):
+                    nxt.update(alg.up_set(b))
+            if nxt == reach:
+                break
+            reach = nxt
+        out.update((c, b) for b in reach)
+    return frozenset(out)
+
+
+def bfs_generated_quasiorder(alg: OrderedAlgebra, hyp, max_ops: int,
+                             max_len: int) -> frozenset[Pair]:
+    """Breadth-first search over translated generator steps.
+
+    The step relation is the chained one-slot form, which equals the
+    literal template enumeration (`step_relation`) at equal depth and is
+    much cheaper at depth three and beyond.
+    """
+    rel = one_slot_step_relation(alg, frozenset(hyp), max_ops)
+    return bfs_over_step_relation(alg, rel, max_len)
+
+
+def check_generated_scheme(alg: OrderedAlgebra, hyp, sch: Scheme,
+                           allow_inverse: bool) -> None:
+    """Recheck a closure witness: chaining, inequalities, translated steps."""
+    hyp = frozenset(hyp)
+    hyp_inv = relations.inverse(hyp)
+    prev = sch.source
+    for s in sch.steps:
+        if s.left != prev:
+            raise WitnessInconsistency("steps do not chain")
+        prev = s.right
+        if isinstance(s, IneqStep):
+            if (s.left.label, s.right.label) not in alg.order:
+                raise WitnessInconsistency(f"bad inequality {s}")
+        elif isinstance(s, RelStep):
+            pair = (s.u.label, s.v.label)
+            if s.tag == "HYP":
+                if pair not in hyp:
+                    raise WitnessInconsistency(f"pair {pair} not a generator")
+            elif s.tag == "HYPINV":
+                if not allow_inverse or pair not in hyp_inv:
+                    raise WitnessInconsistency(f"pair {pair} not an inverse generator")
+            else:
+                raise WitnessInconsistency(f"unexpected tag {s.tag}")
+            if _apply(alg, s.trans, s.u.label) != s.left.label:
+                raise WitnessInconsistency("left side does not evaluate")
+            if _apply(alg, s.trans, s.v.label) != s.right.label:
+                raise WitnessInconsistency("right side does not evaluate")
+        else:
+            raise WitnessInconsistency("closure witnesses use single steps only")
+    if prev != sch.target:
+        raise WitnessInconsistency("endpoint mismatch")
+
+
+# -- The term order -------------------------------------------------------------
+
+def single_raises(sig: Signature, xp: VarPoset, t: Term) -> list[Term]:
+    """All terms obtained by raising exactly one leaf label strictly.
+
+    Each raise is one generated-order step under the identity-filled
+    one-hole context at that leaf; chaining raises to a fixpoint therefore
+    computes the full generated up-set of t.
+    """
+    out = []
+    for path in leaf_paths(t):
+        a = subterm_at(t, path).label
+        if sig.has(a):
+            ups = [b for b in sig.constants() if a != b and sig.const_leq(a, b)]
+        else:
+            ups = [b for b in xp.names if a != b and xp.leq(a, b)]
+        for b in ups:
+            raised = replace_at(t, path, leaf(b))
+            assert skeleton(raised) == skeleton(t)
+            out.append(raised)
+    return out
+
+
+def generated_up_set(sig: Signature, xp: VarPoset, t: Term) -> set[Term]:
+    """Up-set of t in the quasiorder generated from the leaf orders.
+
+    Breadth-first closure under single-leaf raises; finite because both
+    leaf posets are finite and raises never revisit a lower label.
+    """
+    seen = {t}
+    frontier = [t]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in single_raises(sig, xp, u):
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+def characterized_up_set(sig: Signature, xp: VarPoset, t: Term) -> set[Term]:
+    """Up-set of t under the skeleton-plus-leafwise characterization."""
+    paths = leaf_paths(t)
+    choices = []
+    for path in paths:
+        a = subterm_at(t, path).label
+        if sig.has(a):
+            choices.append([b for b in sig.constants() if sig.const_leq(a, b)])
+        else:
+            choices.append([b for b in xp.names if xp.leq(a, b)])
+    out = set()
+    for combo in itertools.product(*choices):
+        u = t
+        for path, b in zip(paths, combo):
+            u = replace_at(u, path, leaf(b))
+        out.add(u)
+    return out
+
+
+def verify_partial_order(sig: Signature, xp: VarPoset, depth: int) -> list[dict]:
+    """Exhaustively check the term order on all terms with at most `depth`
+    operation symbols.
+
+    Checks reflexivity, transitivity, antisymmetry, operation
+    compatibility, and equality with the generated-quasiorder oracle
+    (whose up-sets are computed by chained single-leaf raises, one scheme
+    step per raise).  Discrepancies come back as report entries.
+    """
+    if depth > 4:
+        raise ValidationError("depth capped at 4")
+    check_disjoint(sig, xp)
+    labels = list(xp.names) + sig.constants()
+    pool = enumerate_terms(sig, labels, depth)
+    report: list[dict] = []
+    up_cache: dict[Term, set[Term]] = {}
+    for t in pool:
+        up_cache[t] = generated_up_set(sig, xp, t)
+    for t in pool:
+        if not term_leq(sig, xp, t, t):
+            report.append({"kind": "reflexivity", "term": t})
+        generated = up_cache[t]
+        if generated != characterized_up_set(sig, xp, t):
+            report.append({"kind": "oracle-mismatch", "term": t})
+        for u in generated:
+            if u != t and t in up_cache[u]:
+                report.append({"kind": "antisymmetry", "pair": (t, u)})
+            if not up_cache[u] <= generated:
+                report.append({"kind": "transitivity", "pair": (t, u)})
+    report.extend(_check_op_compat(sig, xp, pool, depth))
+    return report
+
+
+def _check_op_compat(sig: Signature, xp: VarPoset, pool: list[Term],
+                     depth: int) -> list[dict]:
+    report = []
+    labels = list(xp.names) + sig.constants()
+    small = [t for t in pool if op_count(t) + 1 <= depth]
+    for f, k in sig.ops.items():
+        if k == 0:
+            continue
+        for t in small:
+            for u in generated_up_set(sig, xp, t):
+                for i in range(k):
+                    fills_t = [leaf(labels[0])] * k
+                    fills_u = [leaf(labels[0])] * k
+                    fills_t[i] = t
+                    fills_u[i] = u
+                    big_t = Term(f, tuple(fills_t))
+                    big_u = Term(f, tuple(fills_u))
+                    if not term_leq(sig, xp, big_t, big_u):
+                        report.append({"kind": "op-compatibility",
+                                       "op": f, "pair": (t, u)})
+    return report

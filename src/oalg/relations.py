@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable
 
+from .errors import ValidationError
+
 Pair = tuple[Hashable, Hashable]
 
 
@@ -93,8 +95,28 @@ def is_antisymmetric(pairs: frozenset) -> bool:
     return all(a == b for (a, b) in pairs if (b, a) in pairs)
 
 
-def antisymmetry_violations(pairs: frozenset) -> list[Pair]:
-    return sorted({(a, b) for (a, b) in pairs if a != b and (b, a) in pairs})
+def partial_order(pairs: Iterable[Pair], elements: Iterable) -> frozenset:
+    """The reflexive-transitive closure of `pairs` on `elements`, checked
+    to be a finite partial order.
+
+    Raises `ValidationError` on a repeated element, a pair outside the
+    elements, or a cycle (two distinct elements below each other).
+    """
+    elements = list(elements)
+    known = set(elements)
+    if len(known) != len(elements):
+        repeated = next(x for x in elements if elements.count(x) > 1)
+        raise ValidationError(f"repeated element {repeated!r}")
+    pairs = frozenset(pairs)
+    for (a, b) in pairs:
+        if a not in known or b not in known:
+            raise ValidationError(f"order pair {(a, b)} outside the elements")
+    closed = reflexive_transitive_closure(pairs, elements)
+    cycle = sorted((a, b) for (a, b) in closed if a != b and (b, a) in closed)
+    if cycle:
+        a, b = cycle[0]
+        raise ValidationError(f"order is not antisymmetric: {a} <= {b} <= {a}")
+    return closed
 
 
 def is_partial_order(pairs: frozenset, elements: Iterable) -> bool:

@@ -647,16 +647,18 @@ def normalize(am, sch: Scheme, max_iters: int | None = None) -> NormalizeResult:
                 return NormalizeResult("stuck", cur, 0, trace,
                                        "single-node constant-symbol evaluation step")
     load = cur.ev_load()
-    for it in range(1, max_iters + 1):
-        if is_case1(cur):
-            return NormalizeResult("case1", cur, it - 1, trace)
+    it = 0                      # case rewrites done
+    while not is_case1(cur):
+        if it >= max_iters:
+            return NormalizeResult("stuck", cur, it, trace, "iteration cap reached")
         pair = _find_core(cur)
         if pair is None:
             cur = simplify(am, cur)
             if is_case1(cur):
-                return NormalizeResult("case1", cur, it - 1, trace)
-            return NormalizeResult("stuck", cur, it - 1, trace,
+                break
+            return NormalizeResult("stuck", cur, it, trace,
                                    "no unfold/fold pair but not single-node")
+        it += 1
         try:
             cur = _resolve_core(am, cur, pair[0], pair[1], trace)
         except (TheoremContradiction, WitnessInconsistency, NotApplicable) as exc:
@@ -666,7 +668,7 @@ def normalize(am, sch: Scheme, max_iters: int | None = None) -> NormalizeResult:
         if new_load > load:
             return NormalizeResult("stuck", cur, it, trace, "termination measure increased")
         load = new_load
-    return NormalizeResult("stuck", cur, max_iters, trace, "iteration cap reached")
+    return NormalizeResult("case1", cur, it, trace)
 
 
 def extract_center(sp, fwd: Scheme, rev: Scheme) -> str:

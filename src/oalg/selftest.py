@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from . import relations
 from .algebra import (
     Homomorphism,
-    OrderedAlgebra,
     all_congruences,
     chain,
     factor_through,
     is_order_congruence,
-    leq_theta,
     regular_quotient,
     subalgebra,
     validate_algebra,
@@ -28,15 +26,7 @@ from .algebra import (
 )
 from .amalgam import Budget, dominion_special, epi_check, make_special, mediate, \
     pushout_equal, separator_search
-from .closure import (
-    GeneratedClosure,
-    bfs_over_step_relation,
-    check_generated_scheme,
-    gen_compatible_quasiorder,
-    gen_order_congruence,
-    one_slot_step_relation,
-    step_relation,
-)
+from .closure import gen_compatible_quasiorder, gen_order_congruence
 from .errors import TheoremContradiction
 from .generators import (
     commuting_cocones,
@@ -47,6 +37,9 @@ from .generators import (
     random_special_amalgam,
     random_var_poset,
 )
+from .oracles import (bfs_over_step_relation, characterized_up_set, check_generated_scheme,
+                      generated_up_set, one_slot_step_relation, single_raises, step_relation,
+                      verify_partial_order)
 from .schemes import extract_center, normalize, validate_scheme
 from .signature import SIG1
 from .terms import (
@@ -59,15 +52,7 @@ from .terms import (
     parse_term,
     skeleton,
 )
-from .termorder import (
-    VarPoset,
-    characterized_up_set,
-    extend_monotone_map,
-    generated_up_set,
-    single_raises,
-    term_leq,
-    verify_partial_order,
-)
+from .termorder import VarPoset, extend_monotone_map
 
 XP_CHAIN2 = VarPoset(("x1", "x2"), frozenset({("x1", "x2")}))
 

@@ -45,20 +45,9 @@ class Signature:
                 raise ValidationError(f"symbol {name!r} clashes with the formal variable namespace")
             if not (0 <= arity <= MAX_ARITY):
                 raise ValidationError(f"arity of {name!r} out of range: {arity}")
-        consts = self.constants()
-        for (a, b) in self.const_order:
-            for name in (a, b):
-                if name not in self.ops:
-                    raise ValidationError(f"order on unknown symbol {name!r}")
-                if self.ops[name] != 0:
-                    raise ValidationError(f"order on non-constant symbol {name!r}")
-        closed = relations.reflexive_transitive_closure(self.const_order, consts)
-        bad = relations.antisymmetry_violations(closed)
-        if bad:
-            a, b = bad[0]
-            raise ValidationError(f"constant order is not antisymmetric: {a} <= {b} <= {a}")
         object.__setattr__(self, "ops", dict(self.ops))
-        object.__setattr__(self, "const_order", closed)
+        object.__setattr__(self, "const_order",
+                           relations.partial_order(self.const_order, self.constants()))
 
     def constants(self) -> list[str]:
         return [s for s, k in self.ops.items() if k == 0]

@@ -3,7 +3,7 @@
 Two terms are comparable exactly when they share a skeleton and every leaf
 pair is related inside its own namespace (variables with variables,
 constant symbols with constant symbols).  The generated-quasiorder view of
-the same relation is kept as an independent oracle for tests.
+the same relation is an independent oracle, in `oracles.py`.
 """
 
 from __future__ import annotations
@@ -16,17 +16,7 @@ from . import relations
 from .algebra import OrderedAlgebra, evaluate, validate_algebra
 from .errors import NotMonotone, ValidationError
 from .signature import Signature
-from .terms import (
-    Term,
-    enumerate_terms,
-    leaf,
-    leaf_paths,
-    leaves,
-    op_count,
-    replace_at,
-    skeleton,
-    subterm_at,
-)
+from .terms import Term
 
 
 def parse_var_poset(text: str) -> "VarPoset":
@@ -55,16 +45,7 @@ class VarPoset:
     order: frozenset[tuple[str, str]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValidationError("duplicate variable names")
-        closed = relations.reflexive_transitive_closure(self.order, self.names)
-        bad = relations.antisymmetry_violations(closed)
-        if bad:
-            raise ValidationError(f"variable order not antisymmetric: {bad[0]}")
-        for (a, b) in closed:
-            if a not in self.names or b not in self.names:
-                raise ValidationError(f"order pair {(a, b)} on unknown variable")
-        object.__setattr__(self, "order", closed)
+        object.__setattr__(self, "order", relations.partial_order(self.order, self.names))
 
     def leq(self, a: str, b: str) -> bool:
         return (a, b) in self.order
@@ -77,136 +58,28 @@ def check_disjoint(sig: Signature, xp: VarPoset) -> None:
 
 
 def leaf_leq(sig: Signature, xp: VarPoset, a: str, b: str) -> bool:
-    """Order on leaf labels: the disjoint union of the two posets."""
-    if sig.has(a) and sig.has(b):
-        return sig.const_leq(a, b)
-    if a in xp.names and b in xp.names:
-        return xp.leq(a, b)
+    """Order on leaf labels: the disjoint union of the variable poset and
+    the constant order.  A label in neither is a `ValidationError`."""
+    if (a, b) in xp.order or (a, b) in sig.const_order:
+        return True
+    for x in (a, b):
+        if (x, x) not in xp.order and (x, x) not in sig.const_order:
+            raise ValidationError(f"unknown leaf label {x!r}")
     return False
 
 
-def term_leq(sig: Signature, xp: VarPoset, t1: Term, t2: Term) -> bool:
-    """Equal skeletons and leafwise comparable labels."""
-    if skeleton(t1) != skeleton(t2):
-        return False
-    return all(leaf_leq(sig, xp, a, b) for a, b in zip(leaves(t1), leaves(t2)))
-
-
-def single_raises(sig: Signature, xp: VarPoset, t: Term) -> list[Term]:
-    """All terms obtained by raising exactly one leaf label strictly.
-
-    Each raise is one generated-order step under the identity-filled
-    one-hole context at that leaf; chaining raises to a fixpoint therefore
-    computes the full generated up-set of t.
-    """
-    out = []
-    for path in leaf_paths(t):
-        a = subterm_at(t, path).label
-        if sig.has(a):
-            ups = [b for b in sig.constants() if a != b and sig.const_leq(a, b)]
-        else:
-            ups = [b for b in xp.names if a != b and xp.leq(a, b)]
-        for b in ups:
-            raised = replace_at(t, path, leaf(b))
-            assert skeleton(raised) == skeleton(t)
-            out.append(raised)
-    return out
-
-
-def generated_up_set(sig: Signature, xp: VarPoset, t: Term) -> set[Term]:
-    """Up-set of t in the quasiorder generated from the leaf orders.
-
-    Breadth-first closure under single-leaf raises; finite because both
-    leaf posets are finite and raises never revisit a lower label.
-    """
-    seen = {t}
-    frontier = [t]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in single_raises(sig, xp, u):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
-
-
-def characterized_up_set(sig: Signature, xp: VarPoset, t: Term) -> set[Term]:
-    """Up-set of t under the skeleton-plus-leafwise characterization."""
-    import itertools
-
-    paths = leaf_paths(t)
-    choices = []
-    for path in paths:
-        a = subterm_at(t, path).label
-        if sig.has(a):
-            choices.append([b for b in sig.constants() if sig.const_leq(a, b)])
-        else:
-            choices.append([b for b in xp.names if xp.leq(a, b)])
-    out = set()
-    for combo in itertools.product(*choices):
-        u = t
-        for path, b in zip(paths, combo):
-            u = replace_at(u, path, leaf(b))
-        out.add(u)
-    return out
-
-
-def verify_partial_order(sig: Signature, xp: VarPoset, depth: int) -> list[dict]:
-    """Exhaustively check the term order on all terms with at most `depth`
-    operation symbols.
-
-    Checks reflexivity, transitivity, antisymmetry, operation
-    compatibility, and equality with the generated-quasiorder oracle
-    (whose up-sets are computed by chained single-leaf raises, one scheme
-    step per raise).  Discrepancies come back as report entries.
-    """
-    if depth > 4:
-        raise ValidationError("depth capped at 4")
-    check_disjoint(sig, xp)
-    labels = list(xp.names) + sig.constants()
-    pool = enumerate_terms(sig, labels, depth)
-    report: list[dict] = []
-    up_cache: dict[Term, set[Term]] = {}
-    for t in pool:
-        up_cache[t] = generated_up_set(sig, xp, t)
-    for t in pool:
-        if not term_leq(sig, xp, t, t):
-            report.append({"kind": "reflexivity", "term": t})
-        generated = up_cache[t]
-        if generated != characterized_up_set(sig, xp, t):
-            report.append({"kind": "oracle-mismatch", "term": t})
-        for u in generated:
-            if u != t and t in up_cache[u]:
-                report.append({"kind": "antisymmetry", "pair": (t, u)})
-            if not up_cache[u] <= generated:
-                report.append({"kind": "transitivity", "pair": (t, u)})
-    report.extend(_check_op_compat(sig, xp, pool, depth))
-    return report
-
-
-def _check_op_compat(sig: Signature, xp: VarPoset, pool: list[Term],
-                     depth: int) -> list[dict]:
-    report = []
-    labels = list(xp.names) + sig.constants()
-    small = [t for t in pool if op_count(t) + 1 <= depth]
-    for f, k in sig.ops.items():
-        if k == 0:
-            continue
-        for t in small:
-            for u in generated_up_set(sig, xp, t):
-                for i in range(k):
-                    fills_t = [leaf(labels[0])] * k
-                    fills_u = [leaf(labels[0])] * k
-                    fills_t[i] = t
-                    fills_u[i] = u
-                    big_t = Term(f, tuple(fills_t))
-                    big_u = Term(f, tuple(fills_u))
-                    if not term_leq(sig, xp, big_t, big_u):
-                        report.append({"kind": "op-compatibility",
-                                       "op": f, "pair": (t, u)})
-    return report
+def term_leq(sig: Signature, xp: VarPoset, s: Term, t: Term) -> bool:
+    """The term order, in one walk: one skeleton, each leaf of s below t's."""
+    stack = [(s, t)]
+    while stack:
+        a, b = stack.pop()
+        if a.children:
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        elif b.children or not leaf_leq(sig, xp, a.label, b.label):
+            return False
+    return True
 
 
 def extend_monotone_map(xp: VarPoset, target: OrderedAlgebra,

@@ -29,7 +29,7 @@ from oalg.generators import random_algebra, random_special_amalgam
 from oalg.schemes import scheme_to_lines, validate_scheme
 from oalg.signature import SIG1, Signature
 from oalg.terms import Term, enumerate_terms, leaf, leaves, node, parse_term, skeleton
-from oalg.termorder import extend_monotone_map
+from oalg.termorder import VarPoset, extend_monotone_map, term_leq
 
 CH3 = chain(3, SIG1)
 SP = make_special(CH3, [])
@@ -400,47 +400,67 @@ def test_pushout_search_golden(search, s, t, budget, stats, schemes):
         assert validate_scheme(SP, sch) == []
 
 
-def _skeleton_leaves_term_leq(am, s, t):
-    """The definition of the leafwise order: one skeleton, leaves pairwise below."""
+def _skeleton_leaves_term_leq(sig, xp, s, t):
+    """The definition of the term order: one skeleton, and each leaf pair
+    related within its namespace (variables, or constant symbols)."""
     if skeleton(s) != skeleton(t):
         return False
-    return all(am.leaf_leq(a, b) for a, b in zip(leaves(s), leaves(t)))
+    for a, b in zip(leaves(s), leaves(t)):
+        if sig.has(a) and sig.has(b):
+            if not sig.const_leq(a, b):
+                return False
+        elif not (a in xp.names and b in xp.names and xp.leq(a, b)):
+            return False
+    return True
 
 
-LABELS = SP.a1.carrier + SP.a2.carrier + ["c", "d"]
+@st.composite
+def random_orders(draw):
+    """A signature with three constants and a variable poset of 1-4
+    names, each ordered at random; edges run from earlier to later names,
+    so every draw is a partial order."""
+    def order(names):
+        pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+        return frozenset(draw(st.sets(st.sampled_from(pairs)))) if pairs else frozenset()
 
-
-def _labels_above(label):
-    cls = SP.label_class(label)
-    if cls == 0:
-        return [b for b in ("c", "d") if SP.sig.const_leq(label, b)]
-    return SP.side(cls).up_set(label)
+    consts = draw(st.permutations(["c", "d", "k"]))
+    sig = Signature({"f": 2, "g": 3, **{c: 0 for c in consts}}, order(consts))
+    names = draw(st.permutations(["x1", "x2", "x3", "x4"]))[:draw(st.integers(1, 4))]
+    return sig, VarPoset(tuple(names), order(names))
 
 
 @st.composite
 def term_pairs(draw):
+    sig, xp = draw(st.one_of(st.just((SP.sig, SP.poset)), random_orders()))
+    labels = list(xp.names) + sig.constants()
+
     def term(depth):
         op = draw(st.sampled_from(["f", "g", None, None] if depth else [None]))
         if op is None:
-            return leaf(draw(st.sampled_from(LABELS)))
-        return node(op, *(term(depth - 1) for _ in range(SP.sig.arity(op))))
+            return leaf(draw(st.sampled_from(labels)))
+        return node(op, *(term(depth - 1) for _ in range(sig.arity(op))))
+
+    def above(label):
+        if sig.has(label):
+            return [b for b in sig.constants() if sig.const_leq(label, b)]
+        return [b for b in xp.names if xp.leq(label, b)]
 
     def relabel(u):
         if u.children:
             return Term(u.label, tuple(relabel(c) for c in u.children))
-        above = draw(st.booleans())
-        return leaf(draw(st.sampled_from(_labels_above(u.label) if above else LABELS)))
+        up = draw(st.booleans())
+        return leaf(draw(st.sampled_from(above(u.label) if up else labels)))
 
     s = term(3)
     t = relabel(s) if draw(st.booleans()) else term(3)
-    return s, t
+    return sig, xp, s, t
 
 
 @given(term_pairs())
-def test_term_leq_agrees_with_skeleton_and_leaves(pair):
-    s, t = pair
-    assert SP.term_leq(s, t) == _skeleton_leaves_term_leq(SP, s, t)
-    assert SP.term_leq(s, s)
+def test_term_leq_agrees_with_skeleton_and_leaves(case):
+    sig, xp, s, t = case
+    assert term_leq(sig, xp, s, t) == _skeleton_leaves_term_leq(sig, xp, s, t)
+    assert term_leq(sig, xp, s, s)
 
 
 def test_separator_search_rejects_a_center_that_is_not_closed():
@@ -470,7 +490,7 @@ def test_evaluators_agree_with_raw_tables():
     squash = {"e0": "e0", "e1": "e2", "e2": "e2"}
     alpha = {**{SP.alpha1[e]: e for e in CH3.carrier},
              **{SP.alpha2[e]: squash[e] for e in CH3.carrier}}
-    beta = extend_monotone_map(SP.var_poset(), CH3, alpha)
+    beta = extend_monotone_map(SP.poset, CH3, alpha)
     pool = enumerate_terms(SIG1, SP.variables() + SIG1.constants(), 2)
     collapsed = _raw_values(SP.a1, pool, {x: SP.to_side1(x) for x in SP.variables()})
     on_side = {i: _raw_values(SP.side(i), pool, {e: e for e in SP.side(i).carrier})

@@ -21,6 +21,11 @@ def workspace(tmp_path):
     (tmp_path / "rel.pairs").write_text("pair e2 e0\n")
     (tmp_path / "incl.hom").write_text(
         "hom from c2.oalg to ch3.oalg\nmap e0 -> e0\nmap e2 -> e2\n")
+    (tmp_path / "detour.scheme").write_text("\n".join([
+        "REL EV1INV z1 1 e0<1> -> f e0<1> e0<1>",
+        "REL EV1 z1 1 f e0<1> e0<1> -> e0<1>",
+        "REL GLUE z1 1 e0<1> -> e0<2>",
+    ]) + "\n")
     return tmp_path
 
 
@@ -158,13 +163,7 @@ def test_epi(workspace):
 
 
 def test_normalize(workspace):
-    scheme = workspace / "d.scheme"
-    scheme.write_text("\n".join([
-        "REL EV1INV z1 1 e0<1> -> f e0<1> e0<1>",
-        "REL EV1 z1 1 f e0<1> e0<1> -> e0<1>",
-        "REL GLUE z1 1 e0<1> -> e0<2>",
-    ]) + "\n")
-    code, out = run("normalize", str(scheme), "--amalgam",
+    code, out = run("normalize", str(workspace / "detour.scheme"), "--amalgam",
                     str(workspace / "sp.amalgam"))
     assert code == 0 and "status=case1" in out
 
@@ -315,11 +314,16 @@ def test_input_that_is_not_a_readable_file_is_parse_error(workspace, content, ca
     ("pushout-eq", "sp.amalgam", "e0<1>", "e0<2>", "--max-scheme-len", "-2"),
     ("dominion", "sp.amalgam", "--max-nodes", "-1"),
     ("epi", "--hom", "incl.hom", "--max-codomain", "-1"),
+    ("closure", "ch3.oalg", "rel.pairs", "--max-ops", "-1"),
+    ("closure", "ch3.oalg", "rel.pairs", "--max-len", "-1"),
+    ("normalize", "detour.scheme", "--amalgam", "sp.amalgam", "--max-iters", "-1"),
 ])
 def test_negative_budget_is_usage_error(workspace, argv, capsys):
-    argv = [str(workspace / a) if a.endswith((".amalgam", ".hom")) else a for a in argv]
+    argv = [str(workspace / a) if a.endswith((".amalgam", ".hom", ".oalg", ".pairs", ".scheme"))
+            else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         run(*argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "must be non-negative" in err
+

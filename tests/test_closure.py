@@ -6,16 +6,18 @@ from oalg.algebra import (all_congruences, chain, is_compatible_quasiorder,
                           is_order_congruence, leq_theta)
 from oalg.closure import (
     all_compatible_quasiorders,
-    bfs_generated_quasiorder,
-    check_generated_scheme,
     compatible_closure,
-    enumerate_translations,
     gen_compatible_quasiorder,
     gen_order_congruence,
+)
+from oalg.generators import random_algebra, random_relation
+from oalg.oracles import (
+    bfs_generated_quasiorder,
+    check_generated_scheme,
+    enumerate_translations,
     one_slot_step_relation,
     step_relation,
 )
-from oalg.generators import random_algebra, random_relation
 from oalg.schemes import scheme_to_lines
 from oalg.signature import SIG1
 from oalg.terms import print_term

@@ -195,8 +195,9 @@ def test_covering_verdicts():
 
 def test_normalize_already_case1():
     one = Scheme(E01, E02, (glue(E01, E02),))
-    res = normalize(SP, one)
-    assert res.is_case1 and res.scheme.steps == one.steps
+    for cap in (None, 0):
+        res = normalize(SP, one, max_iters=cap)
+        assert res.is_case1 and res.iterations == 0 and res.scheme.steps == one.steps
 
 
 def test_normalize_unfold_fold():
@@ -204,6 +205,8 @@ def test_normalize_unfold_fold():
     assert res.is_case1
     assert res.scheme.ev_load() == 0
     assert validate_scheme(SP, res.scheme) == []
+    # A cap of exactly the rewrites needed still ends in case 1.
+    assert normalize(SP, unfold_fold_scheme(), max_iters=res.iterations) == res
 
 
 def test_normalize_nested_trace():

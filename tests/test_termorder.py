@@ -6,16 +6,14 @@ from oalg.algebra import chain, terminal
 from oalg.errors import NotMonotone, ValidationError
 from oalg.generators import random_algebra, random_monotone_map, random_var_poset
 from oalg.signature import SIG1
-from oalg.terms import enumerate_terms, parse_term
-from oalg.termorder import (
-    VarPoset,
+from oalg.oracles import (
     characterized_up_set,
-    extend_monotone_map,
     generated_up_set,
     single_raises,
-    term_leq,
     verify_partial_order,
 )
+from oalg.terms import enumerate_terms, parse_term
+from oalg.termorder import VarPoset, extend_monotone_map, term_leq
 
 XP = VarPoset(("x1", "x2"), frozenset({("x1", "x2")}))
 CH3 = chain(3, SIG1)
