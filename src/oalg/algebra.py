@@ -412,41 +412,171 @@ def subalgebra(alg: OrderedAlgebra, subset: list[str], name: str | None = None) 
                           name=name or f"{alg.name}|{len(carrier)}")
 
 
-def all_congruences(alg: OrderedAlgebra) -> list[Rel]:
-    """Every congruence of the unordered reduct, by partition enumeration.
+def _translations(alg: OrderedAlgebra) -> list[tuple[int, ...]]:
+    """The one-slot translations x -> f(.., x, ..), other arguments fixed,
+    as tuples of carrier indices, without repeats, constants or the identity."""
+    carrier, index = alg.carrier, alg.index
+    n = len(carrier)
+    identity = tuple(range(n))
+    out: dict[tuple[int, ...], None] = {}
+    for f, k in alg.sig.ops.items():
+        if k == 0:
+            continue
+        tbl = alg.op_tables[f]
+        for i in range(k):
+            for rest in itertools.product(carrier, repeat=k - 1):
+                t = tuple(index[tbl[rest[:i] + (x,) + rest[i:]]] for x in carrier)
+                if t != identity and len(set(t)) > 1:
+                    out[t] = None
+    return list(out)
 
-    A partition's pairs are an equivalence by construction, so only
-    compatibility is tested.
+
+def _find(parent: list[int], i: int) -> int:
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def _canonical(parent: list[int]) -> tuple[int, ...]:
+    """Each element's class as its least index (roots are kept least)."""
+    return tuple(_find(parent, i) for i in range(len(parent)))
+
+
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Merge the classes of a and b, keeping the lesser root; False if
+    they were one class already."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    if rb < ra:
+        ra, rb = rb, ra
+    parent[rb] = ra
+    return True
+
+
+def _principal(n: int, translations: list[tuple[int, ...]], a: int, b: int) -> tuple[int, ...]:
+    """Cg(a, b): a union-find closure under the translations.  Only pairs
+    that merged two classes are pushed; they generate the equivalence, so
+    translating them suffices."""
+    parent = list(range(n))
+    _union(parent, a, b)
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        for t in translations:
+            u, v = t[x], t[y]
+            if _union(parent, u, v):
+                todo.append((u, v))
+    return _canonical(parent)
+
+
+def _join(theta: tuple[int, ...], phi: tuple[int, ...]) -> tuple[int, ...]:
+    """The join of two equivalences, each given by its least indices."""
+    parent = list(theta)
+    for i, r in enumerate(phi):
+        _union(parent, i, r)
+    return _canonical(parent)
+
+
+def _partition_order_key(theta: tuple[int, ...]) -> tuple[int, ...]:
+    """Where `relations.all_partitions` lists this partition.
+
+    It builds each partition from one of the later elements: element k,
+    from last to first, joins block i of the partition of the elements
+    after it, its blocks sorted by ascending largest element, or opens a
+    new block, listed last.  The list is lexicographic in those choices.
     """
-    thetas = map(relations.partition_to_pairs, relations.all_partitions(alg.carrier))
-    return [theta for theta in thetas if _compatible(alg, theta)]
+    n = len(theta)
+    top: dict[int, int] = {}
+    for i, r in enumerate(theta):
+        top[r] = i
+    maxima = sorted(top.values())
+    key = []
+    for k in range(n - 1, -1, -1):
+        later = [m for m in maxima if m > k]
+        own = top[theta[k]]
+        key.append(later.index(own) if own > k else len(later))
+    return tuple(key)
+
+
+def all_congruences(alg: OrderedAlgebra) -> list[Rel]:
+    """Every congruence of the unordered reduct, in the order of
+    `relations.all_partitions`.
+
+    Each congruence is the join of the principal congruences of its
+    pairs, and a join of congruences is their join as equivalences
+    (Freese, Computing congruences efficiently, Algebra Universalis 59,
+    2008).  So the lattice is the least set holding the identity and
+    closed under joining with each principal congruence.
+    """
+    carrier = alg.carrier
+    n = len(carrier)
+    translations = _translations(alg)
+    principals = list(dict.fromkeys(_principal(n, translations, a, b)
+                                    for a in range(n) for b in range(a + 1, n)))
+    lattice = {tuple(range(n))}
+    for p in principals:
+        lattice.update([_join(theta, p) for theta in lattice
+                        if any(theta[i] != theta[r] for i, r in enumerate(p))])
+    # One tuple per pair, shared by all the congruences (a cache holds them).
+    pairs = [[(a, b) for b in carrier] for a in carrier]
+    out = []
+    for theta in sorted(lattice, key=_partition_order_key):
+        blocks: dict[int, list[int]] = {}
+        for i, r in enumerate(theta):
+            blocks.setdefault(r, []).append(i)
+        out.append(frozenset(pairs[i][j] for block in blocks.values()
+                             for i in block for j in block))
+    return out
 
 
 def all_homomorphisms(dom: OrderedAlgebra, cod: OrderedAlgebra) -> list[Homomorphism]:
-    """Every homomorphism of ordered algebras between two small carriers."""
+    """Every homomorphism of ordered algebras between two small carriers,
+    in the order of `itertools.product(cod.carrier, repeat=len(dom.carrier))`.
+
+    Backtracks over the domain in carrier order, values in codomain order;
+    each order pair and table entry is tested once the last element it
+    mentions has a value, and the constants' images are fixed up front.
+    """
+    carrier = dom.carrier
+    n = len(carrier)
+    forced: list[str | None] = [None] * n
+    for c in dom.sig.constants():
+        i = dom.index[dom.const(c)]
+        if forced[i] not in (None, cod.const(c)):
+            return []
+        forced[i] = cod.const(c)
+    order_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (a, b) in dom.order:
+        if a != b:
+            ia, ib = dom.index[a], dom.index[b]
+            order_at[max(ia, ib)].append((ia, ib))
+    table_at: list[list] = [[] for _ in range(n)]
+    for f, k in dom.sig.ops.items():
+        if k == 0:
+            continue
+        tbl_c = cod.op_tables[f]
+        for args, v in dom.op_tables[f].items():
+            idx = tuple(dom.index[a] for a in args)
+            iv = dom.index[v]
+            table_at[max(idx + (iv,))].append((tbl_c, idx, iv))
+    cod_order = cod.order
+    values: list[str] = [""] * n
     out = []
-    strict_order = [(a, b) for (a, b) in dom.order if a != b]
-    op_items = [(f, k) for f, k in dom.sig.ops.items() if k > 0]
-    consts = dom.sig.constants()
-    tuples_by_op = {f: list(itertools.product(dom.carrier, repeat=k))
-                    for f, k in op_items}
-    for values in itertools.product(cod.carrier, repeat=len(dom.carrier)):
-        m = dict(zip(dom.carrier, values))
-        if any(m[dom.const(c)] != cod.const(c) for c in consts):
-            continue
-        if any((m[a], m[b]) not in cod.order for (a, b) in strict_order):
-            continue
-        good = True
-        for f, _ in op_items:
-            tbl_d, tbl_c = dom.op_tables[f], cod.op_tables[f]
-            for args in tuples_by_op[f]:
-                if m[tbl_d[args]] != tbl_c[tuple(m[x] for x in args)]:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            out.append(Homomorphism(dom, cod, m))
+
+    def extend(i: int) -> None:
+        if i == n:
+            out.append(Homomorphism(dom, cod, dict(zip(carrier, values))))
+            return
+        for v in (cod.carrier if forced[i] is None else (forced[i],)):
+            values[i] = v
+            if (all((values[a], values[b]) in cod_order for a, b in order_at[i])
+                    and all(tbl_c[tuple([values[j] for j in idx])] == values[iv]
+                            for tbl_c, idx, iv in table_at[i])):
+                extend(i + 1)
+
+    extend(0)
     return out
 
 
@@ -454,7 +584,9 @@ def all_homomorphisms(dom: OrderedAlgebra, cod: OrderedAlgebra) -> list[Homomorp
 
 def parse_algebra(text: str, base_dir: str | FsPath = ".",
                   sig: Signature | None = None) -> OrderedAlgebra:
-    """Parse the `.oalg` format; the referenced `.sig` file is loaded too."""
+    """Parse the `.oalg` format; the referenced `.sig` file is loaded too,
+    unless a signature is given, which then wins and no file is read."""
+    given = sig
     name = "A"
     carrier: list[str] = []
     order: set[tuple[str, str]] = set()
@@ -469,8 +601,8 @@ def parse_algebra(text: str, base_dir: str | FsPath = ".",
             if len(tokens) != 4 or tokens[2] != "over":
                 raise ParseError(f"malformed algebra line: {line!r}")
             name = tokens[1]
-            sig_path = FsPath(base_dir) / tokens[3]
-            sig = parse_signature(sig_path.read_text())
+            if given is None:
+                sig = parse_signature((FsPath(base_dir) / tokens[3]).read_text())
         elif tokens[0] == "elements":
             carrier.extend(tokens[1:])
         elif tokens[0] == "order":

@@ -604,9 +604,13 @@ def _fingerprint(d: OrderedAlgebra) -> tuple:
 
 def separator_candidates(alg: OrderedAlgebra, max_size: int):
     """Codomains tried by the separator search before the complete one,
-    lazily and without repeats: the regular quotients within the cap."""
+    lazily and without repeats: the regular quotients within the cap.
+    The congruences are computed once per base algebra."""
+    thetas = alg.__dict__.get("_separator_congruences")
+    if thetas is None:
+        thetas = alg.__dict__["_separator_congruences"] = all_congruences(alg)
     seen: set = set()
-    for theta in all_congruences(alg):
+    for theta in thetas:
         quotient = _order_quotient(alg, theta)[1]
         if quotient is None:
             continue
@@ -625,7 +629,8 @@ def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
     Regular quotients first (they give readable witnesses fast), then the
     complete joint search over all codomains up to the size cap, which
     alone decides whether a separator exists.  None means no separator
-    exists at the cap; it never asserts that x is dominated.
+    exists at the cap; it never asserts that x is dominated.  Either
+    stage's maps are rechecked as monotone homomorphisms before return.
     """
     if x in center:
         raise PreconditionFailed(f"{x} already lies in the subalgebra")
@@ -649,8 +654,17 @@ def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
         for group in by_restriction.values():
             for f, g in itertools.combinations(group, 2):
                 if f.map[x] != g.map[x]:
+                    _recheck_maps((f, g), "regular separator")
                     return Separator(cod, f, g, x)
     return exhaustive_separator(alg, center, x, max_size)
+
+
+def _recheck_maps(maps, source: str) -> None:
+    """Raise unless every map is a monotone homomorphism."""
+    for h in maps:
+        flags = check_homomorphism(h)
+        if not (flags["is_hom"] and flags["is_monotone"]):
+            raise WitnessInconsistency(f"{source} produced a bad map")
 
 
 def _forced_table(table: dict, maps, arity: int, elements: list[str],
@@ -749,10 +763,7 @@ def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
                 raise WitnessInconsistency("exhaustive separator built a bad codomain")
             f_hom = Homomorphism(alg, cod, h1)
             g_hom = Homomorphism(alg, cod, h2)
-            for h in (f_hom, g_hom):
-                flags = check_homomorphism(h)
-                if not (flags["is_hom"] and flags["is_monotone"]):
-                    raise WitnessInconsistency("exhaustive separator produced a bad map")
+            _recheck_maps((f_hom, g_hom), "exhaustive separator")
             return Separator(cod, f_hom, g_hom, x)
     return None
 

@@ -1,9 +1,10 @@
 """Independent oracles, used only by the command line, the acceptance suite
-and the tests: the generated quasiorder by breadth-first search over
-translated generator steps, and a recheck of closure witnesses, both
-evaluating translations by a raw walk over the tables and sharing no code
-with `closure.py`; the term order as the quasiorder generated by
-single-leaf raises, and an exhaustive check of `termorder.term_leq`.
+and the tests: the congruences and homomorphisms by brute-force filters;
+the generated quasiorder by breadth-first search over translated generator
+steps, and a recheck of closure witnesses, both evaluating translations by
+a raw walk over the tables and sharing no code with `closure.py`; the term
+order as the quasiorder generated by single-leaf raises, and an exhaustive
+check of `termorder.term_leq`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from . import relations
-from .algebra import OrderedAlgebra
+from .algebra import Homomorphism, OrderedAlgebra, _compatible
 from .errors import ValidationError, WitnessInconsistency
 from .schemes import IDENTITY_TRANSLATION, IneqStep, RelStep, Scheme, Translation
 from .signature import Signature
@@ -20,6 +21,49 @@ from .terms import (Term, enumerate_terms, formal_var, leaf, leaf_count, leaf_pa
                     regularize, replace_at, skeleton, subterm_at)
 
 Pair = tuple[str, str]
+
+
+# -- Congruences and homomorphisms ----------------------------------------------
+
+def congruences_by_partition_filter(alg: OrderedAlgebra) -> list[frozenset]:
+    """Every congruence of the unordered reduct, by filtering all Bell(n)
+    partitions: the reference for `algebra.all_congruences`, same order.
+
+    A partition's pairs are an equivalence by construction, so only
+    compatibility is tested.
+    """
+    thetas = map(relations.partition_to_pairs, relations.all_partitions(alg.carrier))
+    return [theta for theta in thetas if _compatible(alg, theta)]
+
+
+def homomorphisms_by_product_filter(dom: OrderedAlgebra,
+                                    cod: OrderedAlgebra) -> list[Homomorphism]:
+    """Every homomorphism, by filtering all |cod|^|dom| maps: the reference
+    for `algebra.all_homomorphisms`, same order."""
+    out = []
+    strict_order = [(a, b) for (a, b) in dom.order if a != b]
+    op_items = [(f, k) for f, k in dom.sig.ops.items() if k > 0]
+    consts = dom.sig.constants()
+    tuples_by_op = {f: list(itertools.product(dom.carrier, repeat=k))
+                    for f, k in op_items}
+    for values in itertools.product(cod.carrier, repeat=len(dom.carrier)):
+        m = dict(zip(dom.carrier, values))
+        if any(m[dom.const(c)] != cod.const(c) for c in consts):
+            continue
+        if any((m[a], m[b]) not in cod.order for (a, b) in strict_order):
+            continue
+        good = True
+        for f, _ in op_items:
+            tbl_d, tbl_c = dom.op_tables[f], cod.op_tables[f]
+            for args in tuples_by_op[f]:
+                if m[tbl_d[args]] != tbl_c[tuple(m[x] for x in args)]:
+                    good = False
+                    break
+            if not good:
+                break
+        if good:
+            out.append(Homomorphism(dom, cod, m))
+    return out
 
 
 # -- Generated compatible quasiorders -------------------------------------------

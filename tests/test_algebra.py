@@ -41,6 +41,7 @@ from oalg.errors import (
     ValidationError,
 )
 from oalg.generators import random_algebra
+from oalg.oracles import congruences_by_partition_filter, homomorphisms_by_product_filter
 from oalg.relations import partition_to_pairs
 from oalg.signature import SIG1
 from oalg.terms import parse_term
@@ -139,6 +140,49 @@ def test_all_congruences_match_congruence_filter():
                                            relations.all_partitions(alg.carrier))
                     if is_congruence(alg, theta)]
         assert all_congruences(alg) == expected
+
+
+def _criterion_4_corpus():
+    """The algebras of acceptance check 4 at its default seed."""
+    rng = random.Random(2)
+    return [chain(3, SIG1)] + [random_algebra(rng, SIG1, rng.randrange(2, 5), name=f"Q{i}")
+                               for i in range(12)]
+
+
+def test_all_congruences_match_the_partition_filter_in_order():
+    rng = random.Random(31)
+    algebras = [random_algebra(rng, SIG1, rng.randrange(1, 6)) for _ in range(60)]
+    algebras += [a for n in range(1, 9)
+                 for a in (chain(n, SIG1), with_trivial_order(chain(n, SIG1)))]
+    algebras += _criterion_4_corpus() + [_projection_diamond()]
+    for alg in algebras:
+        assert all_congruences(alg) == congruences_by_partition_filter(alg), alg.name
+
+
+def test_all_congruences_enumerates_no_partitions(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Bell(n) partition enumeration")
+
+    monkeypatch.setattr(relations, "all_partitions", refuse)
+    monkeypatch.setattr(algebra, "_compatible", refuse)
+    assert len(all_congruences(chain(9, SIG1))) == 2 ** 8
+
+
+def _maps(homs):
+    return [(h.dom, h.cod, list(h.map.items())) for h in homs]
+
+
+def test_all_homomorphisms_match_the_product_filter_in_order():
+    rng = random.Random(32)
+    pairs = [(random_algebra(rng, SIG1, rng.randrange(1, 5)),
+              random_algebra(rng, SIG1, rng.randrange(1, 4))) for _ in range(80)]
+    pairs += [(a, b) for a in _criterion_4_corpus()[:6] for b in (CH2, CH3, a)]
+    found = 0
+    for dom, cod in pairs:
+        homs = all_homomorphisms(dom, cod)
+        assert _maps(homs) == _maps(homomorphisms_by_product_filter(dom, cod))
+        found += len(homs)
+    assert found >= 50
 
 
 def test_leq_theta():
@@ -339,6 +383,13 @@ def test_oalg_file_roundtrip(tmp_path):
     assert again.order == CH3.order
     assert again.op_tables == CH3.op_tables
     assert again.const_vals == CH3.const_vals
+
+
+def test_a_given_signature_wins_over_the_over_line(tmp_path):
+    # No s.sig in tmp_path: the `over s.sig` line must not be read.
+    again = parse_algebra(print_algebra(CH3, "s.sig"), tmp_path, sig=SIG1)
+    assert again.sig is SIG1 and again.name == CH3.name
+    assert again.op_tables == CH3.op_tables and again.order == CH3.order
 
 
 def test_trivial_order_helper():

@@ -24,7 +24,7 @@ from oalg.amalgam import (
     validate_amalgam,
 )
 from oalg.errors import CommutationFailure, NotAHomomorphism, PreconditionFailed, \
-    UnboundVariable
+    UnboundVariable, WitnessInconsistency
 from oalg.generators import random_algebra, random_special_amalgam
 from oalg.schemes import scheme_to_lines, validate_scheme
 from oalg.signature import SIG1, Signature
@@ -234,6 +234,30 @@ def test_separators_golden(monkeypatch):
                                 _separator_digest(exhaustive(alg, core, x, 3)))
     assert got == GOLDEN_SEPARATORS
     assert decided_by_candidates >= 10 and len(reached) >= 10
+
+
+def test_regular_separators_are_rechecked(monkeypatch):
+    # Two maps that agree on the core and differ at e1, but neither is a
+    # homomorphism (the constant d of CH3 is e2, sent to [e0]).
+    def bad_homs(dom, cod):
+        return [Homomorphism(dom, cod, {e: cod.carrier[0] for e in dom.carrier}),
+                Homomorphism(dom, cod, {**{e: cod.carrier[0] for e in dom.carrier},
+                                        "e1": cod.carrier[-1]})]
+
+    monkeypatch.setattr(amalgam, "all_homomorphisms", bad_homs)
+    with pytest.raises(WitnessInconsistency, match="regular separator"):
+        separator_search(chain(3, SIG1), ["e0", "e2"], "e1", 3)
+
+
+def test_congruences_are_computed_once_per_base(monkeypatch):
+    calls = []
+    enumerate_congruences = amalgam.all_congruences
+    monkeypatch.setattr(amalgam, "all_congruences",
+                        lambda alg: calls.append(alg) or enumerate_congruences(alg))
+    alg = chain(6, SIG1)
+    for x in ("e1", "e2", "e3"):
+        assert separator_search(alg, ["e0", "e5"], x, 3) is not None
+    assert calls == [alg]
 
 
 def _r141():

@@ -2,7 +2,9 @@
 
 The oracles are independent of the closure engine they check, and only
 the entry points (the command line, the acceptance suite and the package
-namespace) use them.
+namespace) use them.  The congruence and homomorphism enumerators in
+`algebra`, and the separator search in `amalgam` that calls them, reach
+the brute-force filters that check them by no chain of imports.
 """
 
 import ast
@@ -39,3 +41,22 @@ def test_oracles_do_not_import_the_closure_engine():
                          ids=lambda p: p.stem)
 def test_only_entry_points_import_the_oracles(path):
     assert "oalg.oracles" not in imported_modules(path)
+
+
+def reachable_modules(stem: str) -> set[str]:
+    """The `oalg` modules a module imports, directly or through others."""
+    seen: set[str] = set()
+    todo = [stem]
+    while todo:
+        for name in imported_modules(SRC / f"{todo.pop()}.py"):
+            parts = name.split(".")
+            if (len(parts) >= 2 and parts[0] == "oalg" and parts[1] not in seen
+                    and (SRC / f"{parts[1]}.py").exists()):
+                seen.add(parts[1])
+                todo.append(parts[1])
+    return seen
+
+
+@pytest.mark.parametrize("stem", ["algebra", "amalgam"])
+def test_enumerators_never_reach_their_oracles(stem):
+    assert "oracles" not in reachable_modules(stem)
