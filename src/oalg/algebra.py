@@ -531,27 +531,60 @@ def all_congruences(alg: OrderedAlgebra) -> list[Rel]:
     return out
 
 
+def _monotone_maps(domains, pairs_at, order, check=None):
+    """Each choice of one value per position from `domains`, in
+    lexicographic order, with (values[a], values[b]) in `order` for each
+    pair of `pairs_at[i]` and `check(i, values)` true, both tested at the
+    position i where the last value they read is chosen.  Yields one list,
+    refilled.  Domains are first narrowed against the one-value domains
+    (forward checking, Haralick and Elliott, AI 14, 1980); the search
+    keeps a stack of iterators, so it has no recursion limit.
+    """
+    domains = list(domains)
+    for a, b in itertools.chain.from_iterable(pairs_at):
+        if len(domains[a]) == 1:
+            domains[b] = [v for v in domains[b] if (domains[a][0], v) in order]
+        if len(domains[b]) == 1:
+            domains[a] = [v for v in domains[a] if (v, domains[b][0]) in order]
+    if not all(domains):
+        return
+    values = [None] * len(domains)
+
+    def consistent(i: int):
+        for v in domains[i]:
+            values[i] = v
+            if (all((values[a], values[b]) in order for a, b in pairs_at[i])
+                    and (check is None or check(i, values))):
+                yield True
+
+    stack = [iter([True])]      # stack[i + 1] chooses the value at position i
+    while stack:
+        if not next(stack[-1], False):
+            stack.pop()
+        elif len(stack) > len(values):
+            yield values
+        else:
+            stack.append(consistent(len(stack) - 1))
+
+
 def all_homomorphisms(dom: OrderedAlgebra, cod: OrderedAlgebra) -> list[Homomorphism]:
     """Every homomorphism of ordered algebras between two small carriers,
     in the order of `itertools.product(cod.carrier, repeat=len(dom.carrier))`.
 
-    Backtracks over the domain in carrier order, values in codomain order;
-    each order pair and table entry is tested once the last element it
-    mentions has a value, and the constants' images are fixed up front.
+    `_monotone_maps` over the domain in carrier order, values in codomain
+    order, the constants' images fixed: each strict order pair and table
+    entry is tested once the last element it mentions has a value.
     """
-    carrier = dom.carrier
-    n = len(carrier)
-    forced: list[str | None] = [None] * n
+    n = len(dom.carrier)
+    domains = [cod.carrier] * n
     for c in dom.sig.constants():
         i = dom.index[dom.const(c)]
-        if forced[i] not in (None, cod.const(c)):
-            return []
-        forced[i] = cod.const(c)
-    order_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        domains[i] = [v for v in domains[i] if v == cod.const(c)]
+    pairs_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (a, b) in dom.order:
         if a != b:
             ia, ib = dom.index[a], dom.index[b]
-            order_at[max(ia, ib)].append((ia, ib))
+            pairs_at[max(ia, ib)].append((ia, ib))
     table_at: list[list] = [[] for _ in range(n)]
     for f, k in dom.sig.ops.items():
         if k == 0:
@@ -561,23 +594,13 @@ def all_homomorphisms(dom: OrderedAlgebra, cod: OrderedAlgebra) -> list[Homomorp
             idx = tuple(dom.index[a] for a in args)
             iv = dom.index[v]
             table_at[max(idx + (iv,))].append((tbl_c, idx, iv))
-    cod_order = cod.order
-    values: list[str] = [""] * n
-    out = []
 
-    def extend(i: int) -> None:
-        if i == n:
-            out.append(Homomorphism(dom, cod, dict(zip(carrier, values))))
-            return
-        for v in (cod.carrier if forced[i] is None else (forced[i],)):
-            values[i] = v
-            if (all((values[a], values[b]) in cod_order for a, b in order_at[i])
-                    and all(tbl_c[tuple([values[j] for j in idx])] == values[iv]
-                            for tbl_c, idx, iv in table_at[i])):
-                extend(i + 1)
+    def commutes(i: int, values: list[str]) -> bool:
+        return all(tbl_c[tuple([values[j] for j in idx])] == values[iv]
+                   for tbl_c, idx, iv in table_at[i])
 
-    extend(0)
-    return out
+    return [Homomorphism(dom, cod, dict(zip(dom.carrier, values)))
+            for values in _monotone_maps(domains, pairs_at, cod.order, commutes)]
 
 
 # File format support (.oalg and .hom).

@@ -10,12 +10,13 @@ as a refutation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path as FsPath
 
 from . import relations
 from .algebra import (
+    _monotone_maps,
     _order_quotient,
     Homomorphism,
     OrderedAlgebra,
@@ -264,10 +265,7 @@ class SearchStats:
     pruned: int = 0
 
     def as_dict(self) -> dict:
-        return {"nodes_expanded": self.nodes_expanded,
-                "nodes_generated": self.nodes_generated,
-                "depth_reached": self.depth_reached,
-                "capped": self.capped, "pruned": self.pruned}
+        return asdict(self)
 
 
 @dataclass
@@ -669,53 +667,28 @@ def _recheck_maps(maps, source: str) -> None:
 
 def _forced_table(table: dict, maps, arity: int, elements: list[str],
                   order: frozenset) -> dict | None:
-    """A total monotone codomain table under which every map commutes
-    with this operation, or None: the forced entries, completed."""
+    """A total codomain table, monotone for `order`, under which every map
+    commutes with this operation, or None: the first completion of the
+    forced entries in `itertools.product` order over the free cells, by
+    `_monotone_maps` with each cell paired with the cells above it.
+    """
     forced: dict = {}
     for h in maps:
         for args, v in table.items():
             if forced.setdefault(tuple(h[a] for a in args), h[v]) != h[v]:
                 return None
-    return _complete_monotone(forced, arity, elements, order)
-
-
-def _complete_monotone(table: dict, arity: int, elements: list[str],
-                       order: frozenset) -> dict | None:
-    """Extend a partial table to a total one monotone for the order, or
-    report that none exists.  Complete backtracking over the free cells."""
-    assigned = dict(table)
-
-    def comparable(c1, c2):
-        return all((a, b) in order for a, b in zip(c1, c2))
-
     cells = list(itertools.product(elements, repeat=arity))
-    for c1 in assigned:
-        for c2 in assigned:
-            if comparable(c1, c2) and (assigned[c1], assigned[c2]) not in order:
-                return None
-    free = [c for c in cells if c not in assigned]
-
-    def backtrack(i: int) -> bool:
-        if i == len(free):
-            return True
-        cell = free[i]
-        for v in elements:
-            ok = True
-            for c2, v2 in assigned.items():
-                if comparable(c2, cell) and (v2, v) not in order:
-                    ok = False
-                    break
-                if comparable(cell, c2) and (v, v2) not in order:
-                    ok = False
-                    break
-            if ok:
-                assigned[cell] = v
-                if backtrack(i + 1):
-                    return True
-                del assigned[cell]
-        return False
-
-    return assigned if backtrack(0) else None
+    index = {c: i for i, c in enumerate(cells)}
+    up = {a: [b for b in elements if (a, b) in order] for a in elements}
+    pairs_at: list[list[tuple[int, int]]] = [[] for _ in cells]
+    for i, c in enumerate(cells):
+        for above in itertools.product(*[up[a] for a in c]):
+            j = index[above]
+            if j != i:
+                pairs_at[max(i, j)].append((i, j))
+    domains = [[forced[c]] if c in forced else elements for c in cells]
+    values = next(_monotone_maps(domains, pairs_at, order), None)
+    return None if values is None else dict(zip(cells, values))
 
 
 def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
@@ -780,8 +753,12 @@ def epi_check(h: Homomorphism, max_size: int) -> EpiReport:
 
     A separator found for any element outside the image shows the map is
     not an epimorphism; trivial-order algebras are supported unchanged.
-    The map must be a monotone homomorphism.
+    Both algebras must lie in the variety, and the map must be a
+    monotone homomorphism.
     """
+    for alg in (h.dom, h.cod):
+        if validate_algebra(alg):
+            raise PreconditionFailed(f"{alg.name} is not in the variety")
     flags = check_homomorphism(h)
     if not (flags["is_hom"] and flags["is_monotone"]):
         raise NotAHomomorphism("epi check needs a monotone homomorphism")

@@ -50,7 +50,6 @@ def random_monotone_table(rng: random.Random, carrier: list[str], order: frozens
     rank = {e: (sum(1 for x in carrier if (x, e) in order), index[e]) for e in carrier}
     tuples = sorted(itertools.product(carrier, repeat=arity),
                     key=lambda t: (sum(rank[x][0] for x in t), t))
-    up = {e: [b for b in carrier if (e, b) in order] for e in carrier}
     for _ in range(retries):
         table: dict[tuple[str, ...], str] = {}
         ok = True

@@ -119,10 +119,6 @@ def partial_order(pairs: Iterable[Pair], elements: Iterable) -> frozenset:
     return closed
 
 
-def is_partial_order(pairs: frozenset, elements: Iterable) -> bool:
-    return is_reflexive(pairs, elements) and is_transitive(pairs) and is_antisymmetric(pairs)
-
-
 def all_partitions(elements: list) -> list[list[list]]:
     """Every partition of `elements`, deterministically ordered."""
     if not elements:

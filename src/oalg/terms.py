@@ -14,6 +14,10 @@ from typing import Iterable, Iterator, Union
 from .errors import IndexOutOfRange, ParseError, ValidationError
 from .signature import Signature, is_formal_variable
 
+# The deepest nesting `parse_term` accepts: the term functions recurse
+# once or twice per level, and Python's default limit is 1000 frames.
+MAX_TERM_DEPTH = 200
+
 
 @dataclass(frozen=True)
 class Term:
@@ -105,7 +109,8 @@ def _tokenize(word: str) -> list[str]:
 
 
 def parse_term(sig: Signature, variables: Iterable[str], word: str) -> Term:
-    """Parse a prefix word (or functional notation) into a unique Term."""
+    """Parse a prefix word (or functional notation) into a unique Term,
+    nested at most MAX_TERM_DEPTH operations deep."""
     vars_set = set(variables)
     for v in vars_set:
         if sig.has(v):
@@ -118,10 +123,12 @@ def parse_term(sig: Signature, variables: Iterable[str], word: str) -> Term:
     def peek():
         return tokens[pos] if pos < len(tokens) else None
 
-    def read() -> Term:
+    def read(depth: int = 0) -> Term:
         nonlocal pos
         if pos >= len(tokens):
             raise ParseError("term ended early (arity underflow)")
+        if depth > MAX_TERM_DEPTH:
+            raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} operations")
         tok = tokens[pos]
         pos += 1
         if tok in "(),":
@@ -134,17 +141,17 @@ def parse_term(sig: Signature, variables: Iterable[str], word: str) -> Term:
                 return leaf(tok)
             if peek() == "(":
                 pos += 1
-                children = [read()]
+                children = [read(depth + 1)]
                 while peek() == ",":
                     pos += 1
-                    children.append(read())
+                    children.append(read(depth + 1))
                 if peek() != ")":
                     raise ParseError(f"expected ')' after arguments of {tok!r}")
                 pos += 1
                 if len(children) != k:
                     raise ParseError(f"{tok!r} takes {k} arguments, got {len(children)}")
                 return Term(tok, tuple(children))
-            return Term(tok, tuple(read() for _ in range(k)))
+            return Term(tok, tuple(read(depth + 1) for _ in range(k)))
         raise ParseError(f"unknown token {tok!r}")
 
     t = read()

@@ -25,7 +25,8 @@ from oalg.amalgam import (
 )
 from oalg.errors import CommutationFailure, NotAHomomorphism, PreconditionFailed, \
     UnboundVariable, WitnessInconsistency
-from oalg.generators import random_algebra, random_special_amalgam
+from oalg.generators import random_algebra, random_partial_order, random_special_amalgam
+from oalg.oracles import monotone_completion_by_product_filter
 from oalg.schemes import scheme_to_lines, validate_scheme
 from oalg.signature import SIG1, Signature
 from oalg.terms import Term, enumerate_terms, leaf, leaves, node, parse_term, skeleton
@@ -305,6 +306,38 @@ def test_exhaustive_separator_finds_whatever_a_regular_quotient_finds(monkeypatc
                 assert sep is not None and sep.f.map[x] != sep.g.map[x]
                 assert all(sep.f.map[z] == sep.g.map[z] for z in core)
     assert outcomes.count(True) >= 20 and outcomes.count(False) >= 10
+
+
+def test_forced_table_is_the_first_monotone_completion():
+    rng = random.Random(41)
+    outcomes = []
+    for _ in range(150):
+        elements = [f"d{i}" for i in range(rng.randrange(1, 4))]
+        order = random_partial_order(rng, elements)
+        arity = rng.randrange(1, 3)
+        cells = list(itertools.product(elements, repeat=arity))
+        forced = {c: rng.choice(elements)
+                  for c in rng.sample(cells, rng.randrange(len(cells) + 1))}
+        identity = {e: e for e in elements}
+        table = amalgam._forced_table(forced, (identity,), arity, elements, order)
+        assert table == monotone_completion_by_product_filter(forced, arity, elements, order)
+        outcomes.append(table is not None)
+    assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
+
+
+def test_forced_table_completes_more_than_a_thousand_free_cells():
+    ch = chain(11, SIG1)
+    elements, g = ch.carrier, ch.op_tables["g"]
+    forced = {args: g[args] for args in [("e0", "e0", "e0"), ("e3", "e5", "e1"),
+                                         ("e10", "e10", "e10")]}
+    identity = {e: e for e in elements}
+    table = amalgam._forced_table(forced, (identity,), 3, elements, ch.order)
+    assert len(table) == 11 ** 3 and len(table) - len(forced) > 1000
+    assert all(table[c] == v for c, v in forced.items())
+    # On a product of chains, monotone means monotone along each cover.
+    cover = dict(zip(elements, elements[1:]))
+    assert all((v, table[c[:k] + (cover[a],) + c[k + 1:]]) in ch.order
+               for c, v in table.items() for k, a in enumerate(c) if a in cover)
 
 
 def test_epi_check_examples():

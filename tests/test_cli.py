@@ -3,9 +3,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from oalg.algebra import chain, print_algebra, subalgebra
+from oalg.algebra import chain, print_algebra, subalgebra, with_trivial_order
 from oalg.cli import main
 from oalg.signature import SIG1
+from oalg.terms import MAX_TERM_DEPTH
 
 SIG_TEXT = "op f 2\nop g 3\nconst c\nconst d\norder c <= d\n"
 
@@ -160,6 +161,40 @@ def test_epi(workspace):
     code, out = run("epi", "--hom", str(workspace / "incl.hom"),
                     "--max-codomain", "3")
     assert code == 0 and "NotEpi" in out and "element=e1" in out
+
+
+def test_epi_rejects_algebras_outside_the_variety(workspace, capsys):
+    # The trivial order breaks c <= d (c = e0, d = e2).
+    bad = with_trivial_order(chain(3, SIG1))
+    (workspace / "flat.oalg").write_text(print_algebra(bad, "s.sig"))
+    (workspace / "flat_sub.oalg").write_text(
+        print_algebra(subalgebra(bad, ["e0", "e2"], name="C2"), "s.sig"))
+    (workspace / "flat.hom").write_text(
+        "hom from flat_sub.oalg to flat.oalg\nmap e0 -> e0\nmap e2 -> e2\n")
+    code, out = run("epi", "--hom", str(workspace / "flat.hom"), "--max-codomain", "3")
+    assert code == 1 and "verdict" not in out
+    assert "not in the variety" in capsys.readouterr().err
+
+
+def _nested(depth: int) -> str:
+    return "f " * depth + "e0<1> " * (depth + 1)
+
+
+def test_pushout_eq_rejects_a_too_deeply_nested_term(workspace, capsys):
+    code, out = run("pushout-eq", str(workspace / "sp.amalgam"),
+                    _nested(MAX_TERM_DEPTH + 1), "e0<1>")
+    assert code == 2 and out == ""
+    assert f"deeper than {MAX_TERM_DEPTH}" in capsys.readouterr().err
+    code, out = run("pushout-eq", str(workspace / "sp.amalgam"), _nested(1200), "e0<1>")
+    assert code == 2 and out == ""
+
+
+def test_scheme_with_a_too_deeply_nested_term_is_parse_error(workspace, capsys):
+    scheme = workspace / "deep.scheme"
+    scheme.write_text(f"INEQ {_nested(MAX_TERM_DEPTH + 1)} <= e0<1>\n")
+    code, out = run("normalize", str(scheme), "--amalgam", str(workspace / "sp.amalgam"))
+    assert code == 2 and out == ""
+    assert f"deeper than {MAX_TERM_DEPTH}" in capsys.readouterr().err
 
 
 def test_normalize(workspace):

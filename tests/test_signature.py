@@ -70,4 +70,4 @@ def test_roundtrip_with_order():
 
 def test_const_order_is_partial_order():
     consts = SIG1.constants()
-    assert relations.is_partial_order(SIG1.const_order, consts)
+    assert relations.partial_order(SIG1.const_order, consts) == SIG1.const_order

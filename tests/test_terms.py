@@ -5,6 +5,7 @@ import pytest
 from oalg.errors import IndexOutOfRange, ParseError
 from oalg.signature import SIG1
 from oalg.terms import (
+    MAX_TERM_DEPTH,
     Term,
     enumerate_terms,
     is_regular,
@@ -77,6 +78,18 @@ def test_parse_errors():
         p("h x1")
     with pytest.raises(ParseError):
         p("")
+
+
+@pytest.mark.parametrize("nested", [
+    lambda k: "f " * k + "x1 " * (k + 1),                          # left spine, prefix
+    lambda k: "f x1 " * k + "x1",                                  # right spine, prefix
+    lambda k: "f(" * k + "x1" + ",x1)" * k,                        # functional
+])
+def test_parse_depth_bound(nested):
+    t = p(nested(MAX_TERM_DEPTH))
+    assert op_count(t) == MAX_TERM_DEPTH
+    with pytest.raises(ParseError, match="nested deeper"):
+        p(nested(MAX_TERM_DEPTH + 1))
 
 
 def test_print_parse_roundtrip_exhaustive():
