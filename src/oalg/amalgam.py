@@ -93,6 +93,8 @@ class Amalgam:
         self._img1 = {v: k for k, v in self.phi1.items()}
         self._img2 = {v: k for k, v in self.phi2.items()}
         self._side_env = {i: {e: e for e in self.side(i).carrier} for i in (1, 2)}
+        # One leaf term per side element, shared by every search move.
+        self.leaf_of = {e: leaf(e) for e in self.variables()}
         # Leaves are side elements, ordered within their side, and constants.
         self.poset = VarPoset(tuple(self.variables()), self.a1.order | self.a2.order)
         self.leaf_leq = partial(leaf_leq, self.sig, self.poset)
@@ -352,14 +354,17 @@ def _achievable_cached(am: Amalgam, sub: Term, side: int) -> list[tuple[str, Ter
 
 
 def _moves(am: Amalgam, u: Term, budget: Budget):
-    """Candidate successor states, each a raise step fused with one
-    relation step.  Deterministic order: folds, glue swaps, unfolds.
+    """Candidate successors of u, each a raise step fused with one relation
+    step.  Deterministic order: folds on side 1 then side 2, glue swaps,
+    unfolds.
 
-    A move is `(v, raised, tag, path, new)`: u is raised to `raised`, whose
-    subterm at `path` is rewritten by `tag` to `new`, giving the state
-    `v = replace_at(raised, path, new)`.  No step is built here; see
-    `_fused_steps`.
+    A move is `(path, witness, tag, new)`: the subterm of u at `path` is
+    raised to `witness`, which `tag` rewrites to `new`.  The successor is
+    `replace_at(u, path, new)`, since both rewrites act at the same path.
+    No term is built here: the search decides a move from `path` and
+    `new` alone, and `_fused_steps` builds the steps of the path found.
     """
+    leaf_of = am.leaf_of
     ops_left = budget.max_term_ops - op_count(u)
     # Folds of raised subterms, sides 1 then 2.
     for side, tag in ((1, "EV1"), (2, "EV2")):
@@ -368,9 +373,7 @@ def _moves(am: Amalgam, u: Term, budget: Budget):
             if sub.is_leaf:
                 continue
             for value, witness in _achievable_cached(am, sub, side):
-                raised = replace_at(u, path, witness)
-                new = leaf(value)
-                yield replace_at(raised, path, new), raised, tag, path, new
+                yield path, witness, tag, leaf_of[value]
     lpaths = leaf_paths(u)
     # Glue swaps at raised leaves.
     for path in lpaths:
@@ -384,11 +387,8 @@ def _moves(am: Amalgam, u: Term, budget: Budget):
         tag = "GLUE" if cls == 1 else "GLUEINV"
         for b in alg.up_set(a):
             z = images.get(b)
-            if z is None:
-                continue
-            raised = replace_at(u, path, leaf(b)) if b != a else u
-            new = leaf(other[z])
-            yield replace_at(raised, path, new), raised, tag, path, new
+            if z is not None:
+                yield path, leaf_of[b], tag, leaf_of[other[z]]
     # Unfolds at raised leaves, cheapest terms first.
     if ops_left > 0:
         width = min(ops_left, budget.max_unfold_ops)
@@ -400,18 +400,49 @@ def _moves(am: Amalgam, u: Term, budget: Budget):
                 if am.label_class(a) != side:
                     continue
                 for b in alg.up_set(a):
-                    raised = replace_at(u, path, leaf(b)) if b != a else u
                     for w in pool.get(b, ()):
-                        yield replace_at(raised, path, w), raised, tag, path, w
+                        yield path, leaf_of[b], tag, w
 
 
-def _fused_steps(u: Term, raised: Term, tag: str, path: tuple[int, ...],
+def _fused_steps(u: Term, path: tuple[int, ...], witness: Term, tag: str,
                  new: Term) -> list[Step]:
-    """The certificate steps of one move out of u: the raise, unless it is
-    trivial, then the relation step."""
+    """The certificate steps of one move out of u: the raise of the subterm
+    at `path` to `witness`, unless it is trivial, then the relation step."""
+    raised = replace_at(u, path, witness)
     steps: list[Step] = [IneqStep(u, raised)] if raised != u else []
     steps.append(make_rel(tag, raised, path, new))
     return steps
+
+
+def _collapse_bounds(am: SpecialAmalgam, u: Term, target: str,
+                     memo: dict[Term, str]) -> dict[tuple[int, ...], frozenset[str]]:
+    """For each path p of u, the side-1 values c for which the collapsed
+    value of u with c put at p is at most `target`.
+
+    Worked out top down: the root accepts the values below `target`, and
+    a child accepts the values that its parent's table, with the collapsed
+    values of the siblings from `memo`, maps into what the parent accepts.
+    """
+    a1 = am.a1
+    am.collapse_eval(u, memo)
+    bounds = {}
+    todo = [((), u, frozenset(x for x in a1.carrier if a1.leq(x, target)))]
+    while todo:
+        path, sub, accepted = todo.pop()
+        bounds[path] = accepted
+        if sub.is_leaf:
+            continue
+        table = a1.op_tables[sub.label]
+        args = [memo[c] for c in sub.children]
+        for i, child in enumerate(sub.children):
+            row = list(args)
+            ok = []
+            for x in a1.carrier:
+                row[i] = x
+                if table[tuple(row)] in accepted:
+                    ok.append(x)
+            todo.append((path + (i,), child, frozenset(ok)))
+    return bounds
 
 
 def pushout_leq(am: Amalgam, s: Term, t: Term,
@@ -422,9 +453,17 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
     remembers only the move that reached it; the steps of the one path
     found are built at the end and returned as a validated scheme.
     Unknown covers both a genuinely exhausted budget and hitting the node
-    cap; the stats say which.  On a special amalgam, a state whose
-    collapsed value is not below t's is pruned; one memo of collapsed
-    subterm values serves the whole search.
+    cap; the stats say which.
+
+    On a special amalgam, a candidate whose collapsed value is not below
+    t's is pruned, and it is decided before its term is built: a move
+    keeps u's subterms beside its path, so its collapsed value is that of
+    its new subterm carried up the path through the tables.  For each
+    expanded state the values each path accepts are worked out once
+    (`_collapse_bounds`).  Every reached state passed the prune, so a
+    pruned candidate is never a repeat, and `pruned` does not depend on
+    testing the prune first.  One memo of collapsed subterm values
+    serves the whole search.
     """
     budget = budget or Budget()
     stats = SearchStats()
@@ -437,9 +476,8 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
         steps: list[Step] = []
         cur = u
         while back[cur] is not None:
-            prev, *move = back[cur]
-            steps = _fused_steps(prev, *move) + steps
-            cur = prev
+            steps = _fused_steps(*back[cur]) + steps
+            cur = back[cur][0]
         if u != t:
             steps.append(IneqStep(u, t))
         sch = Scheme(s, t, tuple(steps))
@@ -456,15 +494,22 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
         new_frontier: list[Term] = []
         for u in frontier:
             stats.nodes_expanded += 1
-            for v, *move in _moves(am, u, budget):
+            bounds = _collapse_bounds(am, u, target_img, memo) if prune else None
+            for move in _moves(am, u, budget):
                 stats.nodes_generated += 1
                 if stats.nodes_generated > budget.max_nodes:
                     stats.capped = True
                     return Unknown(stats)
+                path, _, _, new = move
+                if bounds is not None:
+                    value = memo.get(new)
+                    if value is None:
+                        value = prune(new, memo)
+                    if value not in bounds[path]:
+                        stats.pruned += 1
+                        continue
+                v = replace_at(u, path, new)
                 if v in back:
-                    continue
-                if prune and not am.a1.leq(prune(v, memo), target_img):
-                    stats.pruned += 1
                     continue
                 back[v] = (u, *move)
                 if am.term_leq(v, t):

@@ -1,7 +1,7 @@
 """Independent oracles, used only by the command line, the acceptance suite
-and the tests: the congruences and homomorphisms by brute-force filters;
-the generated quasiorder by breadth-first search over translated generator
-steps, and a recheck of closure witnesses, both evaluating translations by
+and the tests: the congruences, homomorphisms and variety membership by
+brute-force filters; the generated quasiorder by breadth-first search over
+translated generator steps, and a recheck of closure witnesses, both evaluating translations by
 a raw walk over the tables and sharing no code with `closure.py`; the term
 order as the quasiorder generated by single-leaf raises, and an exhaustive
 check of `termorder.term_leq`.
@@ -80,6 +80,29 @@ def monotone_completion_by_product_filter(forced: dict, arity: int, elements: li
         if all((table[c1], table[c2]) in order for c1, c2 in comparable):
             return table
     return None
+
+
+def variety_report_by_pair_filter(alg: OrderedAlgebra) -> list[dict]:
+    """The membership report of `algebra.validate_algebra`, same entries in
+    the same order, by testing every pair of argument tuples of each
+    operation for comparability: |A|^(2k) pairs for a k-ary one."""
+    report = []
+    for f, k in alg.sig.ops.items():
+        if k == 0:
+            continue
+        tbl = alg.op_tables[f]
+        for xs in itertools.product(alg.carrier, repeat=k):
+            for ys in itertools.product(alg.carrier, repeat=k):
+                if all(alg.leq(x, y) for x, y in zip(xs, ys)):
+                    if not alg.leq(tbl[xs], tbl[ys]):
+                        report.append({"kind": "monotonicity", "op": f,
+                                       "lhs": xs, "rhs": ys,
+                                       "lhs_val": tbl[xs], "rhs_val": tbl[ys]})
+    for (c, d) in sorted(alg.sig.const_order):
+        if c != d and not alg.leq(alg.const(c), alg.const(d)):
+            report.append({"kind": "constant", "left": c, "right": d,
+                           "left_val": alg.const(c), "right_val": alg.const(d)})
+    return report
 
 
 # -- Generated compatible quasiorders -------------------------------------------

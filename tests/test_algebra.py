@@ -40,8 +40,9 @@ from oalg.errors import (
     UnboundVariable,
     ValidationError,
 )
-from oalg.generators import random_algebra
-from oalg.oracles import congruences_by_partition_filter, homomorphisms_by_product_filter
+from oalg.generators import random_algebra, random_partial_order
+from oalg.oracles import congruences_by_partition_filter, homomorphisms_by_product_filter, \
+    variety_report_by_pair_filter
 from oalg.relations import partition_to_pairs
 from oalg.signature import SIG1
 from oalg.terms import parse_term
@@ -70,6 +71,27 @@ def test_constant_violation_reported():
                          {"c": "e2", "d": "e0"})
     report = validate_algebra(bad)
     assert any(item["kind"] == "constant" for item in report)
+
+
+def test_validate_algebra_matches_the_pair_filter():
+    # Random tables over random orders: mostly outside the variety, and
+    # inside it wherever the order is discrete or the draw is lucky.
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(120):
+        carrier = [f"e{i}" for i in range(rng.randint(1, 4))]
+        order = random_partial_order(rng, carrier)
+        tables = {f: {args: rng.choice(carrier)
+                      for args in itertools.product(carrier, repeat=k)}
+                  for f, k in SIG1.ops.items() if k > 0}
+        consts = {c: rng.choice(carrier) for c in SIG1.constants()}
+        alg = OrderedAlgebra(SIG1, carrier, order, tables, consts)
+        report = validate_algebra(alg)
+        assert report == variety_report_by_pair_filter(alg)
+        outcomes.add(bool(report))
+    for alg in (CH3, random_algebra(rng, SIG1, 4)):
+        assert validate_algebra(alg) == variety_report_by_pair_filter(alg) == []
+    assert outcomes == {True, False}
 
 
 def test_monotonicity_violation_reported():

@@ -29,7 +29,8 @@ from oalg.generators import random_algebra, random_partial_order, random_special
 from oalg.oracles import monotone_completion_by_product_filter
 from oalg.schemes import scheme_to_lines, validate_scheme
 from oalg.signature import SIG1, Signature
-from oalg.terms import Term, enumerate_terms, leaf, leaves, node, parse_term, skeleton
+from oalg.terms import Term, enumerate_terms, leaf, leaves, node, parse_term, replace_at, \
+    skeleton
 from oalg.termorder import VarPoset, extend_monotone_map, term_leq
 
 CH3 = chain(3, SIG1)
@@ -372,16 +373,17 @@ def test_random_dominion_consistency():
             assert (info["status"] == "InC") == (x in sp.c.index)
 
 
-def test_amalgam_file_forms(tmp_path):
-    sig = tmp_path / "s.sig"
-    sig.write_text("op f 2\nop g 3\nconst c\nconst d\norder c <= d\n")
+def _write_ch3_files(tmp_path):
+    (tmp_path / "s.sig").write_text("op f 2\nop g 3\nconst c\nconst d\norder c <= d\n")
     from oalg.algebra import print_algebra
     (tmp_path / "b.oalg").write_text(print_algebra(CH3, "s.sig"))
-    sp = parse_amalgam("special over b.oalg seed e0 e2", tmp_path)
-    assert isinstance(sp, SpecialAmalgam)
-    assert sp.c.carrier == ["e0", "e2"]
     sub = subalgebra(CH3, ["e0", "e2"], name="C")
     (tmp_path / "c.oalg").write_text(print_algebra(sub, "s.sig"))
+
+
+def _general_ch3_amalgam(tmp_path) -> Amalgam:
+    """Two copies of CH3 over {e0, e2}, declared as a general amalgam."""
+    _write_ch3_files(tmp_path)
     text = "\n".join([
         "left b.oalg",
         "right b.oalg",
@@ -391,7 +393,15 @@ def test_amalgam_file_forms(tmp_path):
         "embed phi2: e0 -> e0",
         "embed phi2: e2 -> e2",
     ])
-    am = parse_amalgam(text, tmp_path)
+    return parse_amalgam(text, tmp_path)
+
+
+def test_amalgam_file_forms(tmp_path):
+    _write_ch3_files(tmp_path)
+    sp = parse_amalgam("special over b.oalg seed e0 e2", tmp_path)
+    assert isinstance(sp, SpecialAmalgam)
+    assert sp.c.carrier == ["e0", "e2"]
+    am = _general_ch3_amalgam(tmp_path)
     assert validate_amalgam(am) == []
     assert am.phi1["e0"] == "e0<1>" and am.phi2["e0"] == "e0<2>"
 
@@ -455,6 +465,118 @@ def test_pushout_search_golden(search, s, t, budget, stats, schemes):
     assert [scheme_to_lines(sch) for sch in found] == schemes
     for sch in found:
         assert validate_scheme(SP, sch) == []
+
+
+# The same searches on a general amalgam, which has no collapse map and so
+# nothing is pruned.
+GOLDEN_GENERAL_SEARCHES = [
+    ("e0<1>", "e0<2>",
+     {"nodes_expanded": 2, "nodes_generated": 2, "depth_reached": 1,
+      "capped": False, "pruned": 0},
+     [["REL GLUE z1 1 e0<1> -> e0<2>"], ["REL GLUEINV z1 1 e0<2> -> e0<1>"]]),
+    ("e1<1>", "e1<2>",
+     {"nodes_expanded": 3, "nodes_generated": 3001, "depth_reached": 2,
+      "capped": True, "pruned": 0}, []),
+    ("f e0<1> e0<2>", "e0<1>",
+     {"nodes_expanded": 2, "nodes_generated": 3001, "depth_reached": 2,
+      "capped": True, "pruned": 0}, []),
+]
+
+
+@pytest.mark.parametrize("s,t,stats,schemes", GOLDEN_GENERAL_SEARCHES)
+def test_pushout_search_golden_on_a_general_amalgam(tmp_path, s, t, stats, schemes):
+    am = _general_ch3_amalgam(tmp_path)
+    assert not isinstance(am, SpecialAmalgam)
+    p = lambda w: parse_term(am.sig, am.variables(), w)
+    res = pushout_equal(am, p(s), p(t), Budget(max_nodes=3000))
+    assert res.stats.as_dict() == stats
+    found = [res.forward, res.backward] if res.proven else []
+    assert [scheme_to_lines(sch) for sch in found] == schemes
+    for sch in found:
+        assert validate_scheme(am, sch) == []
+
+
+def test_search_builds_one_term_per_unpruned_candidate(monkeypatch):
+    # Pruned candidates are decided from their path and new subterm alone;
+    # an unpruned one costs one replace_at, and a failed search no more.
+    calls = []
+
+    def counting_replace_at(t, path, new):
+        calls.append(path)
+        return replace_at(t, path, new)
+
+    monkeypatch.setattr(amalgam, "replace_at", counting_replace_at)
+    stats = pushout_leq(SP, _p("e1<1>"), _p("e1<2>"), Budget(max_nodes=2000)).stats
+    assert (stats.nodes_generated, stats.pruned, stats.capped) == (2001, 1602, True)
+    assert len(calls) <= stats.nodes_generated - stats.pruned
+
+
+def _random_term(rng: random.Random, labels: list[str], ops: int) -> Term:
+    """A random term over SIG1 with exactly `ops` operation nodes."""
+    if ops == 0:
+        return leaf(rng.choice(labels))
+    f = rng.choice(["f", "g"])
+    split = [0] * SIG1.arity(f)
+    for _ in range(ops - 1):
+        split[rng.randrange(len(split))] += 1
+    return Term(f, tuple(_random_term(rng, labels, n) for n in split))
+
+
+def _kept_by_whole_term(sp: SpecialAmalgam, u: Term, path, new: Term, t: Term) -> bool:
+    """The prune decision for one candidate, by building and evaluating its
+    whole term: its collapsed value is at most t's."""
+    return sp.a1.leq(sp.collapse_eval(replace_at(u, path, new)), sp.collapse_eval(t))
+
+
+def test_collapse_bounds_decide_every_move_like_its_whole_term():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(8):
+        sp = random_special_amalgam(rng, SIG1, 3)
+        labels = sp.variables() + SIG1.constants()
+        for _ in range(3):
+            u = _random_term(rng, labels, rng.randint(0, 3))
+            t = _random_term(rng, labels, rng.randint(0, 3))
+            memo = {}
+            bounds = amalgam._collapse_bounds(sp, u, sp.collapse_eval(t, memo), memo)
+            for path, _, _, new in amalgam._moves(sp, u, Budget()):
+                kept = sp.collapse_eval(new, memo) in bounds[path]
+                assert kept == _kept_by_whole_term(sp, u, path, new, t)
+                seen.add(kept)
+    assert seen == {True, False}
+
+
+# sha256 of what the search returns at max_nodes=2000 on 30 random special
+# amalgams: the sorted statuses of dominion_special, search statistics
+# included, and the statistics and schemes of pushout_equal from
+# f x<1> x<2> to a copy of its value, for x the last element.  The
+# dominion searches mostly expand leaves at this cap; the second query
+# starts from a compound term, so the prune also decides paths below an
+# operation.  A change that makes the search cheaper leaves both alone;
+# one that changes which candidates are generated or pruned regenerates
+# them and says so.
+DOMINION_STATUS_DIGEST = "6e0ce29b8d0e45295211f4e215ff24d64d057e416ab2071de41bb818bcd17cc4"
+COMPOUND_SEARCH_DIGEST = "484a4a0e64d12452e3ce07ec1c66a3b75f6e272babe4ece23346f6fdbcb2dcd4"
+
+
+def test_dominion_statuses_are_pinned():
+    statuses_digest, compound_digest = hashlib.sha256(), hashlib.sha256()
+    budget = Budget(max_nodes=2000)
+    for seed in range(6):
+        rng = random.Random(seed)
+        for _ in range(5):
+            sp = random_special_amalgam(rng, SIG1, 4)
+            statuses = dominion_special(sp, budget)
+            statuses_digest.update(repr(sorted(statuses.items())).encode())
+            x = sp.base.carrier[-1]
+            s = node("f", leaf(sp.alpha1[x]), leaf(sp.alpha2[x]))
+            res = pushout_equal(sp, s, leaf(sp.alpha1[sp.base.op("f", (x, x))]), budget)
+            compound_digest.update(repr(res.stats.as_dict()).encode())
+            if res.proven:
+                lines = [scheme_to_lines(res.forward), scheme_to_lines(res.backward)]
+                compound_digest.update(repr(lines).encode())
+    assert statuses_digest.hexdigest() == DOMINION_STATUS_DIGEST
+    assert compound_digest.hexdigest() == COMPOUND_SEARCH_DIGEST
 
 
 def _skeleton_leaves_term_leq(sig, xp, s, t):
