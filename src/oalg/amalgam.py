@@ -361,8 +361,11 @@ def _moves(am: Amalgam, u: Term, budget: Budget):
     A move is `(path, witness, tag, new)`: the subterm of u at `path` is
     raised to `witness`, which `tag` rewrites to `new`.  The successor is
     `replace_at(u, path, new)`, since both rewrites act at the same path.
-    No term is built here: the search decides a move from `path` and
-    `new` alone, and `_fused_steps` builds the steps of the path found.
+    No term is built here: the search decides a move from `path`, `new`
+    and `witness` alone, builds the successor when it expands it, and
+    `_fused_steps` builds the steps of the path found.  One of `witness`
+    and `new` is a leaf, and on a special amalgam both have the same
+    collapsed value.
     """
     leaf_of = am.leaf_of
     ops_left = budget.max_term_ops - op_count(u)
@@ -445,6 +448,31 @@ def _collapse_bounds(am: SpecialAmalgam, u: Term, target: str,
     return bounds
 
 
+def _goal_contexts(am: Amalgam, u: Term, t: Term) -> dict[tuple[int, ...], Term]:
+    """For each path p of u at which u agrees with t off p, t's subterm at p.
+
+    u agrees with t off p when the labels along p are the same and every
+    subterm beside p is below t's.  Then `replace_at(u, p, new)` is below
+    t exactly when `new` is below the context; a path without a context
+    gives no term below t.  Worked out top down, one sibling comparison
+    per child.
+    """
+    contexts = {}
+    todo = [((), u, t)]
+    while todo:
+        path, sub, ctx = todo.pop()
+        contexts[path] = ctx
+        if sub.is_leaf or sub.label != ctx.label or len(sub.children) != len(ctx.children):
+            continue
+        pairs = list(zip(sub.children, ctx.children))
+        below = [am.term_leq(a, b) for a, b in pairs]
+        misses = below.count(False)
+        for i, (a, b) in enumerate(pairs):
+            if misses == 0 or (misses == 1 and not below[i]):
+                todo.append((path + (i,), a, b))
+    return contexts
+
+
 def pushout_leq(am: Amalgam, s: Term, t: Term,
                 budget: Budget | None = None) -> Proven | Unknown:
     """Search for a certificate that s precedes t in the pushout order.
@@ -455,15 +483,25 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
     Unknown covers both a genuinely exhausted budget and hitting the node
     cap; the stats say which.
 
+    The frontier holds moves, not terms: a successor's term is built when
+    the search takes it up for expansion, and dropped there if it repeats
+    a reached term, in the same breadth-first order as if it were built
+    when generated.  So the same states are expanded, and a candidate
+    that is never expanded costs no term.  The goal test is decided per
+    path too: for each expanded state, the subterm of t that each path's
+    new subterm must lie below is worked out once (`_goal_contexts`), and
+    only a candidate that reaches t has its term built.
+
     On a special amalgam, a candidate whose collapsed value is not below
     t's is pruned, and it is decided before its term is built: a move
     keeps u's subterms beside its path, so its collapsed value is that of
     its new subterm carried up the path through the tables.  For each
     expanded state the values each path accepts are worked out once
-    (`_collapse_bounds`).  Every reached state passed the prune, so a
-    pruned candidate is never a repeat, and `pruned` does not depend on
-    testing the prune first.  One memo of collapsed subterm values
-    serves the whole search.
+    (`_collapse_bounds`).  The new subterm's value is read from the
+    move's leaf side: an unfold's new subterm is a composite term, but
+    its witness is a leaf with the same collapsed value.  Every reached
+    state passed the prune, so a pruned candidate is never a repeat.
+    One memo of collapsed subterm values serves the whole search.
     """
     budget = budget or Budget()
     stats = SearchStats()
@@ -488,34 +526,45 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
         return Unknown(stats)
     if am.term_leq(s, t):
         return finish(s)
-    frontier = [s]
+    # The start, then moves (u, path, witness, tag, new) out of expanded
+    # states; a move's successor is replace_at(u, path, new).
+    frontier: list[tuple | None] = [None]
     for depth in range(1, budget.max_scheme_len + 1):
-        stats.depth_reached = depth
-        new_frontier: list[Term] = []
-        for u in frontier:
+        new_frontier: list[tuple | None] = []
+        for entry in frontier:
+            if entry is None:
+                u = s
+            else:
+                u = replace_at(entry[0], entry[1], entry[4])
+                if u in back:
+                    continue
+                back[u] = entry
+            stats.depth_reached = depth
             stats.nodes_expanded += 1
             bounds = _collapse_bounds(am, u, target_img, memo) if prune else None
+            contexts = _goal_contexts(am, u, t)
             for move in _moves(am, u, budget):
                 stats.nodes_generated += 1
                 if stats.nodes_generated > budget.max_nodes:
                     stats.capped = True
                     return Unknown(stats)
-                path, _, _, new = move
+                path, witness, _, new = move
                 if bounds is not None:
-                    value = memo.get(new)
+                    one_leaf = new if new.is_leaf else witness
+                    value = memo.get(one_leaf)
                     if value is None:
-                        value = prune(new, memo)
+                        value = prune(one_leaf, memo)
                     if value not in bounds[path]:
                         stats.pruned += 1
                         continue
-                v = replace_at(u, path, new)
-                if v in back:
-                    continue
-                back[v] = (u, *move)
-                if am.term_leq(v, t):
+                ctx = contexts.get(path)
+                if ctx is not None and am.term_leq(new, ctx):
+                    v = replace_at(u, path, new)
+                    back[v] = (u, *move)
                     return finish(v)
-                new_frontier.append(v)
-        if not new_frontier:
+                new_frontier.append((u, *move))
+        if stats.depth_reached < depth:
+            # The level had no entry, or each repeated a reached term.
             return Unknown(stats)
         frontier = new_frontier
     return Unknown(stats)
@@ -614,8 +663,11 @@ def dominion_special(sp: SpecialAmalgam, budget: Budget | None = None) -> dict[s
 
     Shared-subalgebra elements are in the dominion outright; for the rest
     the certificate search must come back empty, and a found certificate
-    is a contradiction with the theory, reported as a hard error.
+    is a contradiction with the theory, reported as a hard error.  The
+    theory speaks only of the variety, so the base must lie in it.
     """
+    if validate_algebra(sp.base):
+        raise PreconditionFailed(f"{sp.base.name} is not in the variety")
     out = {}
     for x in sp.base.carrier:
         if x in sp.c.index:

@@ -139,6 +139,14 @@ def test_dominion_examples():
     assert all(v["status"] == "InC" for v in dominion_special(full).values())
 
 
+def test_dominion_needs_a_base_in_the_variety():
+    # The trivial order breaks c <= d (c = e0, d = e2); without the check
+    # the search would run and report e1 NoWitnessFound.
+    flat = make_special(with_trivial_order(CH3), ["e0"])
+    with pytest.raises(PreconditionFailed, match="not in the variety"):
+        dominion_special(flat)
+
+
 def test_separator_search_examples():
     sep = separator_search(CH3, ["e0", "e2"], "e1", 3)
     assert sep is not None
@@ -496,6 +504,16 @@ def test_pushout_search_golden_on_a_general_amalgam(tmp_path, s, t, stats, schem
         assert validate_scheme(am, sch) == []
 
 
+def test_a_level_of_repeats_ends_the_search(tmp_path):
+    # e2<1> glues to e2<2>, whose one move glues back: the third level's
+    # only entry repeats the start, so the search ends uncapped at depth 2.
+    am = _general_ch3_amalgam(tmp_path)
+    res = pushout_leq(am, leaf("e2<1>"), leaf("e0<1>"), Budget(max_term_ops=0))
+    assert not res.proven
+    assert res.stats.as_dict() == {"nodes_expanded": 2, "nodes_generated": 2,
+                                   "depth_reached": 2, "capped": False, "pruned": 0}
+
+
 def test_search_builds_one_term_per_unpruned_candidate(monkeypatch):
     # Pruned candidates are decided from their path and new subterm alone;
     # an unpruned one costs one replace_at, and a failed search no more.
@@ -509,6 +527,20 @@ def test_search_builds_one_term_per_unpruned_candidate(monkeypatch):
     stats = pushout_leq(SP, _p("e1<1>"), _p("e1<2>"), Budget(max_nodes=2000)).stats
     assert (stats.nodes_generated, stats.pruned, stats.capped) == (2001, 1602, True)
     assert len(calls) <= stats.nodes_generated - stats.pruned
+
+
+def test_a_capped_search_builds_no_term_for_a_candidate_it_never_expands(monkeypatch):
+    # The frontier holds moves; a term is built when its move is taken up.
+    calls = []
+
+    def counting_replace_at(t, path, new):
+        calls.append(path)
+        return replace_at(t, path, new)
+
+    monkeypatch.setattr(amalgam, "replace_at", counting_replace_at)
+    stats = pushout_leq(SP, _p("e1<1>"), _p("e1<2>"), Budget(max_nodes=2000)).stats
+    assert stats.capped
+    assert len(calls) <= stats.nodes_expanded
 
 
 def _random_term(rng: random.Random, labels: list[str], ops: int) -> Term:
@@ -544,6 +576,54 @@ def test_collapse_bounds_decide_every_move_like_its_whole_term():
                 assert kept == _kept_by_whole_term(sp, u, path, new, t)
                 seen.add(kept)
     assert seen == {True, False}
+
+
+def _raised(rng: random.Random, am: Amalgam, u: Term) -> Term:
+    """u with each leaf raised to a random label above it."""
+    if u.children:
+        return Term(u.label, tuple(_raised(rng, am, c) for c in u.children))
+    labels = am.variables() + am.sig.constants()
+    return leaf(rng.choice([b for b in labels if am.leaf_leq(u.label, b)]))
+
+
+def test_goal_contexts_decide_every_move_like_its_whole_term():
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(8):
+        sp = random_special_amalgam(rng, SIG1, 3)
+        labels = sp.variables() + SIG1.constants()
+        for _ in range(4):
+            u = _random_term(rng, labels, rng.randint(0, 3))
+            moves = list(amalgam._moves(sp, u, Budget()))
+            if moves and rng.random() < 0.5:
+                # A target some move reaches, so that the goal is met.
+                path, _, _, new = rng.choice(moves)
+                t = _raised(rng, sp, replace_at(u, path, new))
+            else:
+                t = _random_term(rng, labels, rng.randint(0, 3))
+            contexts = amalgam._goal_contexts(sp, u, t)
+            for path, _, _, new in moves:
+                ctx = contexts.get(path)
+                reached = ctx is not None and sp.term_leq(new, ctx)
+                assert reached == sp.term_leq(replace_at(u, path, new), t)
+                seen.add(reached)
+    assert seen == {True, False}
+
+
+def test_a_move_keeps_the_collapsed_value_of_its_witness():
+    # The search reads an unfold's prune value from its witness leaf.
+    rng = random.Random(11)
+    tags = set()
+    for _ in range(8):
+        sp = random_special_amalgam(rng, SIG1, 3)
+        labels = sp.variables() + SIG1.constants()
+        for _ in range(3):
+            u = _random_term(rng, labels, rng.randint(0, 3))
+            for _, witness, tag, new in amalgam._moves(sp, u, Budget()):
+                assert witness.is_leaf or new.is_leaf
+                assert sp.collapse_eval(new) == sp.collapse_eval(witness)
+                tags.add(tag)
+    assert tags == {"EV1", "EV2", "GLUE", "GLUEINV", "EV1INV", "EV2INV"}
 
 
 # sha256 of what the search returns at max_nodes=2000 on 30 random special

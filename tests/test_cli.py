@@ -176,6 +176,17 @@ def test_epi_rejects_algebras_outside_the_variety(workspace, capsys):
     assert "not in the variety" in capsys.readouterr().err
 
 
+def test_dominion_rejects_a_base_outside_the_variety(workspace, capsys):
+    # The trivial order breaks c <= d (c = e0, d = e2).
+    bad = with_trivial_order(chain(3, SIG1))
+    (workspace / "flat.oalg").write_text(print_algebra(bad, "s.sig"))
+    code, out = run("dominion", "--special", str(workspace / "flat.oalg"),
+                    "--seed-elems", "e0")
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert "not in the variety" in err and "Traceback" not in err
+
+
 def _nested(depth: int) -> str:
     return "f " * depth + "e0<1> " * (depth + 1)
 
