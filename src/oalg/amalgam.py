@@ -10,7 +10,8 @@ as a refutation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path as FsPath
 
@@ -250,7 +251,16 @@ class Budget:
     like; the last two bound the work spent looking for one.  Exceeding a
     work cap is folded into Unknown together with the statistics.  Deeper
     unfoldings than max_unfold_ops are still reachable through several
-    consecutive unfold steps."""
+    consecutive unfold steps.
+
+    max_nodes bounds the candidates generated, pruned ones included.  The
+    search decides the unfolds of one leaf path to one value as a group,
+    but counts every member of it, and a group that crosses the cap counts
+    only the members up to it; so the cap falls where it would if each
+    candidate were decided alone.  The terms of the unfold pool are built
+    only for the members that the search expands or tests against a
+    composite subterm of the goal, so a wide max_unfold_ops costs counts,
+    not terms, until the search takes the members up."""
 
     max_term_ops: int = 4
     max_scheme_len: int = 8
@@ -268,6 +278,13 @@ class SearchStats:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+    def merged(self, other: SearchStats) -> SearchStats:
+        """The statistics of two searches together: counters summed, the
+        deeper depth, capped if either was."""
+        combine = {"depth_reached": max, "capped": operator.or_}
+        return SearchStats(**{f.name: combine.get(f.name, operator.add)(
+            getattr(self, f.name), getattr(other, f.name)) for f in fields(self)})
 
 
 @dataclass
@@ -311,37 +328,110 @@ def _achievable_values(am: Amalgam, t: Term, side: int) -> dict[str, Term]:
     return out
 
 
-def _unfold_pool(am: Amalgam, side: int, max_ops: int) -> dict[str, list[Term]]:
-    """Composite terms over one side's elements, grouped by their value.
-
-    Lists are ordered by operation count.  Cached per amalgam: the pool
-    depends only on the side's tables, not on the query.
-    """
-    cache = am.__dict__.setdefault("_unfold_cache", {})
-    key = (side, max_ops)
-    if key in cache:
-        return cache[key]
+def _unfold_shapes(am: Amalgam, side: int, n: int):
+    """The shapes of the composite terms over one side's elements with
+    exactly n operations, in pool order: `(op, split, vals, value)` for
+    each operation, split of its other n - 1 operations over the children,
+    and children's values (in carrier order, among the values that terms
+    with that many operations take), with the value of the whole."""
     alg = am.side(side)
-    by_ops: list[dict[str, list[Term]]] = [{e: [leaf(e)] for e in alg.carrier}]
-    for n in range(1, max_ops + 1):
-        layer: dict[str, list[Term]] = {}
-        for f, k in alg.sig.ops.items():
-            if k == 0:
-                continue
-            for split in compositions(n - 1, k):
-                pools = [by_ops[m] for m in split]
-                keys = [sorted(p.keys(), key=alg.index.get) for p in pools]
-                for vals in itertools.product(*keys):
-                    res = alg.op(f, vals)
-                    for kids in itertools.product(*[p[v] for p, v in zip(pools, vals)]):
-                        layer.setdefault(res, []).append(Term(f, kids))
-        by_ops.append(layer)
-    pool: dict[str, list[Term]] = {}
-    for layer in by_ops[1:]:
-        for val, ts in layer.items():
-            pool.setdefault(val, []).extend(ts)
-    cache[key] = pool
-    return pool
+    present = [alg.carrier] + [[e for e in alg.carrier if e in _unfold_counts(am, side, m)]
+                               for m in range(1, n)]
+    for f, k in alg.sig.ops.items():
+        if k == 0:
+            continue
+        table = alg.op_tables[f]
+        for split in compositions(n - 1, k):
+            for vals in itertools.product(*[present[m] for m in split]):
+                yield f, split, vals, table[vals]
+
+
+def _unfold_counts(am: Amalgam, side: int, n: int) -> dict[str, int]:
+    """For each value of the composite terms over one side's elements with
+    exactly n operations, how many such terms there are, in the order the
+    values first occur.  Worked out from the tables; no term is built.
+    Cached per amalgam."""
+    cache = am.__dict__.setdefault("_unfold_counts", {})
+    key = (side, n)
+    if key not in cache:
+        lower = [None] + [_unfold_counts(am, side, m) for m in range(1, n)]
+        counts: dict[str, int] = {}
+        for _, split, vals, value in _unfold_shapes(am, side, n):
+            size = 1
+            for m, v in zip(split, vals):
+                if m:
+                    size *= lower[m][v]
+            counts[value] = counts.get(value, 0) + size
+        cache[key] = counts
+    return cache[key]
+
+
+def _unfold_layer(am: Amalgam, side: int, n: int, value: str) -> list[Term]:
+    """The composite terms over one side's elements with exactly n
+    operations and the given value, in pool order: by shape, then by the
+    children's terms.  Built on first use and cached per amalgam, so
+    every width and every search on the amalgam shares them."""
+    cache = am.__dict__.setdefault("_unfold_cache", {})
+    key = (side, n, value)
+    terms = cache.get(key)
+    if terms is None:
+        terms = []
+        for f, split, vals, res in _unfold_shapes(am, side, n):
+            if res == value:
+                options = [[am.leaf_of[v]] if m == 0 else _unfold_layer(am, side, m, v)
+                           for m, v in zip(split, vals)]
+                terms.extend(Term(f, kids) for kids in itertools.product(*options))
+        cache[key] = terms
+    return terms
+
+
+class _UnfoldGroup:
+    """The unfold pool's terms of one value on one side, with one to
+    `len(sizes)` operations, in pool order; `sizes[n - 1]` members have n
+    operations.  The sizes come from `_unfold_counts`; the terms are
+    built, a layer at a time, only when they are asked for.
+    Every member is a composite term."""
+
+    __slots__ = ("am", "side", "value", "sizes", "size")
+
+    def __init__(self, am: Amalgam, side: int, value: str, sizes: tuple[int, ...]):
+        self.am, self.side, self.value, self.sizes = am, side, value, sizes
+        self.size = sum(sizes)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        for n in range(1, len(self.sizes) + 1):
+            yield from _unfold_layer(self.am, self.side, n, self.value)
+
+    def layer(self, n: int) -> tuple[int, list[Term]]:
+        """The number of members before those with n operations, and
+        those members."""
+        if not 1 <= n <= len(self.sizes):
+            return self.size, []
+        return sum(self.sizes[:n - 1]), _unfold_layer(self.am, self.side, n, self.value)
+
+
+def _unfold_groups(am: Amalgam, side: int, width: int) -> dict[str, _UnfoldGroup]:
+    """One lazy group per value that a composite term of at most `width`
+    operations over one side's elements takes, in the order the values
+    first occur.  Cached per amalgam."""
+    cache = am.__dict__.setdefault("_unfold_groups", {})
+    key = (side, width)
+    if key not in cache:
+        layers = [_unfold_counts(am, side, n) for n in range(1, width + 1)]
+        values = dict.fromkeys(v for counts in layers for v in counts)
+        cache[key] = {v: _UnfoldGroup(am, side, v, tuple(counts.get(v, 0) for counts in layers))
+                      for v in values}
+    return cache[key]
+
+
+def _unfold_pool(am: Amalgam, side: int, max_ops: int) -> dict[str, list[Term]]:
+    """Composite terms over one side's elements, grouped by their value,
+    with every layer built: the members of the groups of `_unfold_groups`,
+    ordered by operation count."""
+    return {value: list(group) for value, group in _unfold_groups(am, side, max_ops).items()}
 
 
 def _achievable_cached(am: Amalgam, sub: Term, side: int) -> list[tuple[str, Term]]:
@@ -355,17 +445,21 @@ def _achievable_cached(am: Amalgam, sub: Term, side: int) -> list[tuple[str, Ter
 
 def _moves(am: Amalgam, u: Term, budget: Budget):
     """Candidate successors of u, each a raise step fused with one relation
-    step.  Deterministic order: folds on side 1 then side 2, glue swaps,
-    unfolds.
+    step, in groups.  Deterministic order: folds on side 1 then side 2,
+    glue swaps, unfolds.
 
-    A move is `(path, witness, tag, new)`: the subterm of u at `path` is
-    raised to `witness`, which `tag` rewrites to `new`.  The successor is
-    `replace_at(u, path, new)`, since both rewrites act at the same path.
-    No term is built here: the search decides a move from `path`, `new`
-    and `witness` alone, builds the successor when it expands it, and
-    `_fused_steps` builds the steps of the path found.  One of `witness`
-    and `new` is a leaf, and on a special amalgam both have the same
-    collapsed value.
+    A group is `(path, witness, tag, news)`: the subterm of u at `path` is
+    raised to `witness`, which `tag` rewrites to each member `new` of
+    `news`.  A member's successor is `replace_at(u, path, new)`, since both
+    rewrites act at the same path.  Folds and glue swaps come one to a
+    group, `news` a 1-tuple holding a leaf.  Unfolds come as one group per
+    (side, leaf path, unfolded value): `witness` is the leaf of that value
+    and `news` an `_UnfoldGroup`, whose size is known without its terms
+    and whose members, composite terms, are built only when it is
+    iterated.  No successor term is built here: the search decides a
+    group from `path` and `witness`, builds a successor when it expands
+    it, and `_fused_steps` builds the steps of the path found.  On a
+    special amalgam every member has its witness's collapsed value.
     """
     leaf_of = am.leaf_of
     ops_left = budget.max_term_ops - op_count(u)
@@ -376,7 +470,7 @@ def _moves(am: Amalgam, u: Term, budget: Budget):
             if sub.is_leaf:
                 continue
             for value, witness in _achievable_cached(am, sub, side):
-                yield path, witness, tag, leaf_of[value]
+                yield path, witness, tag, (leaf_of[value],)
     lpaths = leaf_paths(u)
     # Glue swaps at raised leaves.
     for path in lpaths:
@@ -391,20 +485,21 @@ def _moves(am: Amalgam, u: Term, budget: Budget):
         for b in alg.up_set(a):
             z = images.get(b)
             if z is not None:
-                yield path, leaf_of[b], tag, leaf_of[other[z]]
+                yield path, leaf_of[b], tag, (leaf_of[other[z]],)
     # Unfolds at raised leaves, cheapest terms first.
     if ops_left > 0:
         width = min(ops_left, budget.max_unfold_ops)
         for side, tag in ((1, "EV1INV"), (2, "EV2INV")):
             alg = am.side(side)
-            pool = _unfold_pool(am, side, width)
+            groups = _unfold_groups(am, side, width)
             for path in lpaths:
                 a = subterm_at(u, path).label
                 if am.label_class(a) != side:
                     continue
                 for b in alg.up_set(a):
-                    for w in pool.get(b, ()):
-                        yield path, leaf_of[b], tag, w
+                    group = groups.get(b)
+                    if group is not None:
+                        yield path, leaf_of[b], tag, group
 
 
 def _fused_steps(u: Term, path: tuple[int, ...], witness: Term, tag: str,
@@ -483,14 +578,24 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
     Unknown covers both a genuinely exhausted budget and hitting the node
     cap; the stats say which.
 
-    The frontier holds moves, not terms: a successor's term is built when
-    the search takes it up for expansion, and dropped there if it repeats
-    a reached term, in the same breadth-first order as if it were built
-    when generated.  So the same states are expanded, and a candidate
-    that is never expanded costs no term.  The goal test is decided per
-    path too: for each expanded state, the subterm of t that each path's
-    new subterm must lie below is worked out once (`_goal_contexts`), and
-    only a candidate that reaches t has its term built.
+    Candidates are decided a group of `_moves` at a time: a fold or glue
+    swap alone, the unfolds of one leaf path to one value together.  The
+    statistics are those of deciding every member one at a time:
+    `nodes_generated` and `pruned` count each member, and a group that
+    crosses the node cap counts only the members up to it.  The frontier
+    holds groups, not terms: a successor's term is built when the search
+    takes its group up for expansion, member by member, and dropped there
+    if it repeats a reached term, in the same breadth-first order as if
+    it were built when generated.  So the same states are expanded, and
+    a candidate that is never expanded costs no term.  The goal test is
+    decided per path too: for each expanded state, the subterm of t that
+    each path's new subterm must lie below is worked out once
+    (`_goal_contexts`), and only a candidate that reaches t has its term
+    built.  A term is below its context only if it has as many
+    operations, so of an unfold group only the layer with the context's
+    operation count is goal-tested, and none at a leaf context: a pool
+    term is built only when it is tested against a composite context or
+    expanded.
 
     On a special amalgam, a candidate whose collapsed value is not below
     t's is pruned, and it is decided before its term is built: a move
@@ -498,15 +603,20 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
     its new subterm carried up the path through the tables.  For each
     expanded state the values each path accepts are worked out once
     (`_collapse_bounds`).  The new subterm's value is read from the
-    move's leaf side: an unfold's new subterm is a composite term, but
-    its witness is a leaf with the same collapsed value.  Every reached
-    state passed the prune, so a pruned candidate is never a repeat.
-    One memo of collapsed subterm values serves the whole search.
+    group's leaf side: an unfold's new subterm is a composite term, but
+    its witness is a leaf with the same collapsed value, so one lookup
+    decides the whole group.  Every reached state passed the prune, so a
+    pruned candidate is never a repeat.  One memo of collapsed subterm
+    values serves the whole search; it starts with the amalgam's shared
+    leaves, which the groups carry.
     """
     budget = budget or Budget()
     stats = SearchStats()
     prune = getattr(am, "collapse_eval", None)
     memo: dict[Term, str] = {}
+    if prune:
+        for one_leaf in am.leaf_of.values():
+            prune(one_leaf, memo)
     target_img = prune(t, memo) if prune else None
     back: dict[Term, tuple | None] = {s: None}
 
@@ -522,47 +632,66 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
         assert_valid(am, sch, "search result")
         return Proven(sch, stats)
 
+    def capped(pruned: int) -> Unknown:
+        # A group crossed the node cap; `pruned` of its members came before.
+        stats.nodes_generated = budget.max_nodes + 1
+        stats.pruned += pruned
+        stats.capped = True
+        return Unknown(stats)
+
+    def taken_up(entry: tuple | None):
+        # The states a frontier entry reaches for the first time.
+        if entry is None:
+            yield s
+            return
+        u, path, witness, tag, news = entry
+        for new in news:
+            v = replace_at(u, path, new)
+            if v not in back:
+                back[v] = (u, path, witness, tag, new)
+                yield v
+
     if prune and not am.a1.leq(prune(s, memo), target_img):
         return Unknown(stats)
     if am.term_leq(s, t):
         return finish(s)
-    # The start, then moves (u, path, witness, tag, new) out of expanded
-    # states; a move's successor is replace_at(u, path, new).
+    # The start, then groups (u, path, witness, tag, news) out of expanded
+    # states; a member's successor is replace_at(u, path, new).
     frontier: list[tuple | None] = [None]
     for depth in range(1, budget.max_scheme_len + 1):
         new_frontier: list[tuple | None] = []
         for entry in frontier:
-            if entry is None:
-                u = s
-            else:
-                u = replace_at(entry[0], entry[1], entry[4])
-                if u in back:
-                    continue
-                back[u] = entry
-            stats.depth_reached = depth
-            stats.nodes_expanded += 1
-            bounds = _collapse_bounds(am, u, target_img, memo) if prune else None
-            contexts = _goal_contexts(am, u, t)
-            for move in _moves(am, u, budget):
-                stats.nodes_generated += 1
-                if stats.nodes_generated > budget.max_nodes:
-                    stats.capped = True
-                    return Unknown(stats)
-                path, witness, _, new = move
-                if bounds is not None:
-                    one_leaf = new if new.is_leaf else witness
-                    value = memo.get(one_leaf)
-                    if value is None:
-                        value = prune(one_leaf, memo)
-                    if value not in bounds[path]:
-                        stats.pruned += 1
+            for u in taken_up(entry):
+                stats.depth_reached = depth
+                stats.nodes_expanded += 1
+                bounds = _collapse_bounds(am, u, target_img, memo) if prune else None
+                contexts = _goal_contexts(am, u, t)
+                for path, witness, tag, news in _moves(am, u, budget):
+                    room = budget.max_nodes - stats.nodes_generated
+                    one_leaf = witness if witness.is_leaf else news[0]
+                    if bounds is not None and memo[one_leaf] not in bounds[path]:
+                        if len(news) > room:
+                            return capped(room)
+                        stats.nodes_generated += len(news)
+                        stats.pruned += len(news)
                         continue
-                ctx = contexts.get(path)
-                if ctx is not None and am.term_leq(new, ctx):
-                    v = replace_at(u, path, new)
-                    back[v] = (u, *move)
-                    return finish(v)
-                new_frontier.append((u, *move))
+                    ctx = contexts.get(path)
+                    if ctx is not None:
+                        # A term lies below ctx only if it has as many
+                        # operations: of an unfold group, only that layer
+                        # is tested, and built.
+                        before, tested = (news.layer(op_count(ctx))
+                                          if isinstance(news, _UnfoldGroup) else (0, news))
+                        for i, new in enumerate(itertools.islice(tested, max(room - before, 0))):
+                            if am.term_leq(new, ctx):
+                                stats.nodes_generated += before + i + 1
+                                v = replace_at(u, path, new)
+                                back[v] = (u, path, witness, tag, new)
+                                return finish(v)
+                    if len(news) > room:
+                        return capped(0)
+                    stats.nodes_generated += len(news)
+                    new_frontier.append((u, path, witness, tag, news))
         if stats.depth_reached < depth:
             # The level had no entry, or each repeated a reached term.
             return Unknown(stats)
@@ -588,12 +717,7 @@ def pushout_equal(am: Amalgam, s: Term, t: Term,
     if not fwd.proven:
         return Unknown(fwd.stats)
     bwd = pushout_leq(am, t, s, budget)
-    merged = SearchStats(
-        fwd.stats.nodes_expanded + bwd.stats.nodes_expanded,
-        fwd.stats.nodes_generated + bwd.stats.nodes_generated,
-        max(fwd.stats.depth_reached, bwd.stats.depth_reached),
-        fwd.stats.capped or bwd.stats.capped,
-        fwd.stats.pruned + bwd.stats.pruned)
+    merged = fwd.stats.merged(bwd.stats)
     if not bwd.proven:
         return Unknown(merged)
     return ProvenEqual(fwd.scheme, bwd.scheme, merged)

@@ -4,7 +4,8 @@ brute-force filters; the generated quasiorder by breadth-first search over
 translated generator steps, and a recheck of closure witnesses, both evaluating translations by
 a raw walk over the tables and sharing no code with `closure.py`; the term
 order as the quasiorder generated by single-leaf raises, and an exhaustive
-check of `termorder.term_leq`.
+check of `termorder.term_leq`; the pushout search's unfold pool built
+eagerly, layer by layer.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .errors import ValidationError, WitnessInconsistency
 from .schemes import IDENTITY_TRANSLATION, IneqStep, RelStep, Scheme, Translation
 from .signature import Signature
 from .termorder import VarPoset, check_disjoint, term_leq
-from .terms import (Term, enumerate_terms, formal_var, leaf, leaf_count, leaf_paths, op_count,
-                    regularize, replace_at, skeleton, subterm_at)
+from .terms import (Term, compositions, enumerate_terms, formal_var, leaf, leaf_count,
+                    leaf_paths, op_count, regularize, replace_at, skeleton, subterm_at)
 
 Pair = tuple[str, str]
 
@@ -365,3 +366,33 @@ def _check_op_compat(sig: Signature, xp: VarPoset, pool: list[Term],
                         report.append({"kind": "op-compatibility",
                                        "op": f, "pair": (t, u)})
     return report
+
+
+# -- The unfold pool ------------------------------------------------------------
+
+def unfold_pool_by_layers(alg: OrderedAlgebra, max_ops: int) -> dict[str, list[Term]]:
+    """Every composite term of at most max_ops operations over the
+    carrier, grouped by value, each layer of one more operation built in
+    full from the ones below: the reference for the search's lazy unfold
+    groups and `amalgam._unfold_pool`, same lists in the same order (by
+    operation count, then operation, split of the operations over the
+    children, children's values in carrier order, children's terms)."""
+    by_ops: list[dict[str, list[Term]]] = [{e: [leaf(e)] for e in alg.carrier}]
+    for n in range(1, max_ops + 1):
+        layer: dict[str, list[Term]] = {}
+        for f, k in alg.sig.ops.items():
+            if k == 0:
+                continue
+            for split in compositions(n - 1, k):
+                pools = [by_ops[m] for m in split]
+                keys = [sorted(p.keys(), key=alg.index.get) for p in pools]
+                for vals in itertools.product(*keys):
+                    res = alg.op(f, vals)
+                    for kids in itertools.product(*[p[v] for p, v in zip(pools, vals)]):
+                        layer.setdefault(res, []).append(Term(f, kids))
+        by_ops.append(layer)
+    pool: dict[str, list[Term]] = {}
+    for layer in by_ops[1:]:
+        for val, ts in layer.items():
+            pool.setdefault(val, []).extend(ts)
+    return pool

@@ -26,11 +26,11 @@ from oalg.amalgam import (
 from oalg.errors import CommutationFailure, NotAHomomorphism, PreconditionFailed, \
     UnboundVariable, WitnessInconsistency
 from oalg.generators import random_algebra, random_partial_order, random_special_amalgam
-from oalg.oracles import monotone_completion_by_product_filter
+from oalg.oracles import monotone_completion_by_product_filter, unfold_pool_by_layers
 from oalg.schemes import scheme_to_lines, validate_scheme
 from oalg.signature import SIG1, Signature
-from oalg.terms import Term, enumerate_terms, leaf, leaves, node, parse_term, replace_at, \
-    skeleton
+from oalg.terms import Term, enumerate_terms, leaf, leaves, node, op_count, parse_term, \
+    replace_at, skeleton
 from oalg.termorder import VarPoset, extend_monotone_map, term_leq
 
 CH3 = chain(3, SIG1)
@@ -514,6 +514,41 @@ def test_a_level_of_repeats_ends_the_search(tmp_path):
                                    "depth_reached": 2, "capped": False, "pruned": 0}
 
 
+# Searches reaching the goal by an unfold with two operations.  The goal
+# test takes up only the group's two-operation layer, but counts the
+# one-operation members before it: the 110th candidate reaches the goal,
+# so a cap of 109 nodes stops one member short of it.  The figures are
+# those of deciding every candidate alone.
+LATER_LAYER_SEARCHES = [
+    ("e2<1>", "f f e0<1> e2<1> e2<1>", Budget(max_nodes=109),
+     {"nodes_expanded": 1, "nodes_generated": 110, "depth_reached": 1,
+      "capped": True, "pruned": 0}, None),
+    ("e2<1>", "f f e0<1> e2<1> e2<1>", Budget(max_nodes=110),
+     {"nodes_expanded": 1, "nodes_generated": 110, "depth_reached": 1,
+      "capped": False, "pruned": 0},
+     ["REL EV1INV z1 1 e2<1> -> f f e0<1> e0<1> e2<1>",
+      "INEQ f f e0<1> e0<1> e2<1> <= f f e0<1> e2<1> e2<1>"]),
+    ("e2<1>", "f e0<1> f e0<1> e2<1>", None,
+     {"nodes_expanded": 1, "nodes_generated": 26, "depth_reached": 1,
+      "capped": False, "pruned": 0},
+     ["REL EV1INV z1 1 e2<1> -> f e0<1> f e0<1> e2<1>"]),
+    ("e1<2>", "f f e0<1> e1<1> e2<1>", None,
+     {"nodes_expanded": 2, "nodes_generated": 1323, "depth_reached": 2,
+      "capped": False, "pruned": 0},
+     ["INEQ e1<2> <= e2<2>",
+      "REL GLUEINV z1 1 e2<2> -> e2<1>",
+      "REL EV1INV z1 1 e2<1> -> f f e0<1> e0<1> e2<1>",
+      "INEQ f f e0<1> e0<1> e2<1> <= f f e0<1> e1<1> e2<1>"]),
+]
+
+
+@pytest.mark.parametrize("s,t,budget,stats,lines", LATER_LAYER_SEARCHES)
+def test_an_unfold_goal_counts_the_layers_before_it(s, t, budget, stats, lines):
+    res = pushout_leq(SP, _p(s), _p(t), budget)
+    assert res.stats.as_dict() == stats
+    assert (scheme_to_lines(res.scheme) if res.proven else None) == lines
+
+
 def test_search_builds_one_term_per_unpruned_candidate(monkeypatch):
     # Pruned candidates are decided from their path and new subterm alone;
     # an unpruned one costs one replace_at, and a failed search no more.
@@ -543,6 +578,52 @@ def test_a_capped_search_builds_no_term_for_a_candidate_it_never_expands(monkeyp
     assert len(calls) <= stats.nodes_expanded
 
 
+def test_a_capped_search_builds_no_pool_term_for_a_group_it_never_expands(monkeypatch):
+    # The search expands e1<1> and then the first member of its first
+    # unfold group, f e0<1> e1<1>, and hits the cap there.  Of the unfold
+    # pool, only that member's layer is built: side 1, one operation,
+    # value e1<1>.  An eager pool builds both sides' (2 448 terms).
+    layers, built = [], []
+    unfold_layer = amalgam._unfold_layer
+    monkeypatch.setattr(amalgam, "_unfold_layer",
+                        lambda am, *key: layers.append(key) or unfold_layer(am, *key))
+
+    def counting_term(label, children=()):
+        built.append(label)
+        return Term(label, children)
+
+    monkeypatch.setattr(amalgam, "Term", counting_term)
+    sp = make_special(CH3, [])
+    stats = pushout_leq(sp, leaf("e1<1>"), leaf("e1<2>"), Budget(max_nodes=2000)).stats
+    assert stats.as_dict() == GOLDEN_SEARCHES[3][4]
+    assert set(layers) == {(1, 1, "e1<1>")}
+    # That layer and the fold witnesses of the one composite state.
+    assert len(built) < len(unfold_pool_by_layers(sp.a1, 1)["e1<1>"]) + 4
+
+
+def test_unfold_groups_are_the_eager_pool_lists():
+    # Each group's size comes from counts over the tables, before any of
+    # its terms is built; its members are the eager pool's list in order.
+    rng = random.Random(17)
+    for width, max_size in ((1, 3), (2, 3), (3, 2)):
+        for _ in range(4):
+            sp = random_special_amalgam(rng, SIG1, max_size)
+            budget = Budget(max_term_ops=width, max_unfold_ops=width)
+            for side, tag in ((1, "EV1INV"), (2, "EV2INV")):
+                eager = unfold_pool_by_layers(sp.side(side), width)
+                seen = {}
+                for e in sp.side(side).carrier:
+                    for _, witness, move_tag, news in amalgam._moves(sp, leaf(e), budget):
+                        if move_tag == tag:
+                            size = len(news)
+                            members = list(news)
+                            assert size == len(members)
+                            assert members == eager[witness.label]
+                            seen[witness.label] = size
+                assert seen == {v: len(ts) for v, ts in eager.items()}
+                assert list(amalgam._unfold_pool(sp, side, width).items()) == list(eager.items())
+
+
 def _random_term(rng: random.Random, labels: list[str], ops: int) -> Term:
     """A random term over SIG1 with exactly `ops` operation nodes."""
     if ops == 0:
@@ -560,6 +641,14 @@ def _kept_by_whole_term(sp: SpecialAmalgam, u: Term, path, new: Term, t: Term) -
     return sp.a1.leq(sp.collapse_eval(replace_at(u, path, new)), sp.collapse_eval(t))
 
 
+def _single_moves(am: Amalgam, u: Term, budget: Budget):
+    """The moves of `amalgam._moves` one member at a time:
+    (path, witness, tag, new)."""
+    for path, witness, tag, news in amalgam._moves(am, u, budget):
+        for new in news:
+            yield path, witness, tag, new
+
+
 def test_collapse_bounds_decide_every_move_like_its_whole_term():
     rng = random.Random(5)
     seen = set()
@@ -571,7 +660,7 @@ def test_collapse_bounds_decide_every_move_like_its_whole_term():
             t = _random_term(rng, labels, rng.randint(0, 3))
             memo = {}
             bounds = amalgam._collapse_bounds(sp, u, sp.collapse_eval(t, memo), memo)
-            for path, _, _, new in amalgam._moves(sp, u, Budget()):
+            for path, _, _, new in _single_moves(sp, u, Budget()):
                 kept = sp.collapse_eval(new, memo) in bounds[path]
                 assert kept == _kept_by_whole_term(sp, u, path, new, t)
                 seen.add(kept)
@@ -594,7 +683,7 @@ def test_goal_contexts_decide_every_move_like_its_whole_term():
         labels = sp.variables() + SIG1.constants()
         for _ in range(4):
             u = _random_term(rng, labels, rng.randint(0, 3))
-            moves = list(amalgam._moves(sp, u, Budget()))
+            moves = list(_single_moves(sp, u, Budget()))
             if moves and rng.random() < 0.5:
                 # A target some move reaches, so that the goal is met.
                 path, _, _, new = rng.choice(moves)
@@ -619,7 +708,7 @@ def test_a_move_keeps_the_collapsed_value_of_its_witness():
         labels = sp.variables() + SIG1.constants()
         for _ in range(3):
             u = _random_term(rng, labels, rng.randint(0, 3))
-            for _, witness, tag, new in amalgam._moves(sp, u, Budget()):
+            for _, witness, tag, new in _single_moves(sp, u, Budget()):
                 assert witness.is_leaf or new.is_leaf
                 assert sp.collapse_eval(new) == sp.collapse_eval(witness)
                 tags.add(tag)
@@ -657,6 +746,44 @@ def test_dominion_statuses_are_pinned():
                 compound_digest.update(repr(lines).encode())
     assert statuses_digest.hexdigest() == DOMINION_STATUS_DIGEST
     assert compound_digest.hexdigest() == COMPOUND_SEARCH_DIGEST
+
+
+# sha256 of pushout_equal at the default budget, statistics and schemes,
+# from f x<1> y<2> to a copy of its value, for every x and y of 6 random
+# special amalgams.  Every one of these queries expands a state reached
+# by an unfold, mostly in the backward search from the leaf, so the pin
+# fixes the order in which the members of an unfold group are taken up;
+# expanding one group's members in reverse changes it.
+DEFAULT_BUDGET_DIGEST = "e39655488471334bc4f4640b8f9ad3c1f11cb08cd48c5632aa620fa65c10e342"
+
+
+def test_default_budget_searches_are_pinned(monkeypatch):
+    starts, unfolded = [], []
+    search, goal_contexts = amalgam.pushout_leq, amalgam._goal_contexts
+    monkeypatch.setattr(amalgam, "pushout_leq", lambda am, s, t, budget=None:
+                        starts.append(op_count(s)) or search(am, s, t, budget))
+    # Only an unfold adds operations, so a state with more than the
+    # start's was reached by one.
+    monkeypatch.setattr(amalgam, "_goal_contexts", lambda am, u, t:
+                        unfolded.append(op_count(u) > starts[-1]) or goal_contexts(am, u, t))
+    digest = hashlib.sha256()
+    rng = random.Random(3)
+    queries = taking_up = 0
+    for _ in range(6):
+        sp = random_special_amalgam(rng, SIG1, 3)
+        for x in sp.base.carrier:
+            for y in sp.base.carrier:
+                unfolded.clear()
+                s = node("f", leaf(sp.alpha1[x]), leaf(sp.alpha2[y]))
+                res = pushout_equal(sp, s, leaf(sp.alpha1[sp.base.op("f", (x, y))]))
+                digest.update(repr(res.stats.as_dict()).encode())
+                if res.proven:
+                    lines = [scheme_to_lines(res.forward), scheme_to_lines(res.backward)]
+                    digest.update(repr(lines).encode())
+                queries += 1
+                taking_up += any(unfolded)
+    assert (queries, taking_up) == (39, 39)
+    assert digest.hexdigest() == DEFAULT_BUDGET_DIGEST
 
 
 def _skeleton_leaves_term_leq(sig, xp, s, t):
