@@ -52,12 +52,9 @@ from .terms import (
     Term,
     compositions,
     leaf,
-    leaf_paths,
     leaves,
     op_count,
-    all_paths,
     replace_at,
-    subterm_at,
 )
 from .termorder import VarPoset, extend_monotone_map, leaf_leq, term_leq
 
@@ -306,9 +303,25 @@ class Unknown:
         return False
 
 
+def _up_sets(am: Amalgam) -> dict[str, list[str]]:
+    """For each element of either side, the elements of its side above
+    it, in carrier order.  Cached per amalgam."""
+    ups = am.__dict__.get("_up_sets")
+    if ups is None:
+        ups = am.__dict__["_up_sets"] = {
+            a: [b for b in alg.carrier if alg.leq(a, b)]
+            for alg in (am.a1, am.a2) for a in alg.carrier}
+    return ups
+
+
 def _achievable_values(am: Amalgam, t: Term, side: int) -> dict[str, Term]:
     """Values reachable by raising leaves of t and evaluating on `side`,
-    with one witness raised term per value.  Symbol leaves stay fixed."""
+    with one witness raised term per value.  Symbol leaves stay fixed.
+
+    A composite term's map is built from its children's, taken from
+    `_achievable_cached`, so each subterm's values are worked out once
+    per amalgam and side; a side leaf's witnesses are the amalgam's
+    shared leaves."""
     alg = am.side(side)
     if t.is_leaf:
         cls = am.label_class(t.label)
@@ -316,13 +329,14 @@ def _achievable_values(am: Amalgam, t: Term, side: int) -> dict[str, Term]:
             return {alg.const(t.label): t}
         if cls != side:
             return {}
-        return {b: leaf(b) for b in alg.up_set(t.label)}
-    child_maps = [_achievable_values(am, c, side) for c in t.children]
-    if any(not m for m in child_maps):
+        return {b: am.leaf_of[b] for b in _up_sets(am)[t.label]}
+    child_items = [_achievable_cached(am, c, side) for c in t.children]
+    if not all(child_items):
         return {}
+    table = alg.op_tables[t.label]
     out: dict[str, Term] = {}
-    for combo in itertools.product(*[sorted(m.items()) for m in child_maps]):
-        value = alg.op(t.label, tuple(v for v, _ in combo))
+    for combo in itertools.product(*child_items):
+        value = table[tuple(v for v, _ in combo)]
         if value not in out:
             out[value] = Term(t.label, tuple(w for _, w in combo))
     return out
@@ -435,12 +449,29 @@ def _unfold_pool(am: Amalgam, side: int, max_ops: int) -> dict[str, list[Term]]:
 
 
 def _achievable_cached(am: Amalgam, sub: Term, side: int) -> list[tuple[str, Term]]:
-    """The items of `_achievable_values`, sorted by value; cached per amalgam."""
+    """The items of `_achievable_values`, sorted by value.  Cached per
+    amalgam, one entry per subterm and side: the maps of a subterm's
+    children, leaves included, are entries too."""
     cache = am.__dict__.setdefault("_achievable_cache", {})
     key = (sub, side)
-    if key not in cache:
-        cache[key] = sorted(_achievable_values(am, sub, side).items())
-    return cache[key]
+    items = cache.get(key)
+    if items is None:
+        items = cache[key] = sorted(_achievable_values(am, sub, side).items())
+    return items
+
+
+def _nodes(u: Term) -> list[tuple[tuple[int, ...], Term]]:
+    """`(path, subterm)` for every node of u, in preorder: the order of
+    `terms.all_paths`."""
+    out = []
+    todo = [((), u)]
+    while todo:
+        path, sub = todo.pop()
+        out.append((path, sub))
+        kids = sub.children
+        for i in range(len(kids) - 1, -1, -1):
+            todo.append((path + (i,), kids[i]))
+    return out
 
 
 def _moves(am: Amalgam, u: Term, budget: Budget):
@@ -460,29 +491,35 @@ def _moves(am: Amalgam, u: Term, budget: Budget):
     group from `path` and `witness`, builds a successor when it expands
     it, and `_fused_steps` builds the steps of the path found.  On a
     special amalgam every member has its witness's collapsed value.
+
+    Every move is read off one preorder walk of u (`_nodes`).  What does
+    not depend on u is cached per amalgam: the fold values of each
+    subterm and side (`_achievable_cached`), the up-sets of the side
+    elements (`_up_sets`) and the unfold groups (`_unfold_groups`).
     """
     leaf_of = am.leaf_of
-    ops_left = budget.max_term_ops - op_count(u)
+    ups = _up_sets(am)
+    nodes = _nodes(u)
+    composite = [(path, sub) for path, sub in nodes if sub.children]
     # Folds of raised subterms, sides 1 then 2.
     for side, tag in ((1, "EV1"), (2, "EV2")):
-        for path in all_paths(u):
-            sub = subterm_at(u, path)
-            if sub.is_leaf:
-                continue
+        for path, sub in composite:
             for value, witness in _achievable_cached(am, sub, side):
                 yield path, witness, tag, (leaf_of[value],)
-    lpaths = leaf_paths(u)
+    ops_left = budget.max_term_ops - len(composite)
+    # The side leaves: (path, label, side).
+    side_leaves = []
+    for path, sub in nodes:
+        if not sub.children:
+            cls = am.label_class(sub.label)
+            if cls:
+                side_leaves.append((path, sub.label, cls))
     # Glue swaps at raised leaves.
-    for path in lpaths:
-        a = subterm_at(u, path).label
-        cls = am.label_class(a)
-        if cls == 0:
-            continue
-        alg = am.side(cls)
+    for path, a, cls in side_leaves:
         images = am._img1 if cls == 1 else am._img2
         other = am.phi2 if cls == 1 else am.phi1
         tag = "GLUE" if cls == 1 else "GLUEINV"
-        for b in alg.up_set(a):
+        for b in ups[a]:
             z = images.get(b)
             if z is not None:
                 yield path, leaf_of[b], tag, (leaf_of[other[z]],)
@@ -490,13 +527,11 @@ def _moves(am: Amalgam, u: Term, budget: Budget):
     if ops_left > 0:
         width = min(ops_left, budget.max_unfold_ops)
         for side, tag in ((1, "EV1INV"), (2, "EV2INV")):
-            alg = am.side(side)
             groups = _unfold_groups(am, side, width)
-            for path in lpaths:
-                a = subterm_at(u, path).label
-                if am.label_class(a) != side:
+            for path, a, cls in side_leaves:
+                if cls != side:
                     continue
-                for b in alg.up_set(a):
+                for b in ups[a]:
                     group = groups.get(b)
                     if group is not None:
                         yield path, leaf_of[b], tag, group
@@ -860,6 +895,9 @@ def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
             f"operations or missing a constant")
     cache = alg.__dict__.setdefault("_separator_hom_cache", {})
     for cod in separator_candidates(alg, max_size):
+        if len(cod.carrier) < 2:
+            # At most one map into it, so never a pair.
+            continue
         key = _fingerprint(cod)
         if key in cache:
             homs = cache[key]

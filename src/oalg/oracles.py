@@ -5,7 +5,7 @@ translated generator steps, and a recheck of closure witnesses, both evaluating 
 a raw walk over the tables and sharing no code with `closure.py`; the term
 order as the quasiorder generated by single-leaf raises, and an exhaustive
 check of `termorder.term_leq`; the pushout search's unfold pool built
-eagerly, layer by layer.
+eagerly, layer by layer, and its moves generated path by path.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from .errors import ValidationError, WitnessInconsistency
 from .schemes import IDENTITY_TRANSLATION, IneqStep, RelStep, Scheme, Translation
 from .signature import Signature
 from .termorder import VarPoset, check_disjoint, term_leq
-from .terms import (Term, compositions, enumerate_terms, formal_var, leaf, leaf_count,
-                    leaf_paths, op_count, regularize, replace_at, skeleton, subterm_at)
+from .terms import (Term, all_paths, compositions, enumerate_terms, formal_var, leaf,
+                    leaf_count, leaf_paths, op_count, regularize, replace_at, skeleton,
+                    subterm_at)
 
 Pair = tuple[str, str]
 
@@ -396,3 +397,72 @@ def unfold_pool_by_layers(alg: OrderedAlgebra, max_ops: int) -> dict[str, list[T
         for val, ts in layer.items():
             pool.setdefault(val, []).extend(ts)
     return pool
+
+
+# -- The search's moves ---------------------------------------------------------
+
+def _fold_values_by_recursion(am, t: Term, side: int) -> dict[str, Term]:
+    """Values reachable by raising the side leaves of t within their
+    up-sets and evaluating on `side`, with the first witness per value in
+    the order of the children's sorted values; every child's map is
+    recomputed and every witness built afresh."""
+    alg = am.side(side)
+    if t.is_leaf:
+        cls = am.label_class(t.label)
+        if cls == 0:
+            return {alg.const(t.label): t}
+        if cls != side:
+            return {}
+        return {b: leaf(b) for b in alg.up_set(t.label)}
+    child_maps = [_fold_values_by_recursion(am, c, side) for c in t.children]
+    if any(not m for m in child_maps):
+        return {}
+    out: dict[str, Term] = {}
+    for combo in itertools.product(*[sorted(m.items()) for m in child_maps]):
+        value = alg.op(t.label, tuple(v for v, _ in combo))
+        if value not in out:
+            out[value] = Term(t.label, tuple(w for _, w in combo))
+    return out
+
+
+def moves_by_path_walk(am, u: Term, budget) -> list[tuple]:
+    """The search's moves out of u, `(path, witness, tag, news)` with
+    `news` a list, generated path by path: every subterm looked up from
+    the root, the fold values recomputed, the up-sets filtered from the
+    order and the unfold pool built eagerly.  The reference for
+    `amalgam._moves`, same moves in the same order."""
+    out = []
+    for side, tag in ((1, "EV1"), (2, "EV2")):
+        for path in all_paths(u):
+            sub = subterm_at(u, path)
+            if sub.is_leaf:
+                continue
+            for value, witness in sorted(_fold_values_by_recursion(am, sub, side).items()):
+                out.append((path, witness, tag, [leaf(value)]))
+    lpaths = leaf_paths(u)
+    for path in lpaths:
+        a = subterm_at(u, path).label
+        cls = am.label_class(a)
+        if cls == 0:
+            continue
+        images = am._img1 if cls == 1 else am._img2
+        other = am.phi2 if cls == 1 else am.phi1
+        tag = "GLUE" if cls == 1 else "GLUEINV"
+        for b in am.side(cls).up_set(a):
+            z = images.get(b)
+            if z is not None:
+                out.append((path, leaf(b), tag, [leaf(other[z])]))
+    ops_left = budget.max_term_ops - op_count(u)
+    if ops_left > 0:
+        width = min(ops_left, budget.max_unfold_ops)
+        for side, tag in ((1, "EV1INV"), (2, "EV2INV")):
+            alg = am.side(side)
+            pool = unfold_pool_by_layers(alg, width)
+            for path in lpaths:
+                a = subterm_at(u, path).label
+                if am.label_class(a) != side:
+                    continue
+                for b in alg.up_set(a):
+                    if b in pool:
+                        out.append((path, leaf(b), tag, pool[b]))
+    return out

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,11 +27,12 @@ from oalg.amalgam import (
 from oalg.errors import CommutationFailure, NotAHomomorphism, PreconditionFailed, \
     UnboundVariable, WitnessInconsistency
 from oalg.generators import random_algebra, random_partial_order, random_special_amalgam
-from oalg.oracles import monotone_completion_by_product_filter, unfold_pool_by_layers
+from oalg.oracles import monotone_completion_by_product_filter, moves_by_path_walk, \
+    unfold_pool_by_layers
 from oalg.schemes import scheme_to_lines, validate_scheme
 from oalg.signature import SIG1, Signature
 from oalg.terms import Term, enumerate_terms, leaf, leaves, node, op_count, parse_term, \
-    replace_at, skeleton
+    replace_at, skeleton, substitute_leaves
 from oalg.termorder import VarPoset, extend_monotone_map, term_leq
 
 CH3 = chain(3, SIG1)
@@ -713,6 +715,81 @@ def test_a_move_keeps_the_collapsed_value_of_its_witness():
                 assert sp.collapse_eval(new) == sp.collapse_eval(witness)
                 tags.add(tag)
     assert tags == {"EV1", "EV2", "GLUE", "GLUEINV", "EV1INV", "EV2INV"}
+
+
+def test_moves_are_the_path_walk_moves():
+    # One walk of u and the per-amalgam caches give the moves that a walk
+    # from the root for every path, with fresh fold values, up-sets and
+    # unfold pool, gives, in the same order.
+    rng = random.Random(23)
+    budgets = (Budget(), Budget(max_term_ops=1), Budget(max_term_ops=2))
+    tags = set()
+    for _ in range(12):
+        sp = random_special_amalgam(rng, SIG1, 4)
+        labels = sp.variables() + SIG1.constants()
+        for _ in range(3):
+            u = _random_term(rng, labels, rng.randint(0, 4))
+            for budget in budgets:
+                moves = [(path, witness, tag, list(news))
+                         for path, witness, tag, news in amalgam._moves(sp, u, budget)]
+                assert moves == moves_by_path_walk(sp, u, budget)
+                tags.update(move[2] for move in moves)
+    assert tags == {"EV1", "EV2", "GLUE", "GLUEINV", "EV1INV", "EV2INV"}
+
+
+def _leafwise_raising_values(am: Amalgam, t: Term, side: int) -> set[str]:
+    """The values on `side` of every term that raises each side leaf of t
+    within its up-set and keeps each symbol leaf: none if a leaf lies on
+    the other side."""
+    options = []
+    for a in leaves(t):
+        cls = am.label_class(a)
+        options.append([a] if cls == 0 else
+                       am.side(side).up_set(a) if cls == side else [])
+    return {am.eval_in_side(substitute_leaves(t, labels), side)
+            for labels in itertools.product(*options)}
+
+
+def test_fold_values_are_every_leafwise_raising():
+    rng = random.Random(29)
+    nonempty = 0
+    for _ in range(10):
+        sp = random_special_amalgam(rng, SIG1, 4)
+        labels = sp.variables() + SIG1.constants()
+        for _ in range(4):
+            # Mostly one side's leaves, so that most maps are not empty.
+            one_side = sp.side(rng.choice((1, 2))).carrier + SIG1.constants()
+            sub = _random_term(rng, rng.choice((labels, one_side)), rng.randint(0, 3))
+            for side in (1, 2):
+                values = amalgam._achievable_values(sp, sub, side)
+                assert set(values) == _leafwise_raising_values(sp, sub, side)
+                nonempty += bool(values)
+                for value, witness in values.items():
+                    assert sp.eval_in_side(witness, side) == value
+                    assert skeleton(witness) == skeleton(sub)
+                    for a, b in zip(leaves(sub), leaves(witness)):
+                        assert b == a if sp.label_class(a) == 0 else \
+                            b in sp.side(side).up_set(a)
+    assert nonempty > 20
+
+
+def test_fold_values_are_worked_out_once_per_subterm_and_side(monkeypatch):
+    # A subterm's map is built from its children's cached maps, so a
+    # capped search asks `_achievable_values` once per cache entry.
+    calls = Counter()
+    achievable_values = amalgam._achievable_values
+
+    def counting(am, t, side):
+        calls[(t, side)] += 1
+        return achievable_values(am, t, side)
+
+    monkeypatch.setattr(amalgam, "_achievable_values", counting)
+    sp = make_special(CH3, [])
+    statuses = dominion_special(sp, Budget())
+    assert statuses["e1"]["stats"]["capped"]
+    assert any(not t.is_leaf for t, _ in calls)
+    assert set(calls) == set(sp._achievable_cache)
+    assert max(calls.values()) == 1
 
 
 # sha256 of what the search returns at max_nodes=2000 on 30 random special
