@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -120,6 +121,29 @@ def test_congruence_witnesses_pinned():
         got = [f"{a} {b}: " + " ; ".join(scheme_to_lines(res.witness(a, b)))
                for (a, b) in sorted(res.leq - alg.order)]
         assert got == expected
+
+
+# Every witness of both closures over 300 small random algebras, hashed
+# line by line: a refactor of the witness code must leave each one as is.
+CLOSURE_WITNESS_LINES = 4539
+CLOSURE_WITNESS_DIGEST = "0088cd7bdc01b412ff497b48ecefa03df580df8d01ae4ccbb6059129423733ef"
+
+
+def test_closure_witnesses_digest():
+    rng = random.Random(11)
+    digest = hashlib.sha256()
+    count = 0
+    for _ in range(300):
+        alg = random_algebra(rng, SIG1, rng.randrange(2, 5))
+        hyp = random_relation(rng, alg.carrier, 3)
+        for clo in (gen_compatible_quasiorder(alg, hyp),
+                    gen_order_congruence(alg, hyp).closure):
+            for (a, b) in sorted(clo.relation):
+                for line in scheme_to_lines(clo.witness(a, b)):
+                    digest.update(line.encode())
+                    count += 1
+    assert count == CLOSURE_WITNESS_LINES
+    assert digest.hexdigest() == CLOSURE_WITNESS_DIGEST
 
 
 def test_witness_none_for_unrelated():
