@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .signature import Signature, parse_signature
+from .syntax import match, records
 from .terms import Term
 
 MAX_CARRIER = 64
@@ -48,6 +49,9 @@ class OrderedAlgebra:
         self.op_tables = {f: dict(tbl) for f, tbl in op_tables.items()}
         self.const_vals = dict(const_vals)
         self._check_totality()
+        # The elements above each element, in carrier order.
+        self._up_sets = {a: [b for b in self.carrier if (a, b) in self.order]
+                         for a in self.carrier}
 
     def _check_totality(self):
         for f, k in self.sig.ops.items():
@@ -76,7 +80,7 @@ class OrderedAlgebra:
         return self.const_vals[c]
 
     def up_set(self, a: str) -> list[str]:
-        return [b for b in self.carrier if self.leq(a, b)]
+        return self._up_sets[a]
 
     def __repr__(self):
         return f"OrderedAlgebra({self.name}, |{len(self.carrier)}|)"
@@ -104,14 +108,13 @@ def validate_algebra(alg: OrderedAlgebra) -> list[dict]:
     variety.  Violations are data, not exceptions: the tool is a checker.
     """
     report = []
-    up = {x: alg.up_set(x) for x in alg.carrier}
     for f, k in alg.sig.ops.items():
         if k == 0:
             continue
         tbl = alg.op_tables[f]
         for xs in itertools.product(alg.carrier, repeat=k):
             # The tuples above xs, in the order of all k-tuples.
-            for ys in itertools.product(*[up[x] for x in xs]):
+            for ys in itertools.product(*[alg.up_set(x) for x in xs]):
                 if not alg.leq(tbl[xs], tbl[ys]):
                     report.append({"kind": "monotonicity", "op": f,
                                    "lhs": xs, "rhs": ys,
@@ -616,38 +619,35 @@ def parse_algebra(text: str, base_dir: str | FsPath = ".",
     order: set[tuple[str, str]] = set()
     tables: dict[str, dict[tuple[str, ...], str]] = {}
     consts: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "algebra":
-            if len(tokens) != 4 or tokens[2] != "over":
-                raise ParseError(f"malformed algebra line: {line!r}")
-            name = tokens[1]
+    repeated: list[str] = []
+    for tokens, line in records(text):
+        kind = tokens[0]
+        if kind == "algebra":
+            name, sig_file = match("algebra _ over _", tokens, line)
             if given is None:
-                sig = parse_signature((FsPath(base_dir) / tokens[3]).read_text())
-        elif tokens[0] == "elements":
+                sig = parse_signature((FsPath(base_dir) / sig_file).read_text())
+        elif kind == "elements":
             carrier.extend(tokens[1:])
-        elif tokens[0] == "order":
-            if len(tokens) != 4 or tokens[2] != "<=":
-                raise ParseError(f"malformed order line: {line!r}")
-            order.add((tokens[1], tokens[3]))
-        elif tokens[0] == "op":
+        elif kind == "order":
+            order.add(tuple(match("order _ <= _", tokens, line)))
+        elif kind == "op":
             # op f: (e0,e1) -> e1
-            rest = line[len("op"):].strip()
             try:
-                fname, mapping = rest.split(":", 1)
+                fname, mapping = line[len("op"):].split(":", 1)
                 lhs, rhs = mapping.split("->")
-                args = tuple(a.strip() for a in lhs.strip().strip("()").split(",") if a.strip())
-                value = rhs.strip()
             except ValueError as exc:
                 raise ParseError(f"malformed op line: {line!r}") from exc
-            tables.setdefault(fname.strip(), {})[args] = value
-        elif tokens[0] == "const":
-            if len(tokens) != 4 or tokens[2] != "=":
-                raise ParseError(f"malformed const line: {line!r}")
-            consts[tokens[1]] = tokens[3]
+            fname = fname.strip()
+            args = tuple(a.strip() for a in lhs.strip().strip("()").split(",") if a.strip())
+            tbl = tables.setdefault(fname, {})
+            if args in tbl:
+                repeated.append(f"second op line for {fname} {args}: {line!r}")
+            tbl[args] = rhs.strip()
+        elif kind == "const":
+            c, value = match("const _ = _", tokens, line)
+            if c in consts:
+                repeated.append(f"second const line for {c}: {line!r}")
+            consts[c] = value
         else:
             raise ParseError(f"unknown line {line!r}")
     if sig is None:
@@ -667,6 +667,8 @@ def parse_algebra(text: str, base_dir: str | FsPath = ".",
     unknown = sorted(c for c in consts if not sig.has(c) or sig.arity(c) != 0)
     if unknown:
         raise ParseError(f"const lines for {unknown}: not constants of the signature")
+    if repeated:
+        raise ParseError(repeated[0])
     return OrderedAlgebra(sig, carrier, order, tables, consts, name=name)
 
 
@@ -693,22 +695,16 @@ def parse_homomorphism(text: str, base_dir: str | FsPath = ".") -> Homomorphism:
     """Parse the `.hom` format: a header line plus one `map` line per element."""
     dom = cod = None
     mapping: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for tokens, line in records(text):
         if tokens[0] == "hom":
-            if len(tokens) != 5 or tokens[1] != "from" or tokens[3] != "to":
-                raise ParseError(f"malformed hom line: {line!r}")
-            dom = load_algebra(FsPath(base_dir) / tokens[2])
-            cod = load_algebra(FsPath(base_dir) / tokens[4])
+            dom_file, cod_file = match("hom from _ to _", tokens, line)
+            dom = load_algebra(FsPath(base_dir) / dom_file)
+            cod = load_algebra(FsPath(base_dir) / cod_file)
         elif tokens[0] == "map":
-            if len(tokens) != 4 or tokens[2] != "->":
-                raise ParseError(f"malformed map line: {line!r}")
-            if tokens[1] in mapping:
-                raise ParseError(f"second map line for {tokens[1]}: {line!r}")
-            mapping[tokens[1]] = tokens[3]
+            a, b = match("map _ -> _", tokens, line)
+            if a in mapping:
+                raise ParseError(f"second map line for {a}: {line!r}")
+            mapping[a] = b
         else:
             raise ParseError(f"unknown line {line!r}")
     if dom is None or cod is None:

@@ -41,13 +41,12 @@ from .errors import (
 )
 from .schemes import (
     IneqStep,
-    RelStep,
     Scheme,
     Step,
     assert_valid,
     make_rel,
-    validate_scheme,
 )
+from .syntax import match, records
 from .terms import (
     Term,
     compositions,
@@ -303,17 +302,6 @@ class Unknown:
         return False
 
 
-def _up_sets(am: Amalgam) -> dict[str, list[str]]:
-    """For each element of either side, the elements of its side above
-    it, in carrier order.  Cached per amalgam."""
-    ups = am.__dict__.get("_up_sets")
-    if ups is None:
-        ups = am.__dict__["_up_sets"] = {
-            a: [b for b in alg.carrier if alg.leq(a, b)]
-            for alg in (am.a1, am.a2) for a in alg.carrier}
-    return ups
-
-
 def _achievable_values(am: Amalgam, t: Term, side: int) -> dict[str, Term]:
     """Values reachable by raising leaves of t and evaluating on `side`,
     with one witness raised term per value.  Symbol leaves stay fixed.
@@ -329,7 +317,7 @@ def _achievable_values(am: Amalgam, t: Term, side: int) -> dict[str, Term]:
             return {alg.const(t.label): t}
         if cls != side:
             return {}
-        return {b: am.leaf_of[b] for b in _up_sets(am)[t.label]}
+        return {b: am.leaf_of[b] for b in alg.up_set(t.label)}
     child_items = [_achievable_cached(am, c, side) for c in t.children]
     if not all(child_items):
         return {}
@@ -441,13 +429,6 @@ def _unfold_groups(am: Amalgam, side: int, width: int) -> dict[str, _UnfoldGroup
     return cache[key]
 
 
-def _unfold_pool(am: Amalgam, side: int, max_ops: int) -> dict[str, list[Term]]:
-    """Composite terms over one side's elements, grouped by their value,
-    with every layer built: the members of the groups of `_unfold_groups`,
-    ordered by operation count."""
-    return {value: list(group) for value, group in _unfold_groups(am, side, max_ops).items()}
-
-
 def _achievable_cached(am: Amalgam, sub: Term, side: int) -> list[tuple[str, Term]]:
     """The items of `_achievable_values`, sorted by value.  Cached per
     amalgam, one entry per subterm and side: the maps of a subterm's
@@ -494,11 +475,10 @@ def _moves(am: Amalgam, u: Term, budget: Budget):
 
     Every move is read off one preorder walk of u (`_nodes`).  What does
     not depend on u is cached per amalgam: the fold values of each
-    subterm and side (`_achievable_cached`), the up-sets of the side
-    elements (`_up_sets`) and the unfold groups (`_unfold_groups`).
+    subterm and side (`_achievable_cached`) and the unfold groups
+    (`_unfold_groups`); the up-sets are the sides' tables.
     """
     leaf_of = am.leaf_of
-    ups = _up_sets(am)
     nodes = _nodes(u)
     composite = [(path, sub) for path, sub in nodes if sub.children]
     # Folds of raised subterms, sides 1 then 2.
@@ -519,7 +499,7 @@ def _moves(am: Amalgam, u: Term, budget: Budget):
         images = am._img1 if cls == 1 else am._img2
         other = am.phi2 if cls == 1 else am.phi1
         tag = "GLUE" if cls == 1 else "GLUEINV"
-        for b in ups[a]:
+        for b in am.side(cls).up_set(a):
             z = images.get(b)
             if z is not None:
                 yield path, leaf_of[b], tag, (leaf_of[other[z]],)
@@ -531,7 +511,7 @@ def _moves(am: Amalgam, u: Term, budget: Budget):
             for path, a, cls in side_leaves:
                 if cls != side:
                     continue
-                for b in ups[a]:
+                for b in am.side(side).up_set(a):
                     group = groups.get(b)
                     if group is not None:
                         yield path, leaf_of[b], tag, group
@@ -1040,47 +1020,36 @@ def parse_amalgam(text: str, base_dir: str | FsPath = ".") -> Amalgam:
     Either a single `special over <oalg> seed e0 e1 ...` line, or `left`,
     `right`, `center` file references plus `embed phi1: c -> e` lines.
     """
-    left = right = center = None
+    algs: dict[str, OrderedAlgebra] = {}
     phi1: dict[str, str] = {}
     phi2: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for tokens, line in records(text):
         if tokens[0] == "special":
-            if len(tokens) < 4 or tokens[1] != "over" or tokens[3] != "seed":
-                if len(tokens) == 3 and tokens[1] == "over":
-                    tokens = tokens + ["seed"]
-                else:
-                    raise ParseError(f"malformed special line: {line!r}")
-            base = load_algebra(FsPath(base_dir) / tokens[2])
-            seed = tokens[4:] if len(tokens) > 4 else []
+            base_file, = match("special over _", tokens[:3], line)
+            if tokens[3:4] not in ([], ["seed"]):
+                raise ParseError(f"malformed special line: {line!r}")
+            base = load_algebra(FsPath(base_dir) / base_file)
+            seed = tokens[4:]
             unknown = [e for e in seed if e not in base.index]
             if unknown:
                 raise ParseError(f"seed elements {unknown} not in the carrier")
             return make_special(base, seed)
         if tokens[0] in ("left", "right", "center"):
-            if len(tokens) != 2:
-                raise ParseError(f"malformed {tokens[0]} line: {line!r}")
-            alg = load_algebra(FsPath(base_dir) / tokens[1])
-            if tokens[0] == "left":
-                left = alg
-            elif tokens[0] == "right":
-                right = alg
-            else:
-                center = alg
+            path, = match(f"{tokens[0]} _", tokens, line)
+            algs[tokens[0]] = load_algebra(FsPath(base_dir) / path)
         elif tokens[0] == "embed":
-            if len(tokens) != 5 or tokens[3] != "->" or tokens[1] not in ("phi1:", "phi2:"):
+            name, c, e = match("embed _ _ -> _", tokens, line)
+            if name not in ("phi1:", "phi2:"):
                 raise ParseError(f"malformed embed line: {line!r}")
-            phi = phi1 if tokens[1] == "phi1:" else phi2
-            if tokens[2] in phi:
-                raise ParseError(f"second embed line for {tokens[2]}: {line!r}")
-            phi[tokens[2]] = tokens[4]
+            phi = phi1 if name == "phi1:" else phi2
+            if c in phi:
+                raise ParseError(f"second embed line for {c}: {line!r}")
+            phi[c] = e
         else:
             raise ParseError(f"unknown line {line!r}")
-    if left is None or right is None or center is None:
+    if len(algs) < 3:
         raise ParseError("amalgam needs left, right and center algebras")
+    left, right, center = algs["left"], algs["right"], algs["center"]
     missing = [c for c in center.carrier if c not in phi1 or c not in phi2]
     if missing:
         raise ParseError(f"embeddings not total on {missing}")

@@ -37,6 +37,7 @@ from .oracles import bfs_generated_quasiorder
 from .schemes import normalize, scheme_from_lines, scheme_to_lines, validate_scheme
 from .selftest import run_all
 from .signature import parse_signature
+from .syntax import match, records
 from .terms import parse_term, print_term
 
 EXIT_OK = 0
@@ -62,17 +63,12 @@ class Reporter:
 def _read_pairs(path: str, alg: OrderedAlgebra) -> frozenset:
     """The `pair a b` lines of a `.pairs` file, on the carrier of alg."""
     pairs = set()
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 3 or tokens[0] != "pair":
-            raise ParseError(f"expected `pair a b` lines, got {line!r}")
-        outside = [e for e in tokens[1:] if e not in alg.index]
+    for tokens, line in records(Path(path).read_text()):
+        a, b = match("pair _ _", tokens, line)
+        outside = [e for e in (a, b) if e not in alg.index]
         if outside:
             raise ParseError(f"pair elements {outside} not in the carrier of {alg.name}")
-        pairs.add((tokens[1], tokens[2]))
+        pairs.add((a, b))
     return frozenset(pairs)
 
 
@@ -210,8 +206,8 @@ def cmd_epi(args, rep: Reporter) -> int:
 
 def cmd_normalize(args, rep: Reporter) -> int:
     am = load_amalgam(args.amalgam)
-    lines = Path(args.scheme).read_text().splitlines()
-    sch = scheme_from_lines(am.sig, am.variables(), lines)
+    with open(args.scheme) as lines:
+        sch = scheme_from_lines(am.sig, am.variables(), lines)
     bad = validate_scheme(am, sch)
     if bad:
         for item in bad[:10]:

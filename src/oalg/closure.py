@@ -22,6 +22,7 @@ from .schemes import (
     Step,
     Translation,
     compose,
+    merge_steps,
 )
 from .terms import Term, formal_var, leaf
 
@@ -88,7 +89,7 @@ class GeneratedClosure:
         if (c, c2) not in self.relation:
             return None
         steps = self._steps_for((c, c2))
-        return Scheme(leaf(c), leaf(c2), _canonical_steps(leaf(c), leaf(c2), steps))
+        return Scheme(leaf(c), leaf(c2), merge_steps(steps))
 
     def _steps_for(self, pair: Pair) -> tuple[Step, ...]:
         if pair in self._memo:
@@ -102,7 +103,7 @@ class GeneratedClosure:
             steps = (RelStep(tag, IDENTITY_TRANSLATION, leaf(a), leaf(b),
                              leaf(a), leaf(b)),)
         elif prov[0] == "trans":
-            steps = _join_steps(self._steps_for(prov[1]), self._steps_for(prov[2]))
+            steps = self._steps_for(prov[1]) + self._steps_for(prov[2])
         else:
             _, f, fillers, slot, inner = prov
             trans = _single_op_translation(self.alg, f, fillers, slot)
@@ -119,27 +120,6 @@ class GeneratedClosure:
         return RelStep(step.tag, combined, step.u, step.v,
                        leaf(_eval_translation(self.alg, trans, step.left.label)),
                        leaf(_eval_translation(self.alg, trans, step.right.label)))
-
-
-def _join_steps(first: tuple[Step, ...], second: tuple[Step, ...]) -> tuple[Step, ...]:
-    if first and second and isinstance(first[-1], IneqStep) and isinstance(second[0], IneqStep):
-        merged = IneqStep(first[-1].left, second[0].right)
-        return first[:-1] + (merged,) + second[1:]
-    return first + second
-
-
-def _canonical_steps(source: Term, target: Term, steps: tuple[Step, ...]) -> tuple[Step, ...]:
-    """Merge adjacent inequalities and drop trivial ones."""
-    out: list[Step] = []
-    for s in steps:
-        if isinstance(s, IneqStep):
-            if s.left == s.right:
-                continue
-            if out and isinstance(out[-1], IneqStep):
-                out[-1] = IneqStep(out[-1].left, s.right)
-                continue
-        out.append(s)
-    return tuple(out)
 
 
 def gen_compatible_quasiorder(alg: OrderedAlgebra, hyp) -> GeneratedClosure:

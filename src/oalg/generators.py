@@ -12,15 +12,14 @@ import random
 
 from . import relations
 from .algebra import (
-    Homomorphism,
     OrderedAlgebra,
     all_homomorphisms,
     validate_algebra,
 )
-from .amalgam import SpecialAmalgam, _unfold_pool, make_special
+from .amalgam import SpecialAmalgam, _unfold_groups, make_special
 from .schemes import IneqStep, RelStep, Scheme, Step, make_rel, validate_scheme
 from .signature import Signature
-from .terms import Term, leaf, node, subterm_at
+from .terms import Term, leaf, subterm_at
 from .termorder import VarPoset
 
 
@@ -236,9 +235,13 @@ def padded_glue_scheme(rng: random.Random, sp: SpecialAmalgam, z: str,
     "cross" carries the unfolded term across the glue leafwise.  Returns
     None when the amalgam offers no unfolding for the needed value.
     """
+    def unfolds(value: str, width: int) -> list[Term]:
+        """The side-1 terms of value with 1 to width operations."""
+        return list(_unfold_groups(sp, 1, width).get(value, ()))
+
     x1 = sp.phi1[z]
     x2 = sp.phi2[z]
-    pool = _unfold_pool(sp, 1, 2).get(x1, [])
+    pool = unfolds(x1, 2)
     base_glue = make_rel("GLUE", leaf(x1), (), leaf(x2))
     if recipe == "proper":
         if not pool:
@@ -254,7 +257,7 @@ def padded_glue_scheme(rng: random.Random, sp: SpecialAmalgam, z: str,
         w = rng.choice(shallow)
         idx = rng.randrange(len(w.children))
         child = w.children[idx]
-        sub_pool = _unfold_pool(sp, 1, 1).get(child.label, []) if child.is_leaf else []
+        sub_pool = unfolds(child.label, 1) if child.is_leaf else []
         if not sub_pool:
             return None
         deep = Term(w.label, tuple(rng.choice(sub_pool) if i == idx else ch
@@ -270,8 +273,8 @@ def padded_glue_scheme(rng: random.Random, sp: SpecialAmalgam, z: str,
             return None
         w = rng.choice(two_wide)
         p0, p1 = 0, len(w.children) - 1
-        pool0 = _unfold_pool(sp, 1, 1).get(w.children[p0].label, [])
-        pool1 = _unfold_pool(sp, 1, 1).get(w.children[p1].label, [])
+        pool0 = unfolds(w.children[p0].label, 1)
+        pool1 = unfolds(w.children[p1].label, 1)
         if not pool0 or not pool1:
             return None
         sub0, sub1 = rng.choice(pool0), rng.choice(pool1)

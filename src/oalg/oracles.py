@@ -375,7 +375,7 @@ def unfold_pool_by_layers(alg: OrderedAlgebra, max_ops: int) -> dict[str, list[T
     """Every composite term of at most max_ops operations over the
     carrier, grouped by value, each layer of one more operation built in
     full from the ones below: the reference for the search's lazy unfold
-    groups and `amalgam._unfold_pool`, same lists in the same order (by
+    groups (`amalgam._unfold_groups`), same lists in the same order (by
     operation count, then operation, split of the operations over the
     children, children's values in carrier order, children's terms)."""
     by_ops: list[dict[str, list[Term]]] = [{e: [leaf(e)] for e in alg.carrier}]
@@ -401,6 +401,11 @@ def unfold_pool_by_layers(alg: OrderedAlgebra, max_ops: int) -> dict[str, list[T
 
 # -- The search's moves ---------------------------------------------------------
 
+def _up_set_by_filter(alg: OrderedAlgebra, a: str) -> list[str]:
+    """The elements above a, in carrier order, filtered from the order."""
+    return [b for b in alg.carrier if (a, b) in alg.order]
+
+
 def _fold_values_by_recursion(am, t: Term, side: int) -> dict[str, Term]:
     """Values reachable by raising the side leaves of t within their
     up-sets and evaluating on `side`, with the first witness per value in
@@ -413,7 +418,7 @@ def _fold_values_by_recursion(am, t: Term, side: int) -> dict[str, Term]:
             return {alg.const(t.label): t}
         if cls != side:
             return {}
-        return {b: leaf(b) for b in alg.up_set(t.label)}
+        return {b: leaf(b) for b in _up_set_by_filter(alg, t.label)}
     child_maps = [_fold_values_by_recursion(am, c, side) for c in t.children]
     if any(not m for m in child_maps):
         return {}
@@ -448,7 +453,7 @@ def moves_by_path_walk(am, u: Term, budget) -> list[tuple]:
         images = am._img1 if cls == 1 else am._img2
         other = am.phi2 if cls == 1 else am.phi1
         tag = "GLUE" if cls == 1 else "GLUEINV"
-        for b in am.side(cls).up_set(a):
+        for b in _up_set_by_filter(am.side(cls), a):
             z = images.get(b)
             if z is not None:
                 out.append((path, leaf(b), tag, [leaf(other[z])]))
@@ -462,7 +467,7 @@ def moves_by_path_walk(am, u: Term, budget) -> list[tuple]:
                 a = subterm_at(u, path).label
                 if am.label_class(a) != side:
                     continue
-                for b in alg.up_set(a):
+                for b in _up_set_by_filter(alg, a):
                     if b in pool:
                         out.append((path, leaf(b), tag, pool[b]))
     return out

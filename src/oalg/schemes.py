@@ -27,16 +27,15 @@ from .errors import (
     ParseError,
     SkeletonMismatch,
     TheoremContradiction,
-    ValidationError,
     WitnessInconsistency,
 )
 from .signature import Signature, is_formal_variable
+from .syntax import records
 from .terms import (
     Path,
     Term,
     leaf,
     leaf_count,
-    leaf_paths,
     leaf_span,
     leaves,
     op_count,
@@ -450,27 +449,33 @@ def _check_column_chain(am, values: list[str], transitions: list[tuple],
 # -- Simplification -----------------------------------------------------------
 
 def simplify(am, sch: Scheme) -> Scheme:
+    """Drop trivial steps, read single-leaf MULTI steps as glue steps and
+    merge adjacent inequalities."""
+    return Scheme(sch.source, sch.target,
+                  merge_steps(_as_glue(am, s) for s in sch.steps))
+
+
+def _as_glue(am, s: Step) -> Step:
+    """A single-leaf MULTI step as its glue step; any other step as is."""
+    if isinstance(s, MultiStep) and s.left.is_leaf and s.left != s.right:
+        tag = am.glue_tag(s.left.label, s.right.label)
+        if tag is None:
+            raise WitnessInconsistency("bad single-leaf MULTI step")
+        return make_rel(tag, s.left, (), s.right)
+    return s
+
+
+def merge_steps(steps: Iterable[Step]) -> tuple[Step, ...]:
     """Drop trivial steps and merge adjacent inequalities."""
-    steps: list[Step] = []
-    for s in sch.steps:
-        if isinstance(s, IneqStep) and s.left == s.right:
+    out: list[Step] = []
+    for s in steps:
+        if (s.u == s.v) if isinstance(s, RelStep) else (s.left == s.right):
             continue
-        if isinstance(s, RelStep) and s.u == s.v:
-            continue
-        if isinstance(s, MultiStep):
-            if s.left == s.right:
-                continue
-            if s.left.is_leaf:
-                tag = am.glue_tag(s.left.label, s.right.label)
-                if tag is None:
-                    raise WitnessInconsistency("bad single-leaf MULTI step")
-                steps.append(make_rel(tag, s.left, (), s.right))
-                continue
-        if steps and isinstance(s, IneqStep) and isinstance(steps[-1], IneqStep):
-            steps[-1] = IneqStep(steps[-1].left, s.right)
-            continue
-        steps.append(s)
-    return Scheme(sch.source, sch.target, tuple(steps))
+        if out and isinstance(s, IneqStep) and isinstance(out[-1], IneqStep):
+            out[-1] = IneqStep(out[-1].left, s.right)
+        else:
+            out.append(s)
+    return tuple(out)
 
 
 # -- The normalizer -----------------------------------------------------------
@@ -735,24 +740,21 @@ def scheme_to_lines(sch: Scheme) -> list[str]:
     return lines
 
 
-def scheme_from_lines(sig: Signature, variables: list[str], lines: list[str]) -> Scheme:
-    """Parse the line format produced by scheme_to_lines."""
+def scheme_from_lines(sig: Signature, variables: list[str], lines: Iterable[str]) -> Scheme:
+    """Parse the line format produced by scheme_to_lines, one step per
+    line; the lines may keep their line breaks, as a text file's do."""
     steps: list[Step] = []
     z_vars = [f"z{i}" for i in range(1, 65)]
-    endpoints: tuple[Term, Term] | None = None
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("INEQ"):
-            body = line[len("INEQ"):].strip()
+    for tokens, line in records("\n".join(lines)):
+        if tokens[0] == "INEQ":
+            body = line[len("INEQ"):]
             if "<=" not in body:
                 raise ParseError(f"malformed INEQ line: {line!r}")
             l, r = body.split("<=", 1)
             left = parse_term(sig, variables, l.strip())
             right = parse_term(sig, variables, r.strip())
             steps.append(IneqStep(left, right))
-        elif line.startswith("REL"):
+        elif tokens[0] == "REL":
             parts = line[len("REL"):].split(None, 1)
             if len(parts) != 2 or "->" not in parts[1]:
                 raise ParseError(f"malformed REL line: {line!r}")
@@ -778,7 +780,7 @@ def scheme_from_lines(sig: Signature, variables: list[str], lines: list[str]) ->
             trans = Translation(template, slot, fills)
             steps.append(RelStep(tag, trans, u, v, trans.apply(u), trans.apply(v)))
         else:
-            raise ParseError(f"unknown scheme line {line!r}")
+            raise ParseError(f"unknown scheme line {line!r}: a step starts with INEQ or REL")
     if not steps:
         raise ParseError("empty scheme file")
     if len(steps) == 1 and isinstance(steps[0], IneqStep) and steps[0].left == steps[0].right:

@@ -9,8 +9,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParseError, ValidationError
 from . import relations
+from .errors import ParseError, ValidationError
+from .syntax import match, records
 
 MAX_ARITY = 16
 MAX_SYMBOLS = 64
@@ -70,35 +71,28 @@ def parse_signature(text: str) -> Signature:
     """
     ops: dict[str, int] = {}
     order: set[tuple[str, str]] = set()
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0]
+    for _, line in records(text):
         for decl in line.split(";"):
             tokens = decl.split()
             if not tokens:
                 continue
+            decl = decl.strip()
             kind = tokens[0]
             if kind == "op":
-                if len(tokens) != 3:
-                    raise ParseError(f"malformed op declaration: {decl.strip()!r}")
-                name, arity_text = tokens[1], tokens[2]
+                name, arity_text = match("op _ _", tokens, decl)
                 if not arity_text.isdigit():
-                    raise ParseError(f"arity must be a non-negative integer: {decl.strip()!r}")
-                if name in ops:
-                    raise ValidationError(f"duplicate symbol {name!r}")
-                ops[name] = int(arity_text)
+                    raise ParseError(f"arity must be a non-negative integer: {decl!r}")
             elif kind == "const":
-                if len(tokens) != 2:
-                    raise ParseError(f"malformed const declaration: {decl.strip()!r}")
-                name = tokens[1]
-                if name in ops:
-                    raise ValidationError(f"duplicate symbol {name!r}")
-                ops[name] = 0
+                name, = match("const _", tokens, decl)
+                arity_text = "0"
             elif kind == "order":
-                if len(tokens) != 4 or tokens[2] != "<=":
-                    raise ParseError(f"malformed order declaration: {decl.strip()!r}")
-                order.add((tokens[1], tokens[3]))
+                order.add(tuple(match("order _ <= _", tokens, decl)))
+                continue
             else:
-                raise ParseError(f"unknown declaration {kind!r} in {decl.strip()!r}")
+                raise ParseError(f"unknown declaration {kind!r} in {decl!r}")
+            if name in ops:
+                raise ValidationError(f"duplicate symbol {name!r}")
+            ops[name] = int(arity_text)
     return Signature(ops, frozenset(order))
 
 

@@ -14,26 +14,21 @@ from typing import Callable
 
 from . import relations
 from .algebra import OrderedAlgebra, evaluate, validate_algebra
-from .errors import NotMonotone, ValidationError
+from .errors import NotMonotone, ParseError, ValidationError
 from .signature import Signature
+from .syntax import match, records
 from .terms import Term
 
 
 def parse_var_poset(text: str) -> "VarPoset":
     """Parse `var x1` / `varorder x1 <= x2` lines into a variable poset."""
-    from .errors import ParseError
-
     names: list[str] = []
     order: set[tuple[str, str]] = set()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] == "var" and len(tokens) == 2:
-            names.append(tokens[1])
-        elif tokens[0] == "varorder" and len(tokens) == 4 and tokens[2] == "<=":
-            order.add((tokens[1], tokens[3]))
+    for tokens, line in records(text):
+        if tokens[0] == "var":
+            names.extend(match("var _", tokens, line))
+        elif tokens[0] == "varorder":
+            order.add(tuple(match("varorder _ <= _", tokens, line)))
         else:
             raise ParseError(f"unknown variable line {line!r}")
     return VarPoset(tuple(names), frozenset(order))

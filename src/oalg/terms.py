@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .errors import IndexOutOfRange, ParseError, ValidationError
-from .signature import Signature, is_formal_variable
+from .signature import Signature
 
 # The deepest nesting `parse_term` accepts: the term functions recurse
 # once or twice per level, and Python's default limit is 1000 frames.

@@ -623,7 +623,8 @@ def test_unfold_groups_are_the_eager_pool_lists():
                             assert members == eager[witness.label]
                             seen[witness.label] = size
                 assert seen == {v: len(ts) for v, ts in eager.items()}
-                assert list(amalgam._unfold_pool(sp, side, width).items()) == list(eager.items())
+                groups = amalgam._unfold_groups(sp, side, width)
+                assert [(v, list(g)) for v, g in groups.items()] == list(eager.items())
 
 
 def _random_term(rng: random.Random, labels: list[str], ops: int) -> Term:

@@ -236,6 +236,9 @@ def test_structured_output_deterministic(workspace):
     "REL EV1 f z1 z2 x e0<1> e1<1> -> e1<1>",
     "REL EV1 f z1 z2 3 e0<1> e1<1> -> e1<1>",
     "REL EV1 f z1 z2",
+    # A keyword is a whole token: read by prefix, these lines were valid.
+    "RELGLUE z1 1 e0<1> -> e0<2>",
+    "INEQe0<1> <= e1<1>",
 ])
 def test_normalize_malformed_rel_line_is_parse_error(workspace, line, capsys):
     scheme = workspace / "bad.scheme"
@@ -258,6 +261,20 @@ def test_validate_bad_op_line_is_parse_error(workspace, line, problem, capsys):
     bad.write_text((workspace / "ch3.oalg").read_text() + line + "\n")
     code, out = run("validate", str(bad))
     assert code == 2 and "violations" not in out
+    assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines,problem", [
+    (["op f: (e0,e0) -> e2"], "second op line for f ('e0', 'e0')"),
+    (["const c = e1"], "second const line for c"),
+    # Read last-wins, these lines were an algebra with 3 violations.
+    (["op f: (e0,e0) -> e2", "const c = e1"], "second op line for f"),
+])
+def test_validate_repeated_op_or_const_line_is_parse_error(workspace, lines, problem, capsys):
+    bad = workspace / "bad.oalg"
+    bad.write_text((workspace / "ch3.oalg").read_text() + "".join(f"{l}\n" for l in lines))
+    code, out = run("validate", str(bad))
+    assert code == 2 and out == ""
     assert problem in capsys.readouterr().err
 
 

@@ -4,7 +4,8 @@ The oracles are independent of the closure engine they check, and only
 the entry points (the command line, the acceptance suite and the package
 namespace) use them.  The congruence and homomorphism enumerators in
 `algebra`, and the separator search in `amalgam` that calls them, reach
-the brute-force filters that check them by no chain of imports.
+the brute-force filters that check them by no chain of imports.  No
+module imports a name it never uses.
 """
 
 import ast
@@ -60,3 +61,23 @@ def reachable_modules(stem: str) -> set[str]:
 @pytest.mark.parametrize("stem", ["algebra", "amalgam"])
 def test_enumerators_never_reach_their_oracles(stem):
     assert "oracles" not in reachable_modules(stem)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names the file imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+# The package namespace imports names only to re-export them.
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"],
+                         ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
