@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path as FsPath
 
 from . import relations
@@ -81,6 +82,22 @@ class OrderedAlgebra:
 
     def up_set(self, a: str) -> list[str]:
         return self._up_sets[a]
+
+    @cached_property
+    def translations(self) -> dict[tuple[str, tuple[str, ...], int], tuple[str, ...]]:
+        """The one-slot translations x -> f(fillers with x at slot, from 1):
+        `(f, fillers, slot)` to the carrier's images, in op / fillers / slot order."""
+        out = {}
+        for f, k in self.sig.ops.items():
+            if k == 0:
+                continue
+            tbl = self.op_tables[f]
+            for fillers in itertools.product(self.carrier, repeat=k - 1):
+                for slot in range(1, k + 1):
+                    out[(f, fillers, slot)] = tuple(
+                        tbl[fillers[:slot - 1] + (x,) + fillers[slot - 1:]]
+                        for x in self.carrier)
+        return out
 
     def __repr__(self):
         return f"OrderedAlgebra({self.name}, |{len(self.carrier)}|)"
@@ -191,20 +208,10 @@ def kernel(h: Homomorphism) -> Rel:
 
 
 def _compatible(alg: OrderedAlgebra, rel: Rel) -> bool:
-    """Whether every operation maps rel-related arguments in one slot,
-    all other arguments fixed, to rel-related values."""
-    carrier = alg.carrier
-    for f, k in alg.sig.ops.items():
-        if k == 0:
-            continue
-        for args in itertools.product(carrier, repeat=k):
-            for i in range(k):
-                for b in carrier:
-                    if (args[i], b) in rel:
-                        other = args[:i] + (b,) + args[i + 1:]
-                        if (alg.op(f, args), alg.op(f, other)) not in rel:
-                            return False
-    return True
+    """Whether every one-slot translation maps each pair of rel into rel."""
+    pairs = [(alg.index[a], alg.index[b]) for (a, b) in rel]
+    return all((t[i], t[j]) in rel
+               for t in alg.translations.values() for i, j in pairs)
 
 
 def is_congruence(alg: OrderedAlgebra, theta: Rel) -> bool:
@@ -240,15 +247,6 @@ def is_compatible_quasiorder(alg: OrderedAlgebra, sigma: Rel) -> bool:
             and _compatible(alg, sigma))
 
 
-def _class_map(alg: OrderedAlgebra, eq: Rel) -> tuple[list[list[str]], dict[str, str]]:
-    blocks = relations.pairs_to_blocks(eq, alg.carrier)
-    rep = {}
-    for block in blocks:
-        for e in block:
-            rep[e] = block[0]
-    return blocks, rep
-
-
 def _quotient_name(representative: str) -> str:
     return f"[{representative}]"
 
@@ -256,12 +254,12 @@ def _quotient_name(representative: str) -> str:
 def _quotient_algebra(alg: OrderedAlgebra, eq: Rel, order_source: Rel,
                       name: str) -> tuple[OrderedAlgebra, Homomorphism]:
     """Quotient carrier and tables; order projected from order_source pairs."""
-    blocks, rep = _class_map(alg, eq)
-    carrier = [_quotient_name(b[0]) for b in blocks]
+    rep = {e: next(a for a in alg.carrier if (a, e) in eq) for e in alg.carrier}
+    reps = [e for e in alg.carrier if rep[e] == e]
+    carrier = [_quotient_name(r) for r in reps]
     cname = {e: _quotient_name(rep[e]) for e in alg.carrier}
     order = {(cname[a], cname[b]) for (a, b) in order_source}
     tables: dict[str, dict[tuple[str, ...], str]] = {}
-    reps = [b[0] for b in blocks]
     for f, k in alg.sig.ops.items():
         if k == 0:
             continue
@@ -417,22 +415,10 @@ def subalgebra(alg: OrderedAlgebra, subset: list[str], name: str | None = None) 
 
 
 def _translations(alg: OrderedAlgebra) -> list[tuple[int, ...]]:
-    """The one-slot translations x -> f(.., x, ..), other arguments fixed,
-    as tuples of carrier indices, without repeats, constants or the identity."""
-    carrier, index = alg.carrier, alg.index
-    n = len(carrier)
-    identity = tuple(range(n))
-    out: dict[tuple[int, ...], None] = {}
-    for f, k in alg.sig.ops.items():
-        if k == 0:
-            continue
-        tbl = alg.op_tables[f]
-        for i in range(k):
-            for rest in itertools.product(carrier, repeat=k - 1):
-                t = tuple(index[tbl[rest[:i] + (x,) + rest[i:]]] for x in carrier)
-                if t != identity and len(set(t)) > 1:
-                    out[t] = None
-    return list(out)
+    """The table's translations as index tuples, without repeats, constants or the identity."""
+    identity, position = tuple(alg.carrier), alg.index.__getitem__
+    return [tuple(map(position, t)) for t in dict.fromkeys(alg.translations.values())
+            if t != identity and len(set(t)) > 1]
 
 
 def _find(parent: list[int], i: int) -> int:
@@ -653,6 +639,12 @@ def parse_algebra(text: str, base_dir: str | FsPath = ".",
     if sig is None:
         raise ParseError("no signature: need an `algebra <name> over <sigfile>` line")
     elements = set(carrier)
+    if len(elements) < len(carrier):
+        first = next(e for e in carrier if carrier.count(e) > 1)
+        raise ParseError(f"repeated element {first!r}")
+    outside = sorted({e for pair in order for e in pair} - elements)
+    if outside:
+        raise ParseError(f"order lines name {outside}, not in the carrier")
     for fname, tbl in tables.items():
         if not sig.has(fname) or sig.arity(fname) == 0:
             raise ParseError(f"op line for unknown operation {fname!r}")

@@ -545,6 +545,7 @@ def _collapse_bounds(am: SpecialAmalgam, u: Term, target: str,
         bounds[path] = accepted
         if sub.is_leaf:
             continue
+        # Its own slot loop: reading `a1.translations` here was slower.
         table = a1.op_tables[sub.label]
         args = [memo[c] for c in sub.children]
         for i, child in enumerate(sub.children):

@@ -130,13 +130,9 @@ def cmd_quotient(args, rep: Reporter) -> int:
     alg = load_algebra(args.algebra)
     pairs = _read_pairs(args.pairs, alg)
     if args.nonregular:
-        sigma = relations.reflexive_transitive_closure(
-            set(pairs) | set(alg.order), alg.carrier)
-        q = nonregular_quotient(alg, sigma)
+        q = nonregular_quotient(alg, gen_compatible_quasiorder(alg, pairs).relation)
     else:
-        theta = relations.reflexive_transitive_closure(
-            set(pairs) | set(relations.inverse(pairs)), alg.carrier)
-        q, _ = regular_quotient(alg, theta)
+        q, _ = regular_quotient(alg, gen_order_congruence(alg, pairs).theta)
     sig_ref = args.sig_ref or "unknown.sig"
     sys.stdout.write(print_algebra(q, sig_ref))
     return EXIT_OK

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import relations
-from .algebra import OrderedAlgebra, evaluate
+from .algebra import OrderedAlgebra
 from .schemes import (
     IDENTITY_TRANSLATION,
     IneqStep,
@@ -36,28 +36,16 @@ def _single_op_translation(alg: OrderedAlgebra, op: str, fillers: tuple[str, ...
     return Translation(template, slot, fillers)
 
 
-def _eval_translation(alg: OrderedAlgebra, trans: Translation, value: str) -> str:
-    """Evaluate a translation at a carrier element; fillers are elements."""
-    return evaluate(alg, trans.template, {formal_var(i): e for i, e in
-                                          enumerate(trans.fills_with(value), start=1)})
-
-
 def _one_slot_images(alg: OrderedAlgebra):
     """The `extend` of `relations.close` for compatible closures: for a pair
-    (x, y), every (f(..x..), f(..y..)) with x and y in one argument slot
-    and fixed fillers elsewhere, in op / fillers / slot order."""
-    ops = [(f, k, list(itertools.product(alg.carrier, repeat=k - 1)))
-           for f, k in alg.sig.ops.items() if k > 0]
+    (x, y), its image (t(x), t(y)) under each of the algebra's one-slot
+    translations t, in op / fillers / slot order."""
+    translations, index = alg.translations.items(), alg.index
 
     def images(pair: Pair):
-        x, y = pair
-        for f, k, all_fillers in ops:
-            table = alg.op_tables[f]
-            for fillers in all_fillers:
-                for slot in range(1, k + 1):
-                    args_x = fillers[: slot - 1] + (x,) + fillers[slot - 1:]
-                    args_y = fillers[: slot - 1] + (y,) + fillers[slot - 1:]
-                    yield (table[args_x], table[args_y]), ("op", f, fillers, slot, pair)
+        i, j = index[pair[0]], index[pair[1]]
+        for (f, fillers, slot), t in translations:
+            yield (t[i], t[j]), ("op", f, fillers, slot, pair)
 
     return images
 
@@ -107,19 +95,19 @@ class GeneratedClosure:
         else:
             _, f, fillers, slot, inner = prov
             trans = _single_op_translation(self.alg, f, fillers, slot)
-            steps = tuple(self._transport(s, trans) for s in self._steps_for(inner))
+            images = self.alg.translations[(f, fillers, slot)]
+            steps = tuple(self._transport(s, trans, images) for s in self._steps_for(inner))
         self._memo[pair] = steps
         return steps
 
-    def _transport(self, step: Step, trans: Translation) -> Step:
+    def _transport(self, step: Step, trans: Translation, images: tuple[str, ...]) -> Step:
+        """The step under `trans`, whose values on the carrier are `images`."""
+        index = self.alg.index
+        left, right = (leaf(images[index[s.label]]) for s in (step.left, step.right))
         if isinstance(step, IneqStep):
-            return IneqStep(leaf(_eval_translation(self.alg, trans, step.left.label)),
-                            leaf(_eval_translation(self.alg, trans, step.right.label)))
+            return IneqStep(left, right)
         assert isinstance(step, RelStep)
-        combined = compose(trans, step.trans)
-        return RelStep(step.tag, combined, step.u, step.v,
-                       leaf(_eval_translation(self.alg, trans, step.left.label)),
-                       leaf(_eval_translation(self.alg, trans, step.right.label)))
+        return RelStep(step.tag, compose(trans, step.trans), step.u, step.v, left, right)
 
 
 def gen_compatible_quasiorder(alg: OrderedAlgebra, hyp) -> GeneratedClosure:

@@ -1,11 +1,12 @@
 """Independent oracles, used only by the command line, the acceptance suite
 and the tests: the congruences, homomorphisms and variety membership by
-brute-force filters; the generated quasiorder by breadth-first search over
-translated generator steps, and a recheck of closure witnesses, both evaluating translations by
-a raw walk over the tables and sharing no code with `closure.py`; the term
-order as the quasiorder generated by single-leaf raises, and an exhaustive
-check of `termorder.term_leq`; the pushout search's unfold pool built
-eagerly, layer by layer, and its moves generated path by path.
+brute-force filters, and compatibility, the generated quasiorder (by
+breadth-first search over translated generator steps) and a recheck of
+closure witnesses by raw walks over the tables, sharing no code with
+`closure.py` or `OrderedAlgebra.translations`; the term order as the
+quasiorder generated by single-leaf raises, and an exhaustive check of
+`termorder.term_leq`; the pushout search's unfold pool built eagerly,
+layer by layer, and its moves generated path by path.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from . import relations
-from .algebra import Homomorphism, OrderedAlgebra, _compatible
+from .algebra import Homomorphism, OrderedAlgebra
 from .errors import ValidationError, WitnessInconsistency
 from .schemes import IDENTITY_TRANSLATION, IneqStep, RelStep, Scheme, Translation
 from .signature import Signature
@@ -27,6 +28,23 @@ Pair = tuple[str, str]
 
 # -- Congruences and homomorphisms ----------------------------------------------
 
+def compatible_by_table_walk(alg: OrderedAlgebra, rel: frozenset) -> bool:
+    """Whether each table maps rel-related arguments in one slot, others fixed,
+    to rel-related values, entry by entry: the reference for `algebra._compatible`."""
+    carrier = alg.carrier
+    for f, k in alg.sig.ops.items():
+        if k == 0:
+            continue
+        for args in itertools.product(carrier, repeat=k):
+            for i in range(k):
+                for b in carrier:
+                    if (args[i], b) in rel:
+                        other = args[:i] + (b,) + args[i + 1:]
+                        if (alg.op(f, args), alg.op(f, other)) not in rel:
+                            return False
+    return True
+
+
 def congruences_by_partition_filter(alg: OrderedAlgebra) -> list[frozenset]:
     """Every congruence of the unordered reduct, by filtering all Bell(n)
     partitions: the reference for `algebra.all_congruences`, same order.
@@ -35,7 +53,7 @@ def congruences_by_partition_filter(alg: OrderedAlgebra) -> list[frozenset]:
     compatibility is tested.
     """
     thetas = map(relations.partition_to_pairs, relations.all_partitions(alg.carrier))
-    return [theta for theta in thetas if _compatible(alg, theta)]
+    return [theta for theta in thetas if compatible_by_table_walk(alg, theta)]
 
 
 def homomorphisms_by_product_filter(dom: OrderedAlgebra,

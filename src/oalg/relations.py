@@ -140,19 +140,3 @@ def partition_to_pairs(partition: Iterable[Iterable]) -> frozenset:
             for b in block:
                 pairs.add((a, b))
     return frozenset(pairs)
-
-
-def pairs_to_blocks(pairs: frozenset, elements: list) -> list[list]:
-    """Equivalence classes of `pairs`, each sorted by carrier position."""
-    index = {e: i for i, e in enumerate(elements)}
-    seen: set = set()
-    blocks = []
-    for e in elements:
-        if e in seen:
-            continue
-        block = sorted((b for (a, b) in pairs if a == e), key=index.__getitem__)
-        if e not in block:
-            block = sorted(block + [e], key=index.__getitem__)
-        seen.update(block)
-        blocks.append(block)
-    return blocks

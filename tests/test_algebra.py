@@ -40,9 +40,9 @@ from oalg.errors import (
     UnboundVariable,
     ValidationError,
 )
-from oalg.generators import random_algebra, random_partial_order
-from oalg.oracles import congruences_by_partition_filter, homomorphisms_by_product_filter, \
-    variety_report_by_pair_filter
+from oalg.generators import random_algebra, random_partial_order, random_relation
+from oalg.oracles import compatible_by_table_walk, congruences_by_partition_filter, \
+    homomorphisms_by_product_filter, variety_report_by_pair_filter
 from oalg.relations import partition_to_pairs
 from oalg.signature import SIG1
 from oalg.terms import parse_term
@@ -188,6 +188,22 @@ def test_all_congruences_enumerates_no_partitions(monkeypatch):
     monkeypatch.setattr(relations, "all_partitions", refuse)
     monkeypatch.setattr(algebra, "_compatible", refuse)
     assert len(all_congruences(chain(9, SIG1))) == 2 ** 8
+
+
+def test_compatible_matches_the_table_walk_on_quasiorders():
+    # Orders, closures of random pairs and their unions with the order:
+    # relations that are seldom symmetric.
+    rng = random.Random(33)
+    answers = []
+    for _ in range(120):
+        alg = random_algebra(rng, SIG1, rng.randrange(1, 6))
+        generated = relations.reflexive_transitive_closure(
+            random_relation(rng, alg.carrier, 3), alg.carrier)
+        for rel in (alg.order, generated, generated | alg.order):
+            answer = algebra._compatible(alg, rel)
+            assert answer == compatible_by_table_walk(alg, rel), (alg.name, sorted(rel))
+            answers.append(answer)
+    assert answers.count(True) >= 50 and answers.count(False) >= 50
 
 
 def _maps(homs):

@@ -1,10 +1,15 @@
 import io
+import random
 from contextlib import redirect_stdout
 
 import pytest
 
-from oalg.algebra import chain, print_algebra, subalgebra, with_trivial_order
+from oalg import relations
+from oalg.algebra import (chain, nonregular_quotient, print_algebra, regular_quotient,
+                          subalgebra, with_trivial_order)
 from oalg.cli import main
+from oalg.errors import NotCompatibleQuasiorder, NotOrderCongruence
+from oalg.generators import random_algebra, random_relation
 from oalg.signature import SIG1
 from oalg.terms import MAX_TERM_DEPTH
 
@@ -148,6 +153,48 @@ def test_quotient(workspace):
     assert code == 0 and "elements [e0]" in out
 
 
+def test_quotient_regular_closes_the_pairs_under_the_operations(workspace):
+    # The README example: e2 ~ e0 forces e1 = f(e1, e0) ~ f(e1, e2) = e2.
+    code, out = run("quotient", str(workspace / "ch3.oalg"),
+                    str(workspace / "rel.pairs"), "--sig-ref", "s.sig")
+    assert code == 0 and "elements [e0]" in out
+
+
+def _closed_without_operations(alg, pairs, nonregular):
+    """The pairs closed reflexively and transitively, with the order
+    (non-regular) or with their inverses (regular), but not under the
+    operations: wherever this is accepted, the closures must agree with it."""
+    if nonregular:
+        return relations.reflexive_transitive_closure(set(pairs) | alg.order, alg.carrier)
+    return relations.reflexive_transitive_closure(
+        set(pairs) | relations.inverse(pairs), alg.carrier)
+
+
+@pytest.mark.parametrize("nonregular", [False, True])
+def test_quotient_agrees_wherever_the_closure_without_operations_was_accepted(
+        workspace, nonregular):
+    rng = random.Random(5)
+    flag = ["--nonregular"] if nonregular else []
+    accepted = 0
+    for i in range(300):
+        alg = random_algebra(rng, SIG1, rng.randrange(1, 6))
+        pairs = random_relation(rng, alg.carrier, 3)
+        (workspace / "r.oalg").write_text(print_algebra(alg, "s.sig"))
+        (workspace / "r.pairs").write_text("".join(f"pair {a} {b}\n" for a, b in sorted(pairs)))
+        code, out = run("quotient", str(workspace / "r.oalg"), str(workspace / "r.pairs"),
+                        "--sig-ref", "s.sig", *flag)
+        assert code == 0, i
+        old = _closed_without_operations(alg, pairs, nonregular)
+        try:
+            q = (nonregular_quotient(alg, old) if nonregular
+                 else regular_quotient(alg, old)[0])
+        except (NotCompatibleQuasiorder, NotOrderCongruence):
+            continue
+        assert out == print_algebra(q, "s.sig"), i
+        accepted += 1
+    assert 100 <= accepted < 300
+
+
 def test_pushout_eq(workspace):
     code, out = run("pushout-eq", str(workspace / "sp.amalgam"),
                     "e0<1>", "e0<2>")
@@ -273,6 +320,20 @@ def test_validate_bad_op_line_is_parse_error(workspace, line, problem, capsys):
 def test_validate_repeated_op_or_const_line_is_parse_error(workspace, lines, problem, capsys):
     bad = workspace / "bad.oalg"
     bad.write_text((workspace / "ch3.oalg").read_text() + "".join(f"{l}\n" for l in lines))
+    code, out = run("validate", str(bad))
+    assert code == 2 and out == ""
+    assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,problem", [
+    ("elements e0", "repeated element 'e0'"),
+    ("order e0 <= e9", "not in the carrier"),
+    ("order e9 <= e9", "not in the carrier"),
+])
+def test_validate_repeated_element_or_order_outside_carrier_is_parse_error(
+        workspace, line, problem, capsys):
+    bad = workspace / "bad.oalg"
+    bad.write_text((workspace / "ch3.oalg").read_text() + line + "\n")
     code, out = run("validate", str(bad))
     assert code == 2 and out == ""
     assert problem in capsys.readouterr().err

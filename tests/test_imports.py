@@ -37,6 +37,14 @@ def test_oracles_do_not_import_the_closure_engine():
     assert "oalg.closure" not in imported_modules(SRC / "oracles.py")
 
 
+def test_oracles_import_only_the_classes_of_algebra():
+    # A function of `algebra` (its compatibility test, say) would make an
+    # oracle share the code it checks.
+    imported = imported_modules(SRC / "oracles.py")
+    assert {name for name in imported if name.startswith("oalg.algebra.")} == {
+        "oalg.algebra.Homomorphism", "oalg.algebra.OrderedAlgebra"}
+
+
 @pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
                                   if p.stem not in ORACLE_USERS | {"oracles"}],
                          ids=lambda p: p.stem)
