@@ -76,8 +76,6 @@ from .amalgam import (
     separator_search,
     validate_amalgam,
 )
-from .oracles import (bfs_generated_quasiorder, enumerate_translations, step_relation,
-                      verify_partial_order)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

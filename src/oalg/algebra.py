@@ -701,6 +701,8 @@ def parse_homomorphism(text: str, base_dir: str | FsPath = ".") -> Homomorphism:
             raise ParseError(f"unknown line {line!r}")
     if dom is None or cod is None:
         raise ParseError("missing `hom from <dom.oalg> to <cod.oalg>` line")
+    if dom.sig != cod.sig:
+        raise ParseError(f"{dom.name} and {cod.name} are over different signatures")
     missing = [e for e in dom.carrier if e not in mapping]
     if missing:
         raise ParseError(f"map not total, missing {missing}")

@@ -89,6 +89,11 @@ class Amalgam:
         self.phi2 = {c: ren2[phi2[c]] for c in center.carrier}
         self._img1 = {v: k for k, v in self.phi1.items()}
         self._img2 = {v: k for k, v in self.phi2.items()}
+        # Each shared image: the glue tag that leaves it and its other copy.
+        self.glue: dict[str, tuple[str, str]] = {}
+        for z in center.carrier:
+            self.glue[self.phi1[z]] = ("GLUE", self.phi2[z])
+            self.glue[self.phi2[z]] = ("GLUEINV", self.phi1[z])
         self._side_env = {i: {e: e for e in self.side(i).carrier} for i in (1, 2)}
         # One leaf term per side element, shared by every search move.
         self.leaf_of = {e: leaf(e) for e in self.variables()}
@@ -130,24 +135,19 @@ class Amalgam:
     def glue_tag(self, a: str, b: str) -> str | None:
         if a == b:
             return "ID"
-        z = self._img1.get(a)
-        if z is not None and self.phi2[z] == b:
-            return "GLUE"
-        z = self._img2.get(a)
-        if z is not None and self.phi1[z] == b:
-            return "GLUEINV"
-        return None
+        partner = self.glue.get(a)
+        return partner[0] if partner is not None and partner[1] == b else None
 
     def transport(self, label: str, side: int) -> str:
         """Map a glue-image label onto the requested side, if possible."""
         cls = self.label_class(label)
         if cls == side or cls == 0:
             return label
-        z = self._img1.get(label) if cls == 1 else self._img2.get(label)
-        if z is None:
+        partner = self.glue.get(label)
+        if partner is None:
             raise WitnessInconsistency(
                 f"{label!r} is not a shared image and cannot switch sides")
-        return self.phi2[z] if side == 2 else self.phi1[z]
+        return partner[1]
 
     def in_relation(self, tag: str, u: Term, v: Term) -> bool:
         if tag == "ID":
@@ -441,80 +441,118 @@ def _achievable_cached(am: Amalgam, sub: Term, side: int) -> list[tuple[str, Ter
     return items
 
 
-def _nodes(u: Term) -> list[tuple[tuple[int, ...], Term]]:
-    """`(path, subterm)` for every node of u, in preorder: the order of
-    `terms.all_paths`."""
+def _nodes(am: Amalgam, u: Term, t: Term, top: frozenset[str] | None,
+           memo: dict[Term, str]) -> list[tuple]:
+    """`(path, subterm, accepted, context)` for every node of u, in
+    preorder (the order of `terms.all_paths`), from one walk down from
+    the root.
+
+    `accepted`: the side-1 values that, put at the path, give u a
+    collapsed value in `top`; None when `top` is (no prune).  The root
+    accepts `top`, a child what its parent's table, with the siblings'
+    collapsed values from `memo`, maps into what its parent accepts.
+
+    `context`: t's subterm at the path if u agrees with t off the path
+    (the labels along it are the same and every subterm beside it is
+    below t's), else None.  Then `replace_at(u, path, new)` is below t
+    exactly when `new` is below the context.  One sibling comparison
+    decides each child.
+    """
+    if top is not None:
+        am.collapse_eval(u, memo)
+    a1 = am.a1
     out = []
-    todo = [((), u)]
+    todo = [((), u, top, t)]
     while todo:
-        path, sub = todo.pop()
-        out.append((path, sub))
+        node = todo.pop()
+        out.append(node)
+        path, sub, accepted, ctx = node
         kids = sub.children
+        if not kids:
+            continue
+        if accepted is not None:
+            # Its own slot loop: reading `a1.translations` here was slower.
+            table = a1.op_tables[sub.label]
+            args = [memo[c] for c in kids]
+        agrees = ctx is not None and sub.label == ctx.label and len(kids) == len(ctx.children)
+        if agrees:
+            below = [am.term_leq(a, b) for a, b in zip(kids, ctx.children)]
+            misses = below.count(False)
         for i in range(len(kids) - 1, -1, -1):
-            todo.append((path + (i,), kids[i]))
+            ok = None
+            if accepted is not None:
+                row = list(args)
+                hits = []
+                for x in a1.carrier:
+                    row[i] = x
+                    if table[tuple(row)] in accepted:
+                        hits.append(x)
+                ok = frozenset(hits)
+            inner = (ctx.children[i] if agrees and (misses == 0 or misses == 1 and not below[i])
+                     else None)
+            todo.append((path + (i,), kids[i], ok, inner))
     return out
 
 
-def _moves(am: Amalgam, u: Term, budget: Budget):
-    """Candidate successors of u, each a raise step fused with one relation
-    step, in groups.  Deterministic order: folds on side 1 then side 2,
-    glue swaps, unfolds.
+def _moves(am: Amalgam, nodes: list[tuple], budget: Budget):
+    """Candidate successors of u, given as its `_nodes`, each a raise
+    step fused with one relation step, in groups.  Deterministic order:
+    folds on side 1 then side 2, glue swaps, unfolds.
 
-    A group is `(path, witness, tag, news)`: the subterm of u at `path` is
-    raised to `witness`, which `tag` rewrites to each member `new` of
-    `news`.  A member's successor is `replace_at(u, path, new)`, since both
-    rewrites act at the same path.  Folds and glue swaps come one to a
-    group, `news` a 1-tuple holding a leaf.  Unfolds come as one group per
-    (side, leaf path, unfolded value): `witness` is the leaf of that value
-    and `news` an `_UnfoldGroup`, whose size is known without its terms
-    and whose members, composite terms, are built only when it is
-    iterated.  No successor term is built here: the search decides a
-    group from `path` and `witness`, builds a successor when it expands
-    it, and `_fused_steps` builds the steps of the path found.  On a
-    special amalgam every member has its witness's collapsed value.
+    A group is `(node, witness, tag, news)`: the subterm of u at the
+    node's path is raised to `witness`, which `tag` rewrites to each
+    member `new` of `news`.  A member's successor is
+    `replace_at(u, path, new)`, since both rewrites act at the same path.
+    Folds and glue swaps come one to a group, `news` a 1-tuple holding a
+    leaf.  Unfolds come as one group per (side, leaf path, unfolded
+    value): `witness` is the leaf of that value and `news` an
+    `_UnfoldGroup`, whose size is known without its terms and whose
+    members, composite terms, are built only when it is iterated.  No
+    successor term is built here: the search decides a group from its
+    node and witness, builds a successor when it expands it, and
+    `_fused_steps` builds the steps of the path found.  On a special
+    amalgam every member has its witness's collapsed value.
 
-    Every move is read off one preorder walk of u (`_nodes`).  What does
-    not depend on u is cached per amalgam: the fold values of each
-    subterm and side (`_achievable_cached`) and the unfold groups
-    (`_unfold_groups`); the up-sets are the sides' tables.
+    What does not depend on u is cached per amalgam: the fold values of
+    each subterm and side (`_achievable_cached`) and the unfold groups
+    (`_unfold_groups`); the up-sets are the sides' tables, the glue
+    partners the amalgam's.
     """
     leaf_of = am.leaf_of
-    nodes = _nodes(u)
-    composite = [(path, sub) for path, sub in nodes if sub.children]
+    composite = [node for node in nodes if node[1].children]
     # Folds of raised subterms, sides 1 then 2.
     for side, tag in ((1, "EV1"), (2, "EV2")):
-        for path, sub in composite:
-            for value, witness in _achievable_cached(am, sub, side):
-                yield path, witness, tag, (leaf_of[value],)
+        for node in composite:
+            for value, witness in _achievable_cached(am, node[1], side):
+                yield node, witness, tag, (leaf_of[value],)
     ops_left = budget.max_term_ops - len(composite)
-    # The side leaves: (path, label, side).
+    # The side leaves: (node, label, side).
     side_leaves = []
-    for path, sub in nodes:
+    for node in nodes:
+        sub = node[1]
         if not sub.children:
             cls = am.label_class(sub.label)
             if cls:
-                side_leaves.append((path, sub.label, cls))
+                side_leaves.append((node, sub.label, cls))
     # Glue swaps at raised leaves.
-    for path, a, cls in side_leaves:
-        images = am._img1 if cls == 1 else am._img2
-        other = am.phi2 if cls == 1 else am.phi1
-        tag = "GLUE" if cls == 1 else "GLUEINV"
+    glue = am.glue
+    for node, a, cls in side_leaves:
         for b in am.side(cls).up_set(a):
-            z = images.get(b)
-            if z is not None:
-                yield path, leaf_of[b], tag, (leaf_of[other[z]],)
+            partner = glue.get(b)
+            if partner is not None:
+                yield node, leaf_of[b], partner[0], (leaf_of[partner[1]],)
     # Unfolds at raised leaves, cheapest terms first.
     if ops_left > 0:
         width = min(ops_left, budget.max_unfold_ops)
         for side, tag in ((1, "EV1INV"), (2, "EV2INV")):
             groups = _unfold_groups(am, side, width)
-            for path, a, cls in side_leaves:
+            for node, a, cls in side_leaves:
                 if cls != side:
                     continue
                 for b in am.side(side).up_set(a):
                     group = groups.get(b)
                     if group is not None:
-                        yield path, leaf_of[b], tag, group
+                        yield node, leaf_of[b], tag, group
 
 
 def _fused_steps(u: Term, path: tuple[int, ...], witness: Term, tag: str,
@@ -525,63 +563,6 @@ def _fused_steps(u: Term, path: tuple[int, ...], witness: Term, tag: str,
     steps: list[Step] = [IneqStep(u, raised)] if raised != u else []
     steps.append(make_rel(tag, raised, path, new))
     return steps
-
-
-def _collapse_bounds(am: SpecialAmalgam, u: Term, target: str,
-                     memo: dict[Term, str]) -> dict[tuple[int, ...], frozenset[str]]:
-    """For each path p of u, the side-1 values c for which the collapsed
-    value of u with c put at p is at most `target`.
-
-    Worked out top down: the root accepts the values below `target`, and
-    a child accepts the values that its parent's table, with the collapsed
-    values of the siblings from `memo`, maps into what the parent accepts.
-    """
-    a1 = am.a1
-    am.collapse_eval(u, memo)
-    bounds = {}
-    todo = [((), u, frozenset(x for x in a1.carrier if a1.leq(x, target)))]
-    while todo:
-        path, sub, accepted = todo.pop()
-        bounds[path] = accepted
-        if sub.is_leaf:
-            continue
-        # Its own slot loop: reading `a1.translations` here was slower.
-        table = a1.op_tables[sub.label]
-        args = [memo[c] for c in sub.children]
-        for i, child in enumerate(sub.children):
-            row = list(args)
-            ok = []
-            for x in a1.carrier:
-                row[i] = x
-                if table[tuple(row)] in accepted:
-                    ok.append(x)
-            todo.append((path + (i,), child, frozenset(ok)))
-    return bounds
-
-
-def _goal_contexts(am: Amalgam, u: Term, t: Term) -> dict[tuple[int, ...], Term]:
-    """For each path p of u at which u agrees with t off p, t's subterm at p.
-
-    u agrees with t off p when the labels along p are the same and every
-    subterm beside p is below t's.  Then `replace_at(u, p, new)` is below
-    t exactly when `new` is below the context; a path without a context
-    gives no term below t.  Worked out top down, one sibling comparison
-    per child.
-    """
-    contexts = {}
-    todo = [((), u, t)]
-    while todo:
-        path, sub, ctx = todo.pop()
-        contexts[path] = ctx
-        if sub.is_leaf or sub.label != ctx.label or len(sub.children) != len(ctx.children):
-            continue
-        pairs = list(zip(sub.children, ctx.children))
-        below = [am.term_leq(a, b) for a, b in pairs]
-        misses = below.count(False)
-        for i, (a, b) in enumerate(pairs):
-            if misses == 0 or (misses == 1 and not below[i]):
-                todo.append((path + (i,), a, b))
-    return contexts
 
 
 def pushout_leq(am: Amalgam, s: Term, t: Term,
@@ -603,24 +584,22 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
     takes its group up for expansion, member by member, and dropped there
     if it repeats a reached term, in the same breadth-first order as if
     it were built when generated.  So the same states are expanded, and
-    a candidate that is never expanded costs no term.  The goal test is
-    decided per path too: for each expanded state, the subterm of t that
-    each path's new subterm must lie below is worked out once
-    (`_goal_contexts`), and only a candidate that reaches t has its term
-    built.  A term is below its context only if it has as many
-    operations, so of an unfold group only the layer with the context's
-    operation count is goal-tested, and none at a leaf context: a pool
-    term is built only when it is tested against a composite context or
-    expanded.
+    a candidate that is never expanded costs no term.
+
+    Each expanded state u is walked once (`_nodes`), and a move reads
+    the prune values and goal context of its path off its node.  A move
+    keeps u's subterms beside its path, so both tests are decided from
+    the path and the new subterm alone, before its term is built.  Only
+    a candidate that reaches t has its term built.  A term is below its
+    context only if it has as many operations, so of an unfold group
+    only the layer with the context's operation count is goal-tested,
+    and none at a leaf context: a pool term is built only when it is
+    tested against a composite context or expanded.
 
     On a special amalgam, a candidate whose collapsed value is not below
-    t's is pruned, and it is decided before its term is built: a move
-    keeps u's subterms beside its path, so its collapsed value is that of
-    its new subterm carried up the path through the tables.  For each
-    expanded state the values each path accepts are worked out once
-    (`_collapse_bounds`).  The new subterm's value is read from the
-    group's leaf side: an unfold's new subterm is a composite term, but
-    its witness is a leaf with the same collapsed value, so one lookup
+    t's is pruned.  The new subterm's value is read from the group's
+    leaf side: an unfold's new subterm is a composite term, but its
+    witness is a leaf with the same collapsed value, so one lookup
     decides the whole group.  Every reached state passed the prune, so a
     pruned candidate is never a repeat.  One memo of collapsed subterm
     values serves the whole search; it starts with the amalgam's shared
@@ -630,10 +609,12 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
     stats = SearchStats()
     prune = getattr(am, "collapse_eval", None)
     memo: dict[Term, str] = {}
+    top = None
     if prune:
         for one_leaf in am.leaf_of.values():
             prune(one_leaf, memo)
-    target_img = prune(t, memo) if prune else None
+        target = prune(t, memo)
+        top = frozenset(x for x in am.a1.carrier if am.a1.leq(x, target))
     back: dict[Term, tuple | None] = {s: None}
 
     def finish(u: Term) -> Proven:
@@ -667,7 +648,7 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
                 back[v] = (u, path, witness, tag, new)
                 yield v
 
-    if prune and not am.a1.leq(prune(s, memo), target_img):
+    if prune and prune(s, memo) not in top:
         return Unknown(stats)
     if am.term_leq(s, t):
         return finish(s)
@@ -680,18 +661,16 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
             for u in taken_up(entry):
                 stats.depth_reached = depth
                 stats.nodes_expanded += 1
-                bounds = _collapse_bounds(am, u, target_img, memo) if prune else None
-                contexts = _goal_contexts(am, u, t)
-                for path, witness, tag, news in _moves(am, u, budget):
+                for node, witness, tag, news in _moves(am, _nodes(am, u, t, top, memo), budget):
+                    path, _, accepted, ctx = node
                     room = budget.max_nodes - stats.nodes_generated
                     one_leaf = witness if witness.is_leaf else news[0]
-                    if bounds is not None and memo[one_leaf] not in bounds[path]:
+                    if accepted is not None and memo[one_leaf] not in accepted:
                         if len(news) > room:
                             return capped(room)
                         stats.nodes_generated += len(news)
                         stats.pruned += len(news)
                         continue
-                    ctx = contexts.get(path)
                     if ctx is not None:
                         # A term lies below ctx only if it has as many
                         # operations: of an unfold group, only that layer
@@ -1051,6 +1030,8 @@ def parse_amalgam(text: str, base_dir: str | FsPath = ".") -> Amalgam:
     if len(algs) < 3:
         raise ParseError("amalgam needs left, right and center algebras")
     left, right, center = algs["left"], algs["right"], algs["center"]
+    if not left.sig == right.sig == center.sig:
+        raise ParseError("left, right and center are not over one signature")
     missing = [c for c in center.carrier if c not in phi1 or c not in phi2]
     if missing:
         raise ParseError(f"embeddings not total on {missing}")

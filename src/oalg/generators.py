@@ -217,12 +217,8 @@ def commuting_cocones(rng: random.Random, sp: SpecialAmalgam, count: int,
 
 # -- Padded certificates -------------------------------------------------------
 
-def _glue_step(sp: SpecialAmalgam, t: Term, path, to_side: int) -> RelStep:
-    a = subterm_at(t, path).label
-    z = sp.center_of_side1(a) if to_side == 2 else sp._img2.get(a)
-    assert z is not None
-    other = sp.phi2[z] if to_side == 2 else sp.phi1[z]
-    tag = "GLUE" if to_side == 2 else "GLUEINV"
+def _glue_step(sp: SpecialAmalgam, t: Term, path) -> RelStep:
+    tag, other = sp.glue[subterm_at(t, path).label]
     return make_rel(tag, t, path, leaf(other))
 
 
@@ -300,7 +296,7 @@ def padded_glue_scheme(rng: random.Random, sp: SpecialAmalgam, z: str,
         steps_list: list[Step] = [make_rel("EV1INV", leaf(x1), (), w)]
         cur = w
         for i in range(len(cur.children)):
-            step = _glue_step(sp, cur, (i,), to_side=2)
+            step = _glue_step(sp, cur, (i,))
             steps_list.append(step)
             cur = step.right
         steps_list.append(make_rel("EV2", cur, (), leaf(sp.eval_in_side(cur, 2))))

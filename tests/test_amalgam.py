@@ -477,6 +477,16 @@ def test_pushout_search_golden(search, s, t, budget, stats, schemes):
         assert validate_scheme(SP, sch) == []
 
 
+@pytest.mark.parametrize("search,s,t,budget,stats,schemes", GOLDEN_SEARCHES)
+def test_each_expanded_term_is_walked_once(monkeypatch, search, s, t, budget, stats, schemes):
+    walked = []
+    walk = amalgam._nodes
+    monkeypatch.setattr(amalgam, "_nodes",
+                        lambda am, u, *rest: walked.append(u) or walk(am, u, *rest))
+    res = search(SP, _p(s), _p(t), budget)
+    assert len(walked) == res.stats.nodes_expanded == stats["nodes_expanded"]
+
+
 # The same searches on a general amalgam, which has no collapse map and so
 # nothing is pruned.
 GOLDEN_GENERAL_SEARCHES = [
@@ -615,7 +625,8 @@ def test_unfold_groups_are_the_eager_pool_lists():
                 eager = unfold_pool_by_layers(sp.side(side), width)
                 seen = {}
                 for e in sp.side(side).carrier:
-                    for _, witness, move_tag, news in amalgam._moves(sp, leaf(e), budget):
+                    nodes = amalgam._nodes(sp, leaf(e), leaf(e), None, {})
+                    for _, witness, move_tag, news in amalgam._moves(sp, nodes, budget):
                         if move_tag == tag:
                             size = len(news)
                             members = list(news)
@@ -644,12 +655,13 @@ def _kept_by_whole_term(sp: SpecialAmalgam, u: Term, path, new: Term, t: Term) -
     return sp.a1.leq(sp.collapse_eval(replace_at(u, path, new)), sp.collapse_eval(t))
 
 
-def _single_moves(am: Amalgam, u: Term, budget: Budget):
-    """The moves of `amalgam._moves` one member at a time:
-    (path, witness, tag, new)."""
-    for path, witness, tag, news in amalgam._moves(am, u, budget):
+def _single_moves(am: Amalgam, u: Term, budget: Budget, t=None, top=None, memo=None):
+    """The moves of `amalgam._moves` out of u one member at a time:
+    (node, witness, tag, new), the node from u's walk towards t."""
+    nodes = amalgam._nodes(am, u, u if t is None else t, top, {} if memo is None else memo)
+    for node, witness, tag, news in amalgam._moves(am, nodes, budget):
         for new in news:
-            yield path, witness, tag, new
+            yield node, witness, tag, new
 
 
 def test_collapse_bounds_decide_every_move_like_its_whole_term():
@@ -662,9 +674,10 @@ def test_collapse_bounds_decide_every_move_like_its_whole_term():
             u = _random_term(rng, labels, rng.randint(0, 3))
             t = _random_term(rng, labels, rng.randint(0, 3))
             memo = {}
-            bounds = amalgam._collapse_bounds(sp, u, sp.collapse_eval(t, memo), memo)
-            for path, _, _, new in _single_moves(sp, u, Budget()):
-                kept = sp.collapse_eval(new, memo) in bounds[path]
+            target = sp.collapse_eval(t, memo)
+            top = frozenset(x for x in sp.a1.carrier if sp.a1.leq(x, target))
+            for (path, _, accepted, _), _, _, new in _single_moves(sp, u, Budget(), t, top, memo):
+                kept = sp.collapse_eval(new, memo) in accepted
                 assert kept == _kept_by_whole_term(sp, u, path, new, t)
                 seen.add(kept)
     assert seen == {True, False}
@@ -689,13 +702,11 @@ def test_goal_contexts_decide_every_move_like_its_whole_term():
             moves = list(_single_moves(sp, u, Budget()))
             if moves and rng.random() < 0.5:
                 # A target some move reaches, so that the goal is met.
-                path, _, _, new = rng.choice(moves)
+                (path, *_), _, _, new = rng.choice(moves)
                 t = _raised(rng, sp, replace_at(u, path, new))
             else:
                 t = _random_term(rng, labels, rng.randint(0, 3))
-            contexts = amalgam._goal_contexts(sp, u, t)
-            for path, _, _, new in moves:
-                ctx = contexts.get(path)
+            for (path, _, _, ctx), _, _, new in _single_moves(sp, u, Budget(), t):
                 reached = ctx is not None and sp.term_leq(new, ctx)
                 assert reached == sp.term_leq(replace_at(u, path, new), t)
                 seen.add(reached)
@@ -731,8 +742,9 @@ def test_moves_are_the_path_walk_moves():
         for _ in range(3):
             u = _random_term(rng, labels, rng.randint(0, 4))
             for budget in budgets:
-                moves = [(path, witness, tag, list(news))
-                         for path, witness, tag, news in amalgam._moves(sp, u, budget)]
+                nodes = amalgam._nodes(sp, u, u, None, {})
+                moves = [(node[0], witness, tag, list(news))
+                         for node, witness, tag, news in amalgam._moves(sp, nodes, budget)]
                 assert moves == moves_by_path_walk(sp, u, budget)
                 tags.update(move[2] for move in moves)
     assert tags == {"EV1", "EV2", "GLUE", "GLUEINV", "EV1INV", "EV2INV"}
@@ -837,13 +849,13 @@ DEFAULT_BUDGET_DIGEST = "e39655488471334bc4f4640b8f9ad3c1f11cb08cd48c5632aa620fa
 
 def test_default_budget_searches_are_pinned(monkeypatch):
     starts, unfolded = [], []
-    search, goal_contexts = amalgam.pushout_leq, amalgam._goal_contexts
+    search, walk = amalgam.pushout_leq, amalgam._nodes
     monkeypatch.setattr(amalgam, "pushout_leq", lambda am, s, t, budget=None:
                         starts.append(op_count(s)) or search(am, s, t, budget))
     # Only an unfold adds operations, so a state with more than the
     # start's was reached by one.
-    monkeypatch.setattr(amalgam, "_goal_contexts", lambda am, u, t:
-                        unfolded.append(op_count(u) > starts[-1]) or goal_contexts(am, u, t))
+    monkeypatch.setattr(amalgam, "_nodes", lambda am, u, *rest:
+                        unfolded.append(op_count(u) > starts[-1]) or walk(am, u, *rest))
     digest = hashlib.sha256()
     rng = random.Random(3)
     queries = taking_up = 0

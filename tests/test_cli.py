@@ -10,7 +10,7 @@ from oalg.algebra import (chain, nonregular_quotient, print_algebra, regular_quo
 from oalg.cli import main
 from oalg.errors import NotCompatibleQuasiorder, NotOrderCongruence
 from oalg.generators import random_algebra, random_relation
-from oalg.signature import SIG1
+from oalg.signature import SIG1, Signature, print_signature
 from oalg.terms import MAX_TERM_DEPTH
 
 SIG_TEXT = "op f 2\nop g 3\nconst c\nconst d\norder c <= d\n"
@@ -451,3 +451,36 @@ def test_negative_budget_is_usage_error(workspace, argv, capsys):
     err = capsys.readouterr().err
     assert "usage:" in err and "must be non-negative" in err
 
+
+
+# A signature without g, and the 3-chain and its {e0, e2} subalgebra over it.
+T_SIG = Signature({"f": 2, "c": 0, "d": 0}, frozenset({("c", "d")}))
+
+
+def _write_t_sig_files(workspace):
+    (workspace / "t.sig").write_text(print_signature(T_SIG))
+    ch3 = chain(3, T_SIG)
+    (workspace / "ch3t.oalg").write_text(print_algebra(ch3, "t.sig"))
+    (workspace / "c2t.oalg").write_text(
+        print_algebra(subalgebra(ch3, ["e0", "e2"], name="C2"), "t.sig"))
+    (workspace / "c2-ch3t.hom").write_text(
+        "hom from c2.oalg to ch3t.oalg\nmap e0 -> e0\nmap e2 -> e2\n")
+    (workspace / "c2t-ch3.hom").write_text(
+        "hom from c2t.oalg to ch3.oalg\nmap e0 -> e0\nmap e2 -> e2\n")
+    for name, left, right in (("s-t", "ch3.oalg", "ch3t.oalg"), ("t-s", "ch3t.oalg", "ch3.oalg")):
+        (workspace / f"{name}.amalgam").write_text(
+            f"left {left}\nright {right}\ncenter c2.oalg\n" + "".join(e + "\n" for e in EMBEDS))
+
+
+@pytest.mark.parametrize("argv", [
+    ("epi", "--hom", "c2-ch3t.hom", "--max-codomain", "3"),
+    ("epi", "--hom", "c2t-ch3.hom", "--max-codomain", "3"),
+    ("validate", "s-t.amalgam"),
+    ("validate", "t-s.amalgam"),
+    ("pushout-eq", "t-s.amalgam", "e0<1>", "e0<2>"),
+])
+def test_algebras_over_different_signatures_are_a_parse_error(workspace, argv, capsys):
+    _write_t_sig_files(workspace)
+    code, out = run(argv[0], *(str(workspace / a) if "." in a else a for a in argv[1:]))
+    assert code == 2 and out == ""
+    assert "parse error" in capsys.readouterr().err

@@ -1,20 +1,23 @@
 """Import boundaries between the modules of `src/oalg`, read from the AST.
 
 The oracles are independent of the closure engine they check, and only
-the entry points (the command line, the acceptance suite and the package
-namespace) use them.  The congruence and homomorphism enumerators in
-`algebra`, and the separator search in `amalgam` that calls them, reach
-the brute-force filters that check them by no chain of imports.  No
-module imports a name it never uses.
+the entry points (the command line and the acceptance suite) use them;
+`import oalg` does not load them.  The congruence and homomorphism
+enumerators in `algebra`, and the separator search in `amalgam` that
+calls them, reach the brute-force filters that check them by no chain of
+imports.  No module imports a name it never uses, and no private helper
+is left that nothing calls.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "oalg"
-ORACLE_USERS = {"cli", "selftest", "__init__"}
+ORACLE_USERS = {"cli", "selftest"}
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -50,6 +53,13 @@ def test_oracles_import_only_the_classes_of_algebra():
                          ids=lambda p: p.stem)
 def test_only_entry_points_import_the_oracles(path):
     assert "oalg.oracles" not in imported_modules(path)
+
+
+def test_importing_the_package_leaves_the_oracles_unloaded():
+    code = "import sys, oalg; print('oalg.oracles' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC.parents[1] / "src",
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def reachable_modules(stem: str) -> set[str]:
@@ -89,3 +99,22 @@ def unused_imports(path: Path) -> list[str]:
                          ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def unreferenced_private_helpers() -> list[str]:
+    """The top-level `_name` functions and classes of `src/oalg` whose
+    name is read nowhere in `src/oalg` outside their own definition."""
+    statements = [(path, stmt) for path in sorted(SRC.glob("*.py"))
+                  for stmt in ast.parse(path.read_text()).body]
+    names_in = [{node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+                for _, stmt in statements]
+    return [f"{path.stem}.{stmt.name}" for path, stmt in statements
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_") and not stmt.name.startswith("__")
+            and not any(stmt.name in names for (_, other), names in zip(statements, names_in)
+                        if other is not stmt)]
+
+
+def test_every_private_helper_is_used():
+    assert unreferenced_private_helpers() == []

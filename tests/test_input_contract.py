@@ -26,6 +26,9 @@ from oalg.terms import leaf
 
 SIG_TEXT = "op f 2\nop g 3\nconst c\nconst d\norder c <= d\n"
 CH3 = chain(3, SIG1)
+# A signature without g, so that drawn texts can mix two signatures.
+T_SIG = Signature({"f": 2, "c": 0, "d": 0}, frozenset({("c", "d")}))
+CH3T = chain(3, T_SIG)
 SP = make_special(CH3, ["e0", "e2"])
 
 # Per format: loose tokens, and whole lines that are valid or nearly so,
@@ -42,16 +45,19 @@ FORMATS = {
               "order e0 <= e1", "order e1 <= e0", "op f: (e0,e0) -> e0",
               "op f: (e0,e1) -> e1", "op g: (e0,e0,e0) -> e0", "op c: () -> e0",
               "const c = e0", "const d = e1", "const f = e0"]),
-    "hom": (["hom", "from", "to", "c2.oalg", "ch3.oalg", "s.sig", "missing.oalg", "map",
-             "->", "e0", "e1", "e2", "e3", "#"],
+    "hom": (["hom", "from", "to", "c2.oalg", "ch3.oalg", "c2t.oalg", "ch3t.oalg", "s.sig",
+             "missing.oalg", "map", "->", "e0", "e1", "e2", "e3", "#"],
             ["hom from c2.oalg to ch3.oalg", "hom from ch3.oalg to c2.oalg",
-             "hom from ch3.oalg to ch3.oalg", "map e0 -> e0", "map e1 -> e1",
+             "hom from ch3.oalg to ch3.oalg", "hom from c2.oalg to ch3t.oalg",
+             "hom from c2t.oalg to ch3.oalg", "hom from ch3t.oalg to ch3t.oalg", "map e0 -> e0", "map e1 -> e1",
              "map e2 -> e2", "map e2 -> e0", "map e1 -> e3"]),
     "amalgam": (["special", "over", "seed", "left", "right", "center", "embed", "phi1:",
-                 "phi2:", "->", "ch3.oalg", "c2.oalg", "s.sig", "e0", "e1", "e2", "e3"],
+                 "phi2:", "->", "ch3.oalg", "c2.oalg", "ch3t.oalg", "c2t.oalg", "s.sig", "t.sig",
+                 "e0", "e1", "e2", "e3"],
                 ["special over ch3.oalg seed e0 e2", "special over ch3.oalg",
-                 "special over c2.oalg seed e1", "left ch3.oalg", "right ch3.oalg",
-                 "center c2.oalg", "embed phi1: e0 -> e0", "embed phi1: e2 -> e2",
+                 "special over c2.oalg seed e1", "special over ch3t.oalg seed e0",
+                 "left ch3.oalg", "right ch3.oalg", "center c2.oalg", "left ch3t.oalg",
+                 "right ch3t.oalg", "center c2t.oalg", "embed phi1: e0 -> e0", "embed phi1: e2 -> e2",
                  "embed phi2: e0 -> e0", "embed phi2: e2 -> e1"]),
     "scheme": (["INEQ", "REL", "<=", "->", "GLUE", "GLUEINV", "EV1", "EV1INV", "EV2INV",
                 "MULTI:GLUE,ID", "ID", "z1", "z2", "f", "g", "c", "d", "0", "1", "2", "3",
@@ -80,9 +86,11 @@ def files():
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         (d / "s.sig").write_text(SIG_TEXT)
-        (d / "ch3.oalg").write_text(print_algebra(CH3, "s.sig"))
-        (d / "c2.oalg").write_text(print_algebra(subalgebra(CH3, ["e0", "e2"], name="C2"),
-                                                 "s.sig"))
+        (d / "t.sig").write_text(print_signature(T_SIG))
+        for suffix, alg, sig_file in (("", CH3, "s.sig"), ("t", CH3T, "t.sig")):
+            (d / f"ch3{suffix}.oalg").write_text(print_algebra(alg, sig_file))
+            (d / f"c2{suffix}.oalg").write_text(
+                print_algebra(subalgebra(alg, ["e0", "e2"], name="C2"), sig_file))
         (d / "sp.amalgam").write_text("special over ch3.oalg seed e0 e2\n")
         (d / "rel.pairs").write_text("pair e2 e0\n")
         yield d
