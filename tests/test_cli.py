@@ -1,12 +1,13 @@
+import hashlib
 import io
 import random
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from oalg import relations
-from oalg.algebra import (chain, nonregular_quotient, print_algebra, regular_quotient,
-                          subalgebra, with_trivial_order)
+from oalg.algebra import (chain, generated_subalgebra, nonregular_quotient, print_algebra,
+                          regular_quotient, subalgebra, with_trivial_order)
 from oalg.cli import main
 from oalg.errors import NotCompatibleQuasiorder, NotOrderCongruence
 from oalg.generators import random_algebra, random_relation
@@ -484,3 +485,73 @@ def test_algebras_over_different_signatures_are_a_parse_error(workspace, argv, c
     code, out = run(argv[0], *(str(workspace / a) if "." in a else a for a in argv[1:]))
     assert code == 2 and out == ""
     assert "parse error" in capsys.readouterr().err
+
+
+def _pinned_runs(workspace):
+    """The argument lists of the structured-output pin: every command but
+    selftest, on the workspace files and on a dozen seeded random
+    algebras with their special amalgams, subalgebra inclusions and pairs."""
+    (workspace / "two.amalgam").write_text(
+        "left ch3.oalg\nright ch3.oalg\ncenter c2.oalg\n" + "".join(e + "\n" for e in EMBEDS))
+    runs = [
+        ("validate", "s.sig"), ("validate", "ch3.oalg"), ("validate", "sp.amalgam"),
+        ("validate", "two.amalgam"),
+        ("closure", "ch3.oalg", "rel.pairs", "--witness"),
+        ("closure", "ch3.oalg", "rel.pairs", "--witness", "--congruence"),
+        ("quotient", "ch3.oalg", "rel.pairs", "--sig-ref", "s.sig"),
+        ("quotient", "ch3.oalg", "rel.pairs", "--nonregular", "--sig-ref", "s.sig"),
+        ("pushout-eq", "sp.amalgam", "e0<1>", "e0<2>"),
+        ("pushout-eq", "two.amalgam", "f e0<1> e2<1>", "e2<2>"),
+        ("pushout-eq", "two.amalgam", "e1<1>", "e1<2>", "--max-nodes", "300"),
+        ("dominion", "sp.amalgam"), ("dominion", "two.amalgam"),
+        ("epi", "--hom", "incl.hom", "--max-codomain", "3"),
+        ("normalize", "detour.scheme", "--amalgam", "sp.amalgam"),
+    ]
+    rng = random.Random(20)
+    for i in range(12):
+        alg = random_algebra(rng, SIG1, rng.randrange(2, 5), name=f"R{i}")
+        seed = rng.sample(alg.carrier, rng.randrange(len(alg.carrier)))
+        core = generated_subalgebra(alg, seed)
+        pairs = random_relation(rng, alg.carrier, 2)
+        (workspace / f"r{i}.oalg").write_text(print_algebra(alg, "s.sig"))
+        (workspace / f"r{i}c.oalg").write_text(
+            print_algebra(subalgebra(alg, core, name=f"C{i}"), "s.sig"))
+        (workspace / f"r{i}.pairs").write_text(
+            "".join(f"pair {a} {b}\n" for a, b in sorted(pairs)))
+        (workspace / f"r{i}.hom").write_text(
+            f"hom from r{i}c.oalg to r{i}.oalg\n" + "".join(f"map {e} -> {e}\n" for e in core))
+        (workspace / f"r{i}.amalgam").write_text(
+            f"special over r{i}.oalg seed {' '.join(seed)}\n")
+        x = next((e for e in alg.carrier if e not in core), alg.carrier[-1])
+        runs += [
+            ("validate", f"r{i}.oalg"), ("validate", f"r{i}.amalgam"),
+            ("closure", f"r{i}.oalg", f"r{i}.pairs", "--witness", "--max-ops", "1",
+             "--max-len", "3"),
+            ("closure", f"r{i}.oalg", f"r{i}.pairs", "--witness", "--congruence",
+             "--max-ops", "1", "--max-len", "3"),
+            ("quotient", f"r{i}.oalg", f"r{i}.pairs", "--sig-ref", "s.sig"),
+            ("quotient", f"r{i}.oalg", f"r{i}.pairs", "--nonregular"),
+            ("pushout-eq", f"r{i}.amalgam", f"{x}<1>", f"{x}<2>", "--max-nodes", "300"),
+            ("dominion", "--special", f"r{i}.oalg", "--seed-elems", *seed,
+             "--max-nodes", "300"),
+            ("epi", "--hom", f"r{i}.hom", "--max-codomain", "2"),
+        ]
+    return runs
+
+
+# sha256 over every pinned run's argument list, exit code, stdout and
+# stderr (with the workspace path replaced), in `--format structured`.
+STRUCTURED_OUTPUTS_DIGEST = "81e754e3f68871d93679d5e482bc669acac6612d4e3889283b3ac5b386f232a7"
+
+
+def test_structured_outputs_are_pinned(workspace):
+    digest = hashlib.sha256()
+    for argv in _pinned_runs(workspace):
+        argv = [str(workspace / a) if (workspace / a).is_file() and before != "--sig-ref"
+                else a for before, a in zip(("",) + argv, argv)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["--format", "structured", *argv])
+        text = repr((argv, code, out.getvalue(), err.getvalue()))
+        digest.update(text.replace(str(workspace), "<tmp>").encode())
+    assert digest.hexdigest() == STRUCTURED_OUTPUTS_DIGEST
