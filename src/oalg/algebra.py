@@ -88,9 +88,7 @@ class OrderedAlgebra:
         """The one-slot translations x -> f(fillers with x at slot, from 1):
         `(f, fillers, slot)` to the carrier's images, in op / fillers / slot order."""
         out = {}
-        for f, k in self.sig.ops.items():
-            if k == 0:
-                continue
+        for f, k in self.sig.operations():
             tbl = self.op_tables[f]
             for fillers in itertools.product(self.carrier, repeat=k - 1):
                 for slot in range(1, k + 1):
@@ -125,9 +123,7 @@ def validate_algebra(alg: OrderedAlgebra) -> list[dict]:
     variety.  Violations are data, not exceptions: the tool is a checker.
     """
     report = []
-    for f, k in alg.sig.ops.items():
-        if k == 0:
-            continue
+    for f, k in alg.sig.operations():
         tbl = alg.op_tables[f]
         for xs in itertools.product(alg.carrier, repeat=k):
             # The tuples above xs, in the order of all k-tuples.
@@ -247,30 +243,29 @@ def is_compatible_quasiorder(alg: OrderedAlgebra, sigma: Rel) -> bool:
             and _compatible(alg, sigma))
 
 
-def _quotient_name(representative: str) -> str:
-    return f"[{representative}]"
+def _image(alg: OrderedAlgebra, names: dict[str, str], order_source: Rel,
+           name: str) -> tuple[OrderedAlgebra, Homomorphism]:
+    """The algebra on the values of `names`, a map of the carrier, with
+    the map onto it: each table read at the earliest-listed element of
+    each value, the order that of order_source mapped through names."""
+    first: dict[str, str] = {}
+    for e in alg.carrier:
+        first.setdefault(names[e], e)
+    tables = {f: {tuple(names[a] for a in args): names[alg.op(f, args)]
+                  for args in itertools.product(first.values(), repeat=k)}
+              for f, k in alg.sig.operations()}
+    consts = {c: names[v] for c, v in alg.const_vals.items()}
+    img = OrderedAlgebra(alg.sig, list(first), {(names[a], names[b]) for a, b in order_source},
+                         tables, consts, name=name)
+    return img, Homomorphism(alg, img, names)
 
 
 def _quotient_algebra(alg: OrderedAlgebra, eq: Rel, order_source: Rel,
                       name: str) -> tuple[OrderedAlgebra, Homomorphism]:
-    """Quotient carrier and tables; order projected from order_source pairs."""
-    rep = {e: next(a for a in alg.carrier if (a, e) in eq) for e in alg.carrier}
-    reps = [e for e in alg.carrier if rep[e] == e]
-    carrier = [_quotient_name(r) for r in reps]
-    cname = {e: _quotient_name(rep[e]) for e in alg.carrier}
-    order = {(cname[a], cname[b]) for (a, b) in order_source}
-    tables: dict[str, dict[tuple[str, ...], str]] = {}
-    for f, k in alg.sig.ops.items():
-        if k == 0:
-            continue
-        tbl = {}
-        for args in itertools.product(reps, repeat=k):
-            tbl[tuple(cname[a] for a in args)] = cname[alg.op(f, args)]
-        tables[f] = tbl
-    consts = {c: cname[v] for c, v in alg.const_vals.items()}
-    q = OrderedAlgebra(alg.sig, carrier, order, tables, consts, name=name)
-    nat = Homomorphism(alg, q, cname)
-    return q, nat
+    """Quotient carrier and tables, each class named by its earliest-listed
+    element; order projected from order_source pairs."""
+    names = {e: f"[{next(a for a in alg.carrier if (a, e) in eq)}]" for e in alg.carrier}
+    return _image(alg, names, order_source, name)
 
 
 def _order_quotient(alg: OrderedAlgebra, theta: Rel):
@@ -330,7 +325,7 @@ def product(algebras: list[OrderedAlgebra]) -> OrderedAlgebra:
         raise ValueError("need a signature for the empty product; use terminal(sig)")
     sig = algebras[0].sig
     for a in algebras[1:]:
-        if a.sig.ops != sig.ops or a.sig.const_order != sig.const_order:
+        if a.sig != sig:
             raise ValidationError("product factors have different signatures")
     size = 1
     for a in algebras:
@@ -344,9 +339,7 @@ def product(algebras: list[OrderedAlgebra]) -> OrderedAlgebra:
              for s in tuples for t in tuples
              if all(a.leq(x, y) for a, x, y in zip(algebras, s, t))}
     tables: dict[str, dict[tuple[str, ...], str]] = {}
-    for f, k in sig.ops.items():
-        if k == 0:
-            continue
+    for f, k in sig.operations():
         tbl = {}
         for args in itertools.product(tuples, repeat=k):
             res = tuple(a.op(f, tuple(arg[i] for arg in args))
@@ -362,7 +355,7 @@ def product(algebras: list[OrderedAlgebra]) -> OrderedAlgebra:
 def terminal(sig: Signature) -> OrderedAlgebra:
     """One-element algebra; the empty product."""
     e = "()"
-    tables = {f: {tuple([e] * k): e} for f, k in sig.ops.items() if k > 0}
+    tables = {f: {tuple([e] * k): e} for f, k in sig.operations()}
     consts = {c: e for c in sig.constants()}
     return OrderedAlgebra(sig, [e], {(e, e)}, tables, consts, name="1")
 
@@ -377,9 +370,7 @@ def generated_subalgebra(alg: OrderedAlgebra, seed) -> list[str]:
     changed = True
     while changed:
         changed = False
-        for f, k in alg.sig.ops.items():
-            if k == 0:
-                continue
+        for f, k in alg.sig.operations():
             for args in itertools.product(sorted(current, key=alg.index.get), repeat=k):
                 v = alg.op(f, args)
                 if v not in current:
@@ -394,9 +385,7 @@ def subalgebra(alg: OrderedAlgebra, subset: list[str], name: str | None = None) 
     carrier = [e for e in alg.carrier if e in sub]
     order = {(a, b) for (a, b) in alg.order if a in sub and b in sub}
     tables = {}
-    for f, k in alg.sig.ops.items():
-        if k == 0:
-            continue
+    for f, k in alg.sig.operations():
         tbl = {}
         for args in itertools.product(carrier, repeat=k):
             v = alg.op(f, args)
@@ -576,9 +565,7 @@ def all_homomorphisms(dom: OrderedAlgebra, cod: OrderedAlgebra) -> list[Homomorp
             ia, ib = dom.index[a], dom.index[b]
             pairs_at[max(ia, ib)].append((ia, ib))
     table_at: list[list] = [[] for _ in range(n)]
-    for f, k in dom.sig.ops.items():
-        if k == 0:
-            continue
+    for f, k in dom.sig.operations():
         tbl_c = cod.op_tables[f]
         for args, v in dom.op_tables[f].items():
             idx = tuple(dom.index[a] for a in args)
@@ -595,11 +582,9 @@ def all_homomorphisms(dom: OrderedAlgebra, cod: OrderedAlgebra) -> list[Homomorp
 
 # File format support (.oalg and .hom).
 
-def parse_algebra(text: str, base_dir: str | FsPath = ".",
-                  sig: Signature | None = None) -> OrderedAlgebra:
-    """Parse the `.oalg` format; the referenced `.sig` file is loaded too,
-    unless a signature is given, which then wins and no file is read."""
-    given = sig
+def parse_algebra(text: str, base_dir: str | FsPath = ".") -> OrderedAlgebra:
+    """Parse the `.oalg` format; the referenced `.sig` file is loaded too."""
+    sig = None
     name = "A"
     carrier: list[str] = []
     order: set[tuple[str, str]] = set()
@@ -610,8 +595,7 @@ def parse_algebra(text: str, base_dir: str | FsPath = ".",
         kind = tokens[0]
         if kind == "algebra":
             name, sig_file = match("algebra _ over _", tokens, line)
-            if given is None:
-                sig = parse_signature((FsPath(base_dir) / sig_file).read_text())
+            sig = parse_signature((FsPath(base_dir) / sig_file).read_text())
         elif kind == "elements":
             carrier.extend(tokens[1:])
         elif kind == "order":
@@ -723,9 +707,7 @@ def chain(n: int, sig: Signature, name: str | None = None) -> OrderedAlgebra:
     idx = {e: i for i, e in enumerate(carrier)}
     order = {(a, b) for a in carrier for b in carrier if idx[a] <= idx[b]}
     tables = {}
-    for f, k in sig.ops.items():
-        if k == 0:
-            continue
+    for f, k in sig.operations():
         tables[f] = {args: carrier[max(idx[a] for a in args)]
                      for args in itertools.product(carrier, repeat=k)}
     consts = {}

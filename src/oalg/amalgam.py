@@ -17,6 +17,7 @@ from pathlib import Path as FsPath
 
 from . import relations
 from .algebra import (
+    _image,
     _monotone_maps,
     _order_quotient,
     Homomorphism,
@@ -65,14 +66,7 @@ def side_tag(name: str, side: int) -> str:
 def tag_algebra(alg: OrderedAlgebra, side: int) -> tuple[OrderedAlgebra, dict[str, str]]:
     """A disjoint copy with every element name suffixed by the side marker."""
     ren = {e: side_tag(e, side) for e in alg.carrier}
-    carrier = [ren[e] for e in alg.carrier]
-    order = {(ren[a], ren[b]) for (a, b) in alg.order}
-    tables = {f: {tuple(ren[a] for a in args): ren[v] for args, v in tbl.items()}
-              for f, tbl in alg.op_tables.items()}
-    consts = {c: ren[v] for c, v in alg.const_vals.items()}
-    copy = OrderedAlgebra(alg.sig, carrier, order, tables, consts,
-                          name=f"{alg.name}<{side}>")
-    return copy, ren
+    return _image(alg, ren, alg.order, name=side_tag(alg.name, side))[0], ren
 
 
 class Amalgam:
@@ -88,7 +82,6 @@ class Amalgam:
         self.phi1 = {c: ren1[phi1[c]] for c in center.carrier}
         self.phi2 = {c: ren2[phi2[c]] for c in center.carrier}
         self._img1 = {v: k for k, v in self.phi1.items()}
-        self._img2 = {v: k for k, v in self.phi2.items()}
         # Each shared image: the glue tag that leaves it and its other copy.
         self.glue: dict[str, tuple[str, str]] = {}
         for z in center.carrier:
@@ -155,16 +148,13 @@ class Amalgam:
         if tag in ("GLUE", "GLUEINV"):
             return (u.is_leaf and v.is_leaf
                     and self.glue_tag(u.label, v.label) == tag)
+        if tag in ("EV1INV", "EV2INV"):
+            tag, u, v = tag.removesuffix("INV"), v, u
         if tag in ("EV1", "EV2"):
             i = 1 if tag == "EV1" else 2
             if not v.is_leaf or self.term_class(u) not in (i, 0):
                 return False
             return self.eval_in_side(u, i) == v.label
-        if tag in ("EV1INV", "EV2INV"):
-            i = 1 if tag == "EV1INV" else 2
-            if not u.is_leaf or self.term_class(v) not in (i, 0):
-                return False
-            return self.eval_in_side(v, i) == u.label
         return False
 
 
@@ -339,9 +329,7 @@ def _unfold_shapes(am: Amalgam, side: int, n: int):
     alg = am.side(side)
     present = [alg.carrier] + [[e for e in alg.carrier if e in _unfold_counts(am, side, m)]
                                for m in range(1, n)]
-    for f, k in alg.sig.ops.items():
-        if k == 0:
-            continue
+    for f, k in alg.sig.operations():
         table = alg.op_tables[f]
         for split in compositions(n - 1, k):
             for vals in itertools.product(*[present[m] for m in split]):
@@ -925,7 +913,7 @@ def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
     elements = [f"d{i}" for i in range(max_size)]
     consts = alg.sig.constants()
     strict = [(a, b) for (a, b) in alg.order if a != b]
-    op_items = [(f, k) for f, k in alg.sig.ops.items() if k > 0]
+    op_items = alg.sig.operations()
     free = [e for e in alg.carrier if e not in center]
     for h1v in itertools.product(elements, repeat=len(alg.carrier)):
         h1 = dict(zip(alg.carrier, h1v))

@@ -222,8 +222,9 @@ def cmd_selftest(args, rep: Reporter) -> int:
     failed = 0
     for r in results:
         if rep.structured:
-            rep.record("check", name=r.name.replace(" ", "_"),
-                       passed=r.passed, seconds=f"{r.seconds:.1f}")
+            name = r.name.replace(" ", "_")
+            rep.record("check", name=name, passed=r.passed)
+            rep.record("timing", name=name, seconds=f"{r.seconds:.1f}")
         else:
             print(r.line())
         failed += not r.passed

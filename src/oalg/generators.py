@@ -14,6 +14,7 @@ from . import relations
 from .algebra import (
     OrderedAlgebra,
     all_homomorphisms,
+    chain,
     validate_algebra,
 )
 from .amalgam import SpecialAmalgam, _unfold_groups, make_special
@@ -85,9 +86,7 @@ def random_algebra(rng: random.Random, sig: Signature, size: int,
     else:
         order = random_partial_order(rng, carrier)
     tables = {}
-    for f, k in sig.ops.items():
-        if k == 0:
-            continue
+    for f, k in sig.operations():
         if strategy == 0:
             tables[f] = {args: rng.choice(carrier)
                          for args in itertools.product(carrier, repeat=k)}
@@ -123,18 +122,12 @@ def random_relation(rng: random.Random, carrier: list[str], max_pairs: int) -> f
 def join_chain_algebra(rng: random.Random, sig: Signature, size: int,
                        name: str = "J") -> OrderedAlgebra:
     """A chain with join operations and randomly placed ordered constants."""
-    carrier = [f"e{i}" for i in range(size)]
-    idx = {e: i for i, e in enumerate(carrier)}
-    order = frozenset((a, b) for a in carrier for b in carrier if idx[a] <= idx[b])
-    tables = {f: {args: carrier[max(idx[a] for a in args)]
-                  for args in itertools.product(carrier, repeat=k)}
-              for f, k in sig.ops.items() if k > 0}
+    base = chain(size, sig)
     names = sorted(sig.constants())
-    consts = {c: rng.choice(carrier) for c in names}
-    while not all(c == d or (consts[c], consts[d]) in order
-                  for (c, d) in sig.const_order):
-        consts = {c: rng.choice(carrier) for c in names}
-    return OrderedAlgebra(sig, carrier, order, tables, consts, name=name)
+    consts = {c: rng.choice(base.carrier) for c in names}
+    while not all(c == d or base.leq(consts[c], consts[d]) for (c, d) in sig.const_order):
+        consts = {c: rng.choice(base.carrier) for c in names}
+    return OrderedAlgebra(sig, base.carrier, base.order, base.op_tables, consts, name=name)
 
 
 def random_special_amalgam(rng: random.Random, sig: Signature,

@@ -32,9 +32,7 @@ def compatible_by_table_walk(alg: OrderedAlgebra, rel: frozenset) -> bool:
     """Whether each table maps rel-related arguments in one slot, others fixed,
     to rel-related values, entry by entry: the reference for `algebra._compatible`."""
     carrier = alg.carrier
-    for f, k in alg.sig.ops.items():
-        if k == 0:
-            continue
+    for f, k in alg.sig.operations():
         for args in itertools.product(carrier, repeat=k):
             for i in range(k):
                 for b in carrier:
@@ -62,7 +60,7 @@ def homomorphisms_by_product_filter(dom: OrderedAlgebra,
     for `algebra.all_homomorphisms`, same order."""
     out = []
     strict_order = [(a, b) for (a, b) in dom.order if a != b]
-    op_items = [(f, k) for f, k in dom.sig.ops.items() if k > 0]
+    op_items = dom.sig.operations()
     consts = dom.sig.constants()
     tuples_by_op = {f: list(itertools.product(dom.carrier, repeat=k))
                     for f, k in op_items}
@@ -107,9 +105,7 @@ def variety_report_by_pair_filter(alg: OrderedAlgebra) -> list[dict]:
     the same order, by testing every pair of argument tuples of each
     operation for comparability: |A|^(2k) pairs for a k-ary one."""
     report = []
-    for f, k in alg.sig.ops.items():
-        if k == 0:
-            continue
+    for f, k in alg.sig.operations():
         tbl = alg.op_tables[f]
         for xs in itertools.product(alg.carrier, repeat=k):
             for ys in itertools.product(alg.carrier, repeat=k):
@@ -187,9 +183,7 @@ def one_slot_step_relation(alg: OrderedAlgebra, hyp: frozenset[Pair],
     for _ in range(depth):
         nxt = set()
         for (x, y) in current:
-            for f, k in alg.sig.ops.items():
-                if k == 0:
-                    continue
+            for f, k in alg.sig.operations():
                 for fillers in itertools.product(alg.carrier, repeat=k - 1):
                     for slot in range(1, k + 1):
                         args_x = fillers[: slot - 1] + (x,) + fillers[slot - 1:]
@@ -369,9 +363,7 @@ def _check_op_compat(sig: Signature, xp: VarPoset, pool: list[Term],
     report = []
     labels = list(xp.names) + sig.constants()
     small = [t for t in pool if op_count(t) + 1 <= depth]
-    for f, k in sig.ops.items():
-        if k == 0:
-            continue
+    for f, k in sig.operations():
         for t in small:
             for u in generated_up_set(sig, xp, t):
                 for i in range(k):
@@ -399,9 +391,7 @@ def unfold_pool_by_layers(alg: OrderedAlgebra, max_ops: int) -> dict[str, list[T
     by_ops: list[dict[str, list[Term]]] = [{e: [leaf(e)] for e in alg.carrier}]
     for n in range(1, max_ops + 1):
         layer: dict[str, list[Term]] = {}
-        for f, k in alg.sig.ops.items():
-            if k == 0:
-                continue
+        for f, k in alg.sig.operations():
             for split in compositions(n - 1, k):
                 pools = [by_ops[m] for m in split]
                 keys = [sorted(p.keys(), key=alg.index.get) for p in pools]
@@ -468,8 +458,8 @@ def moves_by_path_walk(am, u: Term, budget) -> list[tuple]:
         cls = am.label_class(a)
         if cls == 0:
             continue
-        images = am._img1 if cls == 1 else am._img2
-        other = am.phi2 if cls == 1 else am.phi1
+        phi, other = (am.phi1, am.phi2) if cls == 1 else (am.phi2, am.phi1)
+        images = {v: z for z, v in phi.items()}
         tag = "GLUE" if cls == 1 else "GLUEINV"
         for b in _up_set_by_filter(am.side(cls), a):
             z = images.get(b)

@@ -53,6 +53,10 @@ class Signature:
     def constants(self) -> list[str]:
         return [s for s, k in self.ops.items() if k == 0]
 
+    def operations(self) -> list[tuple[str, int]]:
+        """The symbols that have tables, with their arities, in declaration order."""
+        return [(s, k) for s, k in self.ops.items() if k > 0]
+
     def arity(self, symbol: str) -> int:
         return self.ops[symbol]
 

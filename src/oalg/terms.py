@@ -215,17 +215,8 @@ def regularize(t: Term) -> tuple[Term, LeafSeq]:
     reproduces the term; the template has the same operation count.
     A bare leaf regularizes to the template z1 with a one-label assignment.
     """
-    labels = list(leaves(t))
-    counter = 0
-
-    def rebuild(n: Term) -> Term:
-        nonlocal counter
-        if n.is_leaf:
-            counter += 1
-            return leaf(formal_var(counter))
-        return Term(n.label, tuple(rebuild(c) for c in n.children))
-
-    return rebuild(t), LeafSeq(labels)
+    labels = leaves(t)
+    return substitute_leaves(t, map(formal_var, range(1, len(labels) + 1))), labels
 
 
 def substitute_leaves(template: Term, fills: Iterable[Union[str, Term]]) -> Term:
@@ -258,20 +249,7 @@ def is_regular(t: Term, sig: Signature) -> tuple[bool, int | None]:
 
 def leaf_subst(t: Term, j: int, u: Union[str, Term]) -> Term:
     """Replace leaf j (1-based, left to right) by a label or a whole term."""
-    n = leaf_count(t)
-    if not 1 <= j <= n:
-        raise IndexOutOfRange(f"leaf index {j} out of range 1..{n}")
-    replacement = u if isinstance(u, Term) else leaf(u)
-    count = 0
-
-    def walk(s: Term) -> Term:
-        nonlocal count
-        if s.is_leaf:
-            count += 1
-            return replacement if count == j else s
-        return Term(s.label, tuple(walk(c) for c in s.children))
-
-    return walk(t)
+    return replace_at(t, path_of_leaf(t, j), u if isinstance(u, Term) else leaf(u))
 
 
 # Tree positions.  A path is a tuple of child indices from the root; paths
@@ -349,9 +327,7 @@ def enumerate_terms(sig: Signature, labels: list[str], max_ops: int) -> list[Ter
     by_ops: list[list[Term]] = [[leaf(l) for l in labels]]
     for n in range(1, max_ops + 1):
         layer: list[Term] = []
-        for op_name, k in sig.ops.items():
-            if k == 0:
-                continue
+        for op_name, k in sig.operations():
             for split in compositions(n - 1, k):
                 pools = [by_ops[m] for m in split]
                 layer.extend(Term(op_name, kids) for kids in itertools.product(*pools))

@@ -23,7 +23,6 @@ from oalg.algebra import (
     leq_theta,
     load_algebra,
     nonregular_quotient,
-    parse_algebra,
     print_algebra,
     product,
     regular_quotient,
@@ -421,13 +420,6 @@ def test_oalg_file_roundtrip(tmp_path):
     assert again.order == CH3.order
     assert again.op_tables == CH3.op_tables
     assert again.const_vals == CH3.const_vals
-
-
-def test_a_given_signature_wins_over_the_over_line(tmp_path):
-    # No s.sig in tmp_path: the `over s.sig` line must not be read.
-    again = parse_algebra(print_algebra(CH3, "s.sig"), tmp_path, sig=SIG1)
-    assert again.sig is SIG1 and again.name == CH3.name
-    assert again.op_tables == CH3.op_tables and again.order == CH3.order
 
 
 def test_trivial_order_helper():

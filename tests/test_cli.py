@@ -11,6 +11,7 @@ from oalg.algebra import (chain, generated_subalgebra, nonregular_quotient, prin
 from oalg.cli import main
 from oalg.errors import NotCompatibleQuasiorder, NotOrderCongruence
 from oalg.generators import random_algebra, random_relation
+from oalg.selftest import CheckResult
 from oalg.signature import SIG1, Signature, print_signature
 from oalg.terms import MAX_TERM_DEPTH
 
@@ -555,3 +556,19 @@ def test_structured_outputs_are_pinned(workspace):
         text = repr((argv, code, out.getvalue(), err.getvalue()))
         digest.update(text.replace(str(workspace), "<tmp>").encode())
     assert digest.hexdigest() == STRUCTURED_OUTPUTS_DIGEST
+
+
+def test_selftest_structured_output_keeps_timings_apart(monkeypatch):
+    outputs = []
+    for seconds in (0.04, 7.31):
+        monkeypatch.setattr("oalg.cli.run_all", lambda seed, s=seconds: [
+            CheckResult("1 paper example", True, "ok", s),
+            CheckResult("2 term order", False, "bad", 2 * s)])
+        code, out = run("--format", "structured", "selftest")
+        assert code == 1
+        lines = out.splitlines()
+        assert not any("seconds=" in line for line in lines if line.startswith("record=check"))
+        assert sum(line.startswith("record=timing") for line in lines) == 2
+        outputs.append([line for line in lines if not line.startswith("record=timing")])
+    assert outputs[0] == outputs[1] == ["record=check name=1_paper_example passed=True",
+                                        "record=check name=2_term_order passed=False"]

@@ -73,11 +73,43 @@ FORMATS = {
 }
 
 
+def _one(lines):
+    return st.sampled_from(lines).map(lambda line: [line])
+
+
+def _subset(lines):
+    return st.lists(st.sampled_from(lines), unique=True)
+
+
+def _file(*parts):
+    return st.tuples(*parts).map(lambda drawn: "\n".join(sum(drawn, [])))
+
+
+def _hom_file(header: str):
+    """The header and, for each element of its domain, no map line, the
+    line to itself or the line to e0."""
+    domain = ["e0", "e2"] if header.split()[2].startswith("c2") else CH3.carrier
+    return _file(st.just([header]), *[
+        st.sampled_from([[], [f"map {e} -> {e}"], [f"map {e} -> e0"]]) for e in domain])
+
+
+# Whole files, which loose lines rarely form: a header and its map lines,
+# and left, right and center over either signature with embed lines.
+WHOLE_FILES = {
+    "hom": st.sampled_from([l for l in FORMATS["hom"][1] if l.startswith("hom ")]
+                           ).flatmap(_hom_file),
+    "amalgam": _file(*[_one([f"{kind} {name}.oalg", f"{kind} {name}t.oalg"])
+                       for kind, name in (("left", "ch3"), ("right", "ch3"), ("center", "c2"))],
+                     _subset([l for l in FORMATS["amalgam"][1] if l.startswith("embed ")])),
+}
+
+
 def texts(fmt: str):
     tokens, lines = FORMATS[fmt]
     line = st.one_of(st.sampled_from(lines),
                      st.lists(st.sampled_from(tokens), max_size=6).map(" ".join))
-    return st.lists(line, max_size=8).map("\n".join)
+    drawn = st.lists(line, max_size=8).map("\n".join)
+    return st.one_of(drawn, WHOLE_FILES[fmt]) if fmt in WHOLE_FILES else drawn
 
 
 @pytest.fixture(scope="module")

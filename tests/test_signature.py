@@ -11,6 +11,10 @@ def test_parse_example():
     assert sig.ops == {"f": 2, "g": 3, "c": 0, "d": 0}
     assert sig.const_leq("c", "d")
     assert not sig.const_leq("d", "c")
+    assert sig.operations() == [("f", 2), ("g", 3)]
+    mixed = parse_signature("op g 3; const d; op h 1; const c; op f 2")
+    assert mixed.operations() == [("g", 3), ("h", 1), ("f", 2)]
+    assert mixed.constants() == ["d", "c"]
 
 
 def test_single_constant_reflexive():
