@@ -1,8 +1,14 @@
+import hashlib
+import random
+from collections import Counter
+
 import pytest
 
-from oalg.algebra import chain
+import oalg.schemes as schemes
+from oalg.algebra import chain, evaluate
 from oalg.amalgam import make_special, pushout_equal
 from oalg.errors import NotApplicable, NotClosedChain, SkeletonMismatch
+from oalg.generators import padded_glue_scheme, random_special_amalgam
 from oalg.schemes import (
     IDENTITY_TRANSLATION,
     IneqStep,
@@ -27,7 +33,8 @@ from oalg.schemes import (
     validate_scheme,
 )
 from oalg.signature import SIG1
-from oalg.terms import Term, leaf, node, parse_term, print_term, subterm_at
+from oalg.terms import Term, enumerate_terms, leaf, leaf_paths, node, parse_term, print_term, \
+    replace_at, subterm_at
 
 CH3 = chain(3, SIG1)
 SP = make_special(CH3, [])  # core {e0, e2}
@@ -267,3 +274,111 @@ def test_multi_step_serialization():
     assert validate_scheme(SP, sch) == []
     again = scheme_from_lines(SIG1, SP.variables(), scheme_to_lines(sch))
     assert again.steps[0] == sch.steps[0]
+
+
+# sha256 of normalize at max_iters None, 0, 1 and 2 (status, iterations,
+# reason, trace and the result's lines) on: both pushout_equal
+# certificates of every shared pair and the four padded recipes, over 40
+# random special amalgams; random valleys, a leaf unfolded into a term
+# with constants whose leaves are raised and glued before a fold at the
+# root; and two hand-built schemes on SP.  No other test's normalize run
+# reaches the covered_by case or either push.  A change to the normalizer
+# that keeps its answers leaves this alone.
+NORMALIZER_DIGEST = "862d522f9536aad0efb97e6fedb238f6bd5d821d41968732c0b2e70eda411304"
+
+
+POOLS: dict[tuple[str, ...], list[Term]] = {}
+
+
+def valley_schemes(rng, sp, count):
+    """Unfold a side-1 leaf into a term with constants, raise and glue some
+    of its element leaves, then fold at the root on the side they reach."""
+    labels = tuple(sp.a1.carrier + sorted(sp.sig.constants()))
+    if labels not in POOLS:
+        POOLS[labels] = [t for t in enumerate_terms(sp.sig, list(labels), 2) if not t.is_leaf]
+    pool = POOLS[labels]
+    env = {e: e for e in sp.a1.carrier}
+    out = []
+    for _ in range(count):
+        w = rng.choice(pool)
+        steps = [make_rel("EV1INV", leaf(evaluate(sp.a1, w, env)), (), w)]
+        cross = rng.random() < 0.5
+
+        def raise_leaf(cur, path):
+            a = subterm_at(cur, path).label
+            side = sp.side(sp.label_class(a))
+            above = [b for b in side.carrier if b != a and side.leq(a, b)]
+            if not above or rng.random() < 0.5:
+                return cur
+            steps.append(IneqStep(cur, replace_at(cur, path, leaf(rng.choice(above)))))
+            return steps[-1].right
+
+        cur = w
+        for path in leaf_paths(w):
+            if sp.label_class(subterm_at(cur, path).label) == 0:
+                continue
+            cur = raise_leaf(cur, path)
+            partner = sp.glue.get(subterm_at(cur, path).label)
+            if cross and partner is not None:
+                steps.append(make_rel(partner[0], cur, path, leaf(partner[1])))
+                cur = raise_leaf(steps[-1].right, path)
+        side = sp.term_class(cur)
+        if side is None:
+            continue
+        side = side or 1
+        steps.append(make_rel(f"EV{side}", cur, (), leaf(sp.eval_in_side(cur, side))))
+        sch = Scheme(steps[0].left, steps[-1].right, tuple(steps))
+        assert validate_scheme(sp, sch) == []
+        out.append(sch)
+    return out
+
+
+def test_normalizer_outputs_are_pinned(monkeypatch):
+    ran = Counter()
+    for name in ("grid_contract", "push_rel_inv_right", "push_rel_left"):
+        def counted(*args, _name=name, _fn=getattr(schemes, name)):
+            ran[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(schemes, name, counted)
+    corpus = [
+        # Glued leafwise, raised on side 2, folded there: a push left.
+        (SP, Scheme(E01, E12, (
+            make_rel("EV1INV", E01, (), node("f", E01, E01)),
+            make_rel("GLUE", node("f", E01, E01), (0,), E02),
+            make_rel("GLUE", node("f", E02, E01), (1,), E02),
+            IneqStep(node("f", E02, E02), node("f", E12, E02)),
+            make_rel("EV2", node("f", E12, E02), (), E12),
+        ))),
+        # An unfold inside the unfolded term, folded at the root: covered_by.
+        (SP, Scheme(E11, E11, (
+            make_rel("EV1INV", E11, (), node("f", E11, E01)),
+            make_rel("EV1INV", node("f", E11, E01), (0,), node("f", E01, E11)),
+            make_rel("EV1", node("f", node("f", E01, E11), E01), (), E11),
+        ))),
+    ]
+    rng = random.Random(21)
+    for _ in range(40):
+        sp = random_special_amalgam(rng, SIG1, 4)
+        for z in sp.c.carrier:
+            res = pushout_equal(sp, leaf(sp.phi1[z]), leaf(sp.phi2[z]))
+            corpus += [(sp, res.forward), (sp, res.backward)]
+            for recipe in ("proper", "nested", "disjoint", "cross"):
+                sch = padded_glue_scheme(rng, sp, z, recipe)
+                if sch is not None:
+                    corpus.append((sp, sch))
+        corpus += [(sp, sch) for sch in valley_schemes(rng, sp, 8)]
+    for _, sch in corpus[:2]:
+        assert validate_scheme(SP, sch) == []
+    digest = hashlib.sha256()
+    verdicts, returned = set(), set()
+    for sp, sch in corpus:
+        for cap in (None, 0, 1, 2):
+            res = normalize(sp, sch, max_iters=cap)
+            returned.add((sp, res.scheme))
+            verdicts.update(line.split(")")[0] for line in res.trace)
+            digest.update(repr((res.status, res.iterations, res.reason, res.trace,
+                                scheme_to_lines(res.scheme))).encode())
+    assert verdicts == {"case(proper", "case(covers", "case(covered_by", "case(disjoint"}
+    assert all(ran[name] for name in ("grid_contract", "push_rel_inv_right", "push_rel_left")), ran
+    assert all(validate_scheme(sp, sch) == [] for sp, sch in returned)
+    assert digest.hexdigest() == NORMALIZER_DIGEST
