@@ -46,14 +46,11 @@ from .algebra import (
 from .closure import gen_compatible_quasiorder, gen_order_congruence
 from .termorder import VarPoset, extend_monotone_map, term_leq
 from .schemes import (
-    Covering,
-    Grid,
     IneqStep,
     MultiStep,
     RelStep,
     Scheme,
     Translation,
-    build_grid,
     covering,
     extract_center,
     grid_contract,

@@ -7,6 +7,12 @@ steps carry the one-hole context they act under as an explicit translation
 (constant-free regular template, slot index, label fillers), so every
 certificate can be rechecked without trusting the producer.
 
+The normalizer resolves one unfold ... fold valley at a time: the glue and
+inequality steps between the two contract leaf column by leaf column into
+inequality, MULTI, inequality; one push moves the unfold right and one
+moves the fold left past the inequalities; and the pair is rewritten by
+how its two positions cover each other.
+
 Tags:
   EV1 / EV2        evaluate a subterm over one side to its value there
   EV1INV / EV2INV  unfold a value into a term that evaluates to it
@@ -73,10 +79,6 @@ class Translation:
     template: Term
     slot: int
     fillers: tuple[str, ...]
-
-    @property
-    def arity(self) -> int:
-        return len(self.fillers) + 1
 
     def fills_with(self, u: Union[str, Term]) -> list:
         out: list = list(self.fillers[: self.slot - 1])
@@ -228,101 +230,20 @@ def assert_valid(am, sch: Scheme, where: str = "") -> Scheme:
     return sch
 
 
-# -- Grid representation ----------------------------------------------------
-
-@dataclass
-class Grid:
-    """Leaf rows of a same-skeleton scheme segment.
-
-    `transitions[k]` explains how row k becomes row k+1: either ("ineq",)
-    or ("rel", tags) with one GLUE/GLUEINV/ID tag per column.
-    """
-
-    rows: list[tuple[str, ...]]
-    transitions: list[tuple]
-    columns: int
-
-
-def _glue_columns(step: Step) -> tuple[str, ...]:
-    n = leaf_count(step.left)
-    if isinstance(step, MultiStep):
-        return step.tags
-    assert isinstance(step, RelStep) and step.tag in GLUE_TAGS
-    col = leaf_span(step.left, step.hole_path())[0]
-    return tuple(step.tag if i == col else "ID" for i in range(1, n + 1))
-
-
-def build_grid(sch: Scheme, i: int, j: int) -> Grid:
-    """Grid of the segment steps[i..j]; all terms must share one skeleton."""
-    segment = sch.steps[i:j + 1]
-    if not segment:
-        raise NotApplicable("empty segment")
-    skel = skeleton(segment[0].left)
-    rows = [tuple(leaves(segment[0].left))]
-    transitions: list[tuple] = []
-    for s in segment:
-        if skeleton(s.left) != skel or skeleton(s.right) != skel:
-            raise SkeletonMismatch("segment steps change the skeleton")
-        if isinstance(s, IneqStep):
-            transitions.append(("ineq",))
-        elif isinstance(s, MultiStep) or (isinstance(s, RelStep) and s.tag in GLUE_TAGS):
-            transitions.append(("rel", _glue_columns(s)))
-        else:
-            raise SkeletonMismatch(f"step tag outside the grid fragment: {s}")
-        rows.append(tuple(leaves(s.right)))
-    return Grid(rows, transitions, len(rows[0]))
-
-
 # -- Covering ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Covering:
-    """How the unfolded occurrence on the left relates to the folded one
-    on the right of an EVINV ... EV segment.
-
-    verdict: "proper" (same occurrence), "covers" (left contains right),
-    "covered_by" (right contains left), "disjoint".
-    """
-
-    verdict: str
-    left_span: tuple[int, int]
-    right_span: tuple[int, int]
-    left_path: Path
-    right_path: Path
-
-
-def covering_of_paths(term: Term, left_path: Path, right_path: Path) -> Covering:
-    ls = leaf_span(term, left_path)
-    rs = leaf_span(term, right_path)
+def covering(left_path: Path, right_path: Path) -> str:
+    """How the unfolded occurrence at left_path relates to the folded one at
+    right_path on their shared skeleton: "proper" (the same occurrence),
+    "covers" (left contains right), "covered_by" (right contains left) or
+    "disjoint".  Two positions in one tree nest or are disjoint."""
     if left_path == right_path:
-        verdict = "proper"
-    elif right_path[: len(left_path)] == left_path:
-        verdict = "covers"
-    elif left_path[: len(right_path)] == right_path:
-        verdict = "covered_by"
-    else:
-        verdict = "disjoint"
-    # Same-skeleton occurrences can only nest or be disjoint; a genuine
-    # partial overlap would contradict the tree structure.
-    span_nested = (ls[0] <= rs[0] and rs[1] <= ls[1]) or (rs[0] <= ls[0] and ls[1] <= rs[1])
-    span_disjoint = ls[1] < rs[0] or rs[1] < ls[0]
-    if verdict == "disjoint" and not span_disjoint and not span_nested:
-        raise TheoremContradiction(f"partially overlapping occurrences: {ls} vs {rs}")
-    return Covering(verdict, ls, rs, left_path, right_path)
-
-
-def covering(sch: Scheme, left_inner: int, right_inner: int) -> Covering:
-    """Covering verdict for the EVINV step at index left_inner and the EV
-    step at right_inner, located on their shared skeleton."""
-    a = sch.steps[left_inner]
-    b = sch.steps[right_inner]
-    if not (isinstance(a, RelStep) and a.tag in EVINV_TAGS):
-        raise NotApplicable("left step is not an unfold")
-    if not (isinstance(b, RelStep) and b.tag in EV_TAGS):
-        raise NotApplicable("right step is not a fold")
-    if skeleton(a.right) != skeleton(b.left):
-        raise SkeletonMismatch("the two steps do not share a skeleton")
-    return covering_of_paths(a.right, a.hole_path(), b.hole_path())
+        return "proper"
+    if right_path[: len(left_path)] == left_path:
+        return "covers"
+    if left_path[: len(right_path)] == right_path:
+        return "covered_by"
+    return "disjoint"
 
 
 # -- Lemma-style single pushes ----------------------------------------------
@@ -378,37 +299,54 @@ def push_rel_left(am, sch: Scheme, i: int) -> Scheme:
 def grid_contract(am, sch: Scheme, i: int, j: int) -> Scheme:
     """Contract a same-skeleton segment into inequality, MULTI, inequality.
 
-    Column processing: a column with no glue pairs collapses to its bottom
-    value; with an even number of glue pairs, side transport shows top and
-    bottom agree up to inequalities and the column also collapses; with an
-    odd count, the last glue pair survives as the column's MULTI entry.
+    Each step of steps[i..j] is an inequality or a glue step, and reads as
+    one tag per leaf column, None for an inequality.  A column with no glue
+    pairs collapses to its bottom value; with an even number of glue pairs,
+    side transport shows top and bottom agree up to inequalities and the
+    column also collapses; with an odd count, the last glue pair survives
+    as the column's MULTI entry.
     """
-    grid = build_grid(sch, i, j)
-    top = grid.rows[0]
-    bottom = grid.rows[-1]
-    n_rows = len(grid.rows)
+    segment = sch.steps[i:j + 1]
+    if not segment:
+        raise NotApplicable("empty segment")
+    skel = skeleton(segment[0].left)
+    rows = [tuple(leaves(segment[0].left))]
+    columns: list[tuple[str, ...] | None] = []
+    for s in segment:
+        if skeleton(s.left) != skel or skeleton(s.right) != skel:
+            raise SkeletonMismatch("segment steps change the skeleton")
+        if isinstance(s, IneqStep):
+            columns.append(None)
+        elif isinstance(s, MultiStep):
+            columns.append(s.tags)
+        elif isinstance(s, RelStep) and s.tag in GLUE_TAGS:
+            # A glue step rewrites one leaf, the one at its slot.
+            columns.append(tuple(s.tag if c == s.trans.slot else "ID"
+                                 for c in range(1, len(rows[0]) + 1)))
+        else:
+            raise SkeletonMismatch(f"step tag outside the grid fragment: {s}")
+        rows.append(tuple(leaves(s.right)))
+    top, bottom = rows[0], rows[-1]
     mid_from: list[str] = []
     mid_to: list[str] = []
     mid_tags: list[str] = []
-    for col in range(grid.columns):
-        values = [grid.rows[r][col] for r in range(n_rows)]
-        glue_positions = [k for k, tr in enumerate(grid.transitions)
-                          if tr[0] == "rel" and tr[1][col] in ("GLUE", "GLUEINV")]
+    for col in range(len(top)):
+        values = [row[col] for row in rows]
+        tags = [None if c is None else c[col] for c in columns]
+        glue_positions = [k for k, tg in enumerate(tags) if tg in ("GLUE", "GLUEINV")]
         if len(glue_positions) % 2 == 0:
-            _check_column_chain(am, values, grid.transitions, col, len(values) - 1)
+            _check_column_chain(am, values, tags, len(values) - 1)
             mid_from.append(bottom[col])
             mid_to.append(bottom[col])
             mid_tags.append("ID")
         else:
             k = glue_positions[-1]
-            _check_column_chain(am, values, grid.transitions, col, k)
-            for r in range(k + 1, len(grid.transitions)):
-                tr = grid.transitions[r]
-                if tr[0] == "rel" and tr[1][col] != "ID":
-                    raise WitnessInconsistency("glue pair after the pivot")
+            _check_column_chain(am, values, tags, k)
+            if any(tg not in (None, "ID") for tg in tags[k + 1:]):
+                raise WitnessInconsistency("glue pair after the pivot")
             mid_from.append(values[k])
             mid_to.append(values[k + 1])
-            mid_tags.append(grid.transitions[k][1][col])
+            mid_tags.append(tags[k])
     template, _ = regularize(sch.steps[i].left)
     t_top = substitute_leaves(template, top)
     t_from = substitute_leaves(template, mid_from)
@@ -421,13 +359,14 @@ def grid_contract(am, sch: Scheme, i: int, j: int) -> Scheme:
                   sch.steps[:i] + new_steps + sch.steps[j + 1:])
 
 
-def _check_column_chain(am, values: list[str], transitions: list[tuple],
-                        col: int, upto: int) -> None:
+def _check_column_chain(am, values: list[str], tags: list[str | None], upto: int) -> None:
     """Verify that a column prefix chains after transport to its first side.
 
-    Transporting across the isomorphism maps glue pairs to equalities and
-    keeps inequalities, so the prefix composes to values[0] <= values[upto]
-    in the order of the first value's side.
+    `tags[k]` is the column's tag in the step from values[k] to
+    values[k + 1], None for an inequality.  Transporting across the
+    isomorphism maps glue pairs to equalities and keeps inequalities, so
+    the prefix composes to values[0] <= values[upto] in the order of the
+    first value's side.
     """
     home = am.label_class(values[0])
 
@@ -435,12 +374,11 @@ def _check_column_chain(am, values: list[str], transitions: list[tuple],
         return am.transport(w, home)
 
     for k in range(upto):
-        tr = transitions[k]
         a, b = values[k], values[k + 1]
-        if tr[0] == "ineq":
+        if tags[k] is None:
             if not am.leaf_leq(a, b) or not am.leaf_leq(to_home(a), to_home(b)):
                 raise WitnessInconsistency(f"column chain breaks at {(a, b)}")
-        elif tr[1][col] != "ID" and to_home(a) != to_home(b):
+        elif tags[k] != "ID" and to_home(a) != to_home(b):
             raise WitnessInconsistency(f"glue pair {(a, b)} does not transport away")
     if not am.leaf_leq(values[0], to_home(values[upto])):
         raise WitnessInconsistency("column prefix does not chain")
@@ -498,38 +436,30 @@ def is_case1(sch: Scheme) -> bool:
     if not (sch.source.is_leaf and sch.target.is_leaf):
         return False
     for s in sch.steps:
-        if isinstance(s, (MultiStep,)):
+        if isinstance(s, MultiStep):
             return False
         if not (s.left.is_leaf and s.right.is_leaf):
             return False
-        if isinstance(s, RelStep) and s.tag not in ("GLUE", "GLUEINV", "ID"):
+        if isinstance(s, RelStep) and s.tag not in GLUE_TAGS:
             return False
     return True
 
 
 def _find_core(sch: Scheme) -> tuple[int, int] | None:
-    """Leftmost fold preceded by an unfold with only grid steps between."""
-    first_ev = None
-    for idx, s in enumerate(sch.steps):
-        if isinstance(s, RelStep) and s.tag in EV_TAGS:
-            first_ev = idx
-            break
-    if first_ev is None:
+    """The first fold and the last unfold before it, or None."""
+    steps = sch.steps
+    j = next((k for k, s in enumerate(steps)
+              if isinstance(s, RelStep) and s.tag in EV_TAGS), None)
+    if j is None:
         return None
-    last_inv = None
-    for idx in range(first_ev - 1, -1, -1):
-        s = sch.steps[idx]
-        if isinstance(s, RelStep) and s.tag in EVINV_TAGS:
-            last_inv = idx
-            break
-        if isinstance(s, RelStep) and s.tag in EV_TAGS:
-            break
-    if last_inv is None:
+    i = next((k for k in range(j - 1, -1, -1)
+              if isinstance(steps[k], RelStep) and steps[k].tag in EVINV_TAGS), None)
+    if i is None:
         return None
-    return last_inv, first_ev
+    return i, j
 
 
-def _multi_between(am, left_term: Term, right_term: Term) -> MultiStep | RelStep | None:
+def _multi_between(am, left_term: Term, right_term: Term) -> MultiStep | None:
     """Build the MULTI step for two same-skeleton terms, or None if equal."""
     if left_term == right_term:
         return None
@@ -545,37 +475,23 @@ def _multi_between(am, left_term: Term, right_term: Term) -> MultiStep | RelStep
 
 
 def _resolve_core(am, sch: Scheme, i: int, j: int, trace: list[str]) -> Scheme:
-    """Rewrite the innermost unfold ... fold pair by the covering case analysis."""
-    steps = sch.steps
-    # Contract whatever sits strictly between into [Ineq, MULTI, Ineq].
+    """Rewrite the innermost unfold ... fold pair by the covering case analysis.
+
+    After contraction and simplification at most [Ineq, MULTI, Ineq] lies
+    between the two, with no two inequalities adjacent, so one push of the
+    unfold right and one of the fold left leave at most the MULTI step.
+    An unfold or fold rewrites u to v != u, so simplification keeps both
+    and each re-find finds the same pair.
+    """
     if j > i + 1:
-        sch = grid_contract(am, sch, i + 1, j - 1)
-        sch = simplify(am, sch)
-        pair = _find_core(sch)
-        if pair is None:
-            return sch
-        i, j = pair
-        steps = sch.steps
-    # Push the unfold right and the fold left across leftover inequalities.
-    changed = True
-    while changed:
-        changed = False
-        if i + 1 < len(sch.steps) and isinstance(sch.steps[i + 1], IneqStep):
-            sch = push_rel_inv_right(am, sch, i)
-            sch = simplify(am, sch)
-            pair = _find_core(sch)
-            if pair is None:
-                return sch
-            i, j = pair
-            changed = True
-        if isinstance(sch.steps[j - 1], IneqStep) and j - 1 > i:
-            sch = push_rel_left(am, sch, j - 1)
-            sch = simplify(am, sch)
-            pair = _find_core(sch)
-            if pair is None:
-                return sch
-            i, j = pair
-            changed = True
+        sch = simplify(am, grid_contract(am, sch, i + 1, j - 1))
+        i, j = _find_core(sch)
+    if isinstance(sch.steps[i + 1], IneqStep):
+        sch = simplify(am, push_rel_inv_right(am, sch, i))
+        i, j = _find_core(sch)
+    if isinstance(sch.steps[j - 1], IneqStep):
+        sch = simplify(am, push_rel_left(am, sch, j - 1))
+        i, j = _find_core(sch)
     steps = sch.steps
     unfold = steps[i]
     fold = steps[j]
@@ -587,46 +503,47 @@ def _resolve_core(am, sch: Scheme, i: int, j: int, trace: list[str]) -> Scheme:
     t1, t2 = unfold.right, fold.left
     if mid is None and t1 != t2:
         raise WitnessInconsistency("unfold and fold terms differ without a MULTI step")
-    cov = covering_of_paths(t1, unfold.hole_path(), fold.hole_path())
+    left_path, right_path = unfold.hole_path(), fold.hole_path()
+    verdict = covering(left_path, right_path)
     side_l = tag_side(unfold.tag)
     side_r = tag_side(fold.tag)
     t0, t3 = unfold.left, fold.right
     prefix, suffix = steps[:i], steps[j + 1:]
-    trace.append(f"case({cov.verdict}) at {cov.left_path}/{cov.right_path}")
+    trace.append(f"case({verdict}) at {left_path}/{right_path}")
 
     def splice(new_steps: Iterable[Step | None]) -> Scheme:
         body = tuple(s for s in new_steps if s is not None)
         return simplify(am, Scheme(sch.source, sch.target, prefix + body + suffix))
 
-    if cov.verdict == "proper":
+    if verdict == "proper":
         # Both the unfold and the fold vanish; the collapsed column becomes
         # a glue (or diagonal) pair between the two evaluated values.
         return splice([_multi_between(am, t0, t3)])
-    if cov.verdict == "covers":
-        inner = subterm_at(t1, cov.right_path)
+    if verdict == "covers":
+        inner = subterm_at(t1, right_path)
         w_left = am.eval_in_side(inner, side_l)
-        reduced = replace_at(t1, cov.right_path, leaf(w_left))
-        new_unfold = make_rel(unfold.tag, t0, cov.left_path,
-                              subterm_at(reduced, cov.left_path))
+        reduced = replace_at(t1, right_path, leaf(w_left))
+        new_unfold = make_rel(unfold.tag, t0, left_path,
+                              subterm_at(reduced, left_path))
         new_multi = _multi_between(am, reduced, t3)
         return splice([new_unfold, new_multi])
-    if cov.verdict == "covered_by":
-        inner = subterm_at(t2, cov.left_path)
+    if verdict == "covered_by":
+        inner = subterm_at(t2, left_path)
         w_right = am.eval_in_side(inner, side_r)
-        reduced = replace_at(t2, cov.left_path, leaf(w_right))
+        reduced = replace_at(t2, left_path, leaf(w_right))
         new_multi = _multi_between(am, t0, reduced)
-        new_fold = make_rel(fold.tag, reduced, cov.right_path, leaf(am.eval_in_side(
-            subterm_at(reduced, cov.right_path), side_r)))
+        new_fold = make_rel(fold.tag, reduced, right_path, leaf(am.eval_in_side(
+            subterm_at(reduced, right_path), side_r)))
         if new_fold.right != t3:
             raise WitnessInconsistency("dual shrink changed the segment endpoint")
         return splice([new_multi, new_fold])
     # disjoint: fold first, unfold later; both survive but commute.
-    u1 = replace_at(t2, cov.left_path, subterm_at(t0, cov.left_path))
+    u1 = replace_at(t2, left_path, subterm_at(t0, left_path))
     multi_a = _multi_between(am, t0, u1)
-    fold_b = make_rel(fold.tag, u1, cov.right_path, leaf(am.eval_in_side(
-        subterm_at(u1, cov.right_path), side_r)))
+    fold_b = make_rel(fold.tag, u1, right_path, leaf(am.eval_in_side(
+        subterm_at(u1, right_path), side_r)))
     u2 = fold_b.right
-    unfold_c = make_rel(unfold.tag, u2, cov.left_path, subterm_at(t1, cov.left_path))
+    unfold_c = make_rel(unfold.tag, u2, left_path, subterm_at(t1, left_path))
     multi_d = _multi_between(am, unfold_c.right, t3)
     return splice([multi_a, fold_b, unfold_c, multi_d])
 
@@ -634,10 +551,12 @@ def _resolve_core(am, sch: Scheme, i: int, j: int, trace: list[str]) -> Scheme:
 def normalize(am, sch: Scheme, max_iters: int | None = None) -> NormalizeResult:
     """Drive a scheme between single-leaf endpoints to its single-node form.
 
-    Repeatedly contracts the maximal glue-only region between the innermost
-    unfold/fold pair and resolves the pair by the covering case analysis.
-    Runs that exceed the iteration cap stop with a diagnosis instead of
-    looping; they are never silently wrong.
+    Each iteration takes the first fold and the last unfold before it,
+    contracts the glue and inequality steps between them into one MULTI
+    step, pushes the unfold right and the fold left past the inequalities
+    left over, and resolves the pair by the covering case analysis.  Runs
+    that exceed the iteration cap stop with a diagnosis instead of looping;
+    they are never silently wrong.
     """
     if not (sch.source.is_leaf and sch.target.is_leaf):
         return NormalizeResult("stuck", sch, 0, [], "endpoints are not single leaves")

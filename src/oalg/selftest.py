@@ -41,7 +41,7 @@ from .oracles import (bfs_over_step_relation, characterized_up_set, check_genera
                       generated_up_set, one_slot_step_relation, single_raises, step_relation,
                       verify_partial_order)
 from .schemes import extract_center, normalize, validate_scheme
-from .signature import SIG1
+from .signature import SIG1, Signature
 from .terms import (
     Term,
     enumerate_terms,
@@ -51,6 +51,8 @@ from .terms import (
     op_count,
     parse_term,
     skeleton,
+    substitute_leaves,
+    var_seq,
 )
 from .termorder import VarPoset, extend_monotone_map
 
@@ -84,7 +86,6 @@ def criterion_1():
     t = parse_term(SIG1, varnames, "f g x2 x1 c f x1 x4")
     ls = leaves(t)
     ok = (len(ls) == 5 and ls.at(1) == "x2" and ls.at(3) == "c" and ls.at(5) == "x4")
-    from .terms import var_seq
     ok = ok and var_seq(t, SIG1) == ("x2", "x1", "x1", "x4")
     s = parse_term(SIG1, varnames, "f g x2 x1 x1 f x4 c")
     r = parse_term(SIG1, varnames, "g c f x2 x1 f x1 x4")
@@ -146,7 +147,6 @@ def criterion_2(depth: int = 3):
     rng = random.Random(7)
     for n in counts:
         shape = next(t for t in shapes if leaf_count(t) == n)
-        from .terms import substitute_leaves
         for _ in range(20):
             assignment = [rng.choice(labels) for _ in range(n)]
             t = substitute_leaves(shape, assignment)
@@ -436,7 +436,6 @@ def criterion_9():
     Uses the inequality-free signature so that trivially ordered algebras
     form the plain unordered variety.
     """
-    from .signature import Signature
     plain = Signature({"f": 2, "g": 3, "c": 0, "d": 0})
     base = with_trivial_order(chain(3, plain))
     if validate_algebra(base):

@@ -16,7 +16,6 @@ from oalg.schemes import (
     RelStep,
     Scheme,
     Translation,
-    build_grid,
     compose,
     context_translation,
     covering,
@@ -131,19 +130,9 @@ def test_push_rel_left():
     assert isinstance(pushed.steps[2], IneqStep)
 
 
-def test_build_grid():
-    seg = Scheme(E01, E02, (glue(E01, E02),))
-    grid = build_grid(seg, 0, 0)
-    assert grid.columns == 1 and len(grid.rows) == 2
-    w1 = node("f", E01, E21)
-    w2 = node("f", E02, E21)
-    two = Scheme(w1, w2, (make_rel("GLUE", w1, (0,), E02),))
-    grid2 = build_grid(two, 0, 0)
-    assert grid2.columns == 2
-    assert grid2.transitions[0][1] == ("GLUE", "ID")
-    mixed = unfold_fold_scheme()
+def test_grid_contract_rejects_a_skeleton_change():
     with pytest.raises(SkeletonMismatch):
-        build_grid(mixed, 0, 1)
+        grid_contract(SP, unfold_fold_scheme(), 0, 1)
 
 
 def test_grid_contract_all_diagonal():
@@ -166,9 +155,9 @@ def test_grid_contract_even_column():
     assert validate_scheme(SP, sch) == []
     out = grid_contract(SP, sch, 0, 1)
     assert validate_scheme(SP, out) == []
-    final = simplify(SP, out)
-    assert all(not isinstance(s, (RelStep,)) or s.u == s.v for s in final.steps) or \
-        all(isinstance(s, (IneqStep, MultiStep)) for s in final.steps)
+    multis = [s for s in out.steps if isinstance(s, MultiStep)]
+    assert len(multis) == 1 and multis[0].tags == ("ID", "ID")
+    assert simplify(SP, out).steps == ()
 
 
 def test_grid_contract_odd_column():
@@ -183,21 +172,10 @@ def test_grid_contract_odd_column():
 
 
 def test_covering_verdicts():
-    w = node("f", node("f", E01, E01), node("f", E01, E01))
-    sch = Scheme(E21, E21, (
-        make_rel("EV1INV", E21, (), w),
-        make_rel("EV1", w, (), E21),
-    ))
-    cov = covering(sch, 0, 1)
-    assert cov.verdict == "proper"
-    assert cov.left_span == cov.right_span == (1, 4)
-    sch2 = Scheme(E21, node("f", node("f", E01, E01), leaf(SP.eval_in_side(node("f", E01, E01), 1))), (
-        make_rel("EV1INV", E21, (), w),
-        make_rel("EV1", w, (1,), leaf(SP.eval_in_side(node("f", E01, E01), 1))),
-    ))
-    cov2 = covering(sch2, 0, 1)
-    assert cov2.verdict == "covers"
-    assert cov2.right_span == (3, 4)
+    assert covering((), ()) == covering((1, 0), (1, 0)) == "proper"
+    assert covering((), (1,)) == covering((1,), (1, 0, 2)) == "covers"
+    assert covering((0,), ()) == covering((1, 0, 2), (1,)) == "covered_by"
+    assert covering((0,), (1,)) == covering((1, 0), (1, 1, 0)) == "disjoint"
 
 
 def test_normalize_already_case1():
