@@ -13,7 +13,6 @@ from oalg.schemes import (
     IDENTITY_TRANSLATION,
     IneqStep,
     MultiStep,
-    RelStep,
     Scheme,
     Translation,
     compose,
