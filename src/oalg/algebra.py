@@ -8,9 +8,11 @@ outputs are deterministic and diffable.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path as FsPath
+from typing import NamedTuple, Sequence
 
 from . import relations
 from .errors import (
@@ -32,6 +34,23 @@ MAX_CARRIER = 64
 MAX_PRODUCT = 10_000
 
 Rel = frozenset
+
+
+class Coded(NamedTuple):
+    """An algebra's integer-coded form, as in UACalc: each table as one flat tuple
+    of value indices at the mixed-radix code of the argument indices (first one
+    most significant: `itertools.product` order); the order as one bitmask row
+    per element (bit j of row i when i <= j)."""
+    tables: dict[str, tuple[int, ...]]
+    rows: tuple[int, ...]
+
+
+def _codes(digits, radix: int) -> list[int]:
+    """The codes of the tuples of `itertools.product(*digits)`, in its order."""
+    codes = [0]
+    for ds in digits:
+        codes = [c * radix + d for c in codes for d in ds]
+    return codes
 
 
 class OrderedAlgebra:
@@ -84,17 +103,27 @@ class OrderedAlgebra:
         return self._up_sets[a]
 
     @cached_property
-    def translations(self) -> dict[tuple[str, tuple[str, ...], int], tuple[str, ...]]:
+    def coded(self) -> Coded:
+        """The coded form, built on first use and then kept."""
+        index = self.index
+        return Coded({f: tuple([index[self.op_tables[f][args]]
+                                for args in itertools.product(self.carrier, repeat=k)])
+                      for f, k in self.sig.operations()},
+                     tuple(relations.to_rows(self.order, index)))
+
+    @cached_property
+    def translations(self) -> dict[tuple[str, tuple[str, ...], int], tuple[int, ...]]:
         """The one-slot translations x -> f(fillers with x at slot, from 1):
-        `(f, fillers, slot)` to the carrier's images, in op / fillers / slot order."""
-        out = {}
+        `(f, fillers, slot)` to the indices of the carrier's images, in
+        op / fillers / slot order; each is a slice of the coded table."""
+        out, n = {}, len(self.carrier)
         for f, k in self.sig.operations():
-            tbl = self.op_tables[f]
-            for fillers in itertools.product(self.carrier, repeat=k - 1):
+            table = self.coded.tables[f]
+            for code, fillers in enumerate(itertools.product(self.carrier, repeat=k - 1)):
                 for slot in range(1, k + 1):
-                    out[(f, fillers, slot)] = tuple(
-                        tbl[fillers[:slot - 1] + (x,) + fillers[slot - 1:]]
-                        for x in self.carrier)
+                    w = n ** (k - slot)         # the weight of the slot's digit
+                    start = code // w * w * n + code % w
+                    out[(f, fillers, slot)] = table[start:start + w * n:w]
         return out
 
     def __repr__(self):
@@ -122,16 +151,19 @@ def validate_algebra(alg: OrderedAlgebra) -> list[dict]:
     constant inequality.  An empty report means the algebra belongs to the
     variety.  Violations are data, not exceptions: the tool is a checker.
     """
-    report = []
+    report, carrier, (tables, rows) = [], alg.carrier, alg.coded
+    n = len(carrier)
+    ups = [[j for j in range(n) if row >> j & 1] for row in rows]
     for f, k in alg.sig.operations():
-        tbl = alg.op_tables[f]
-        for xs in itertools.product(alg.carrier, repeat=k):
+        table = tables[f]
+        for code, xs in enumerate(itertools.product(range(n), repeat=k)):
             # The tuples above xs, in the order of all k-tuples.
-            for ys in itertools.product(*[alg.up_set(x) for x in xs]):
-                if not alg.leq(tbl[xs], tbl[ys]):
-                    report.append({"kind": "monotonicity", "op": f,
-                                   "lhs": xs, "rhs": ys,
-                                   "lhs_val": tbl[xs], "rhs_val": tbl[ys]})
+            above = [ups[x] for x in xs]
+            for ys, c in zip(itertools.product(*above), _codes(above, n)):
+                if not rows[table[code]] >> table[c] & 1:
+                    lhs, rhs = (tuple(carrier[i] for i in t) for t in (xs, ys))
+                    report.append({"kind": "monotonicity", "op": f, "lhs": lhs, "rhs": rhs,
+                                   "lhs_val": carrier[table[code]], "rhs_val": carrier[table[c]]})
     for (c, d) in sorted(alg.sig.const_order):
         if c != d and not alg.leq(alg.const(c), alg.const(d)):
             report.append({"kind": "constant", "left": c, "right": d,
@@ -166,26 +198,16 @@ def evaluate(alg: OrderedAlgebra, t: Term, env: dict[str, str],
 
 
 def check_homomorphism(h: Homomorphism) -> dict[str, bool]:
-    a, b, m = h.dom, h.cod, h.map
-    is_hom = True
-    for f, k in a.sig.ops.items():
-        if k == 0:
-            if m[a.const(f)] != b.const(f):
-                is_hom = False
-            continue
-        for args in itertools.product(a.carrier, repeat=k):
-            if m[a.op(f, args)] != b.op(f, tuple(m[x] for x in args)):
-                is_hom = False
-                break
-        if not is_hom:
-            break
-    is_monotone = all(b.leq(m[x], m[y]) for (x, y) in a.order)
-    is_embedding = is_monotone and all(
-        a.leq(x, y)
-        for x in a.carrier for y in a.carrier
-        if b.leq(m[x], m[y]))
+    a, b = h.dom, h.cod
+    m = [b.index[h.map[x]] for x in a.carrier]
+    is_hom = (all(m[a.index[a.const(c)]] == b.index[b.const(c)] for c in a.sig.constants())
+              and all([b.coded.tables[f][c] for c in _codes([m] * k, len(b.carrier))]
+                      == [m[v] for v in a.coded.tables[f]] for f, k in a.sig.operations()))
+    # Row i of `pulled`: the j with m(i) <= m(j).
+    pulled = [sum(1 << j for j, mj in enumerate(m) if b.coded.rows[mi] >> mj & 1) for mi in m]
+    is_monotone = all(row & ~p == 0 for row, p in zip(a.coded.rows, pulled))
     return {"is_hom": is_hom, "is_monotone": is_monotone,
-            "is_order_embedding": is_embedding}
+            "is_order_embedding": is_monotone and pulled == list(a.coded.rows)}
 
 
 def directed_kernel(h: Homomorphism) -> Rel:
@@ -205,8 +227,9 @@ def kernel(h: Homomorphism) -> Rel:
 
 def _compatible(alg: OrderedAlgebra, rel: Rel) -> bool:
     """Whether every one-slot translation maps each pair of rel into rel."""
+    rows = relations.to_rows(rel, alg.index)
     pairs = [(alg.index[a], alg.index[b]) for (a, b) in rel]
-    return all((t[i], t[j]) in rel
+    return all(rows[t[i]] >> t[j] & 1
                for t in alg.translations.values() for i, j in pairs)
 
 
@@ -233,7 +256,7 @@ def is_order_congruence(alg: OrderedAlgebra, theta: Rel) -> bool:
     """Closed chain condition: mutually leq-theta-related elements are glued."""
     if not is_congruence(alg, theta):
         raise NotACongruence("relation is not a congruence of the reduct")
-    return _order_quotient(alg, theta)[1] is not None
+    return _order_quotient(alg, theta) is not None
 
 
 def is_compatible_quasiorder(alg: OrderedAlgebra, sigma: Rel) -> bool:
@@ -243,39 +266,41 @@ def is_compatible_quasiorder(alg: OrderedAlgebra, sigma: Rel) -> bool:
             and _compatible(alg, sigma))
 
 
-def _image(alg: OrderedAlgebra, names: dict[str, str], order_source: Rel,
+def _image(alg: OrderedAlgebra, names: list[str], rows: Sequence[int],
            name: str) -> tuple[OrderedAlgebra, Homomorphism]:
-    """The algebra on the values of `names`, a map of the carrier, with
-    the map onto it: each table read at the earliest-listed element of
-    each value, the order that of order_source mapped through names."""
-    first: dict[str, str] = {}
-    for e in alg.carrier:
-        first.setdefault(names[e], e)
-    tables = {f: {tuple(names[a] for a in args): names[alg.op(f, args)]
-                  for args in itertools.product(first.values(), repeat=k)}
+    """The algebra on the values of `names`, a map of the carrier by
+    position, with the map onto it: each table read at the earliest-listed
+    element of each value, the order that of `rows` mapped through names."""
+    first: dict[str, int] = {}
+    for i, v in enumerate(names):
+        first.setdefault(v, i)
+    tables = {f: dict(zip(itertools.product(first, repeat=k),
+                          [names[alg.coded.tables[f][c]]
+                           for c in _codes([list(first.values())] * k, len(names))]))
               for f, k in alg.sig.operations()}
-    consts = {c: names[v] for c, v in alg.const_vals.items()}
-    img = OrderedAlgebra(alg.sig, list(first), {(names[a], names[b]) for a, b in order_source},
+    consts = {c: names[alg.index[v]] for c, v in alg.const_vals.items()}
+    img = OrderedAlgebra(alg.sig, list(first), relations.from_rows(rows, names),
                          tables, consts, name=name)
-    return img, Homomorphism(alg, img, names)
+    return img, Homomorphism(alg, img, dict(zip(alg.carrier, names)))
 
 
-def _quotient_algebra(alg: OrderedAlgebra, eq: Rel, order_source: Rel,
+def _quotient_algebra(alg: OrderedAlgebra, eq: list[int], rows: list[int],
                       name: str) -> tuple[OrderedAlgebra, Homomorphism]:
-    """Quotient carrier and tables, each class named by its earliest-listed
-    element; order projected from order_source pairs."""
-    names = {e: f"[{next(a for a in alg.carrier if (a, e) in eq)}]" for e in alg.carrier}
-    return _image(alg, names, order_source, name)
+    """Quotient carrier and tables, each class (a row of eq) named by its
+    earliest-listed element; order projected from `rows`."""
+    names = [f"[{alg.carrier[(row & -row).bit_length() - 1]}]" for row in eq]
+    return _image(alg, names, rows, name)
 
 
 def _order_quotient(alg: OrderedAlgebra, theta: Rel):
-    """leq-theta, and the regular quotient with its natural map or None
-    if theta fails the closed chain condition, which for a congruence
-    (not rechecked here) reads `lt & lt^-1 == theta`."""
-    lt = relations.transitive_closure(alg.order | theta)
-    if lt & relations.inverse(lt) != theta:
-        return lt, None
-    return lt, _quotient_algebra(alg, theta, lt, name=f"{alg.name}/theta")
+    """The regular quotient with its natural map, or None if theta fails
+    the closed chain condition, which for a congruence (not rechecked
+    here) reads `lt & lt^-1 == theta`, lt the closure of order | theta."""
+    eq = relations.to_rows(theta, alg.index)
+    lt = relations.warshall([a | b for a, b in zip(alg.coded.rows, eq)])
+    if relations.symmetric_part(lt) != eq:
+        return None
+    return _quotient_algebra(alg, eq, lt, name=f"{alg.name}/theta")
 
 
 def regular_quotient(alg: OrderedAlgebra, theta: Rel) -> tuple[OrderedAlgebra, Homomorphism]:
@@ -286,7 +311,7 @@ def regular_quotient(alg: OrderedAlgebra, theta: Rel) -> tuple[OrderedAlgebra, H
     """
     if not is_congruence(alg, theta):
         raise NotOrderCongruence("not a congruence")
-    quotient = _order_quotient(alg, theta)[1]
+    quotient = _order_quotient(alg, theta)
     if quotient is None:
         raise NotOrderCongruence("congruence fails the closed chain condition")
     return quotient
@@ -296,9 +321,9 @@ def nonregular_quotient(alg: OrderedAlgebra, sigma: Rel) -> OrderedAlgebra:
     """Quotient by a compatible quasiorder; classes of sigma & sigma^-1, order from sigma."""
     if not is_compatible_quasiorder(alg, sigma):
         raise NotCompatibleQuasiorder("relation is not a compatible quasiorder")
-    eq = sigma & relations.inverse(sigma)
-    q, _ = _quotient_algebra(alg, eq, sigma, name=f"{alg.name}/sigma")
-    return q
+    rows = relations.to_rows(sigma, alg.index)
+    return _quotient_algebra(alg, relations.symmetric_part(rows), rows,
+                             name=f"{alg.name}/sigma")[0]
 
 
 def factor_through(f: Homomorphism, theta: Rel) -> Homomorphism:
@@ -306,12 +331,11 @@ def factor_through(f: Homomorphism, theta: Rel) -> Homomorphism:
     alg = f.dom
     if not is_congruence(alg, theta):
         raise NotACongruence("relation is not a congruence of the reduct")
-    lt, quotient = _order_quotient(alg, theta)
-    dk = directed_kernel(f)
-    missing = sorted(lt - dk)
+    missing = sorted(relations.transitive_closure(alg.order | theta) - directed_kernel(f))
     if missing:
         raise PreconditionFailed(
             f"leq-theta pair {missing[0]} is not in the directed kernel")
+    quotient = _order_quotient(alg, theta)
     if quotient is None:
         raise NotOrderCongruence("congruence fails the closed chain condition")
     # theta lies in the kernel of f now, so f is constant on each class.
@@ -365,18 +389,13 @@ def generated_subalgebra(alg: OrderedAlgebra, seed) -> list[str]:
     outside = [e for e in seed if e not in alg.index]
     if outside:
         raise PreconditionFailed(f"seed elements {outside} not in the carrier of {alg.name}")
-    current = {alg.const(c) for c in alg.sig.constants()}
-    current.update(seed)
-    changed = True
-    while changed:
-        changed = False
-        for f, k in alg.sig.operations():
-            for args in itertools.product(sorted(current, key=alg.index.get), repeat=k):
-                v = alg.op(f, args)
-                if v not in current:
-                    current.add(v)
-                    changed = True
-    return [e for e in alg.carrier if e in current]
+    current = {alg.index[e] for e in itertools.chain(seed, map(alg.const, alg.sig.constants()))}
+    size = 0
+    while size < len(current):
+        size = len(current)
+        current.update([alg.coded.tables[f][c] for f, k in alg.sig.operations()
+                        for c in _codes([current] * k, len(alg.carrier))])
+    return [e for i, e in enumerate(alg.carrier) if i in current]
 
 
 def subalgebra(alg: OrderedAlgebra, subset: list[str], name: str | None = None) -> OrderedAlgebra:
@@ -403,59 +422,30 @@ def subalgebra(alg: OrderedAlgebra, subset: list[str], name: str | None = None) 
                           name=name or f"{alg.name}|{len(carrier)}")
 
 
-def _translations(alg: OrderedAlgebra) -> list[tuple[int, ...]]:
-    """The table's translations as index tuples, without repeats, constants or the identity."""
-    identity, position = tuple(alg.carrier), alg.index.__getitem__
-    return [tuple(map(position, t)) for t in dict.fromkeys(alg.translations.values())
-            if t != identity and len(set(t)) > 1]
+def _merge(theta: list[int], pairs) -> list[tuple[int, int]]:
+    """Merge the classes of each pair in turn, in an equivalence given by
+    each element's least class member; returns the pairs that merged two."""
+    merged = []
+    for i, j in pairs:
+        a, b = theta[i], theta[j]
+        if a != b:
+            low, high = (a, b) if a < b else (b, a)
+            theta[:] = [low if c == high else c for c in theta]
+            merged.append((i, j))
+    return merged
 
 
-def _find(parent: list[int], i: int) -> int:
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
-
-def _canonical(parent: list[int]) -> tuple[int, ...]:
-    """Each element's class as its least index (roots are kept least)."""
-    return tuple(_find(parent, i) for i in range(len(parent)))
-
-
-def _union(parent: list[int], a: int, b: int) -> bool:
-    """Merge the classes of a and b, keeping the lesser root; False if
-    they were one class already."""
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return False
-    if rb < ra:
-        ra, rb = rb, ra
-    parent[rb] = ra
-    return True
-
-
-def _principal(n: int, translations: list[tuple[int, ...]], a: int, b: int) -> tuple[int, ...]:
-    """Cg(a, b): a union-find closure under the translations.  Only pairs
-    that merged two classes are pushed; they generate the equivalence, so
+def _principal(columns: list[tuple[int, ...]], a: int, b: int) -> tuple[int, ...]:
+    """Cg(a, b) by closure under the translations, given as `columns`
+    (column x holds every translation's value at x).  Only pairs that
+    merged two classes are pushed; they generate the equivalence, so
     translating them suffices."""
-    parent = list(range(n))
-    _union(parent, a, b)
-    todo = [(a, b)]
+    theta = list(range(len(columns)))
+    todo = _merge(theta, [(a, b)])
     while todo:
         x, y = todo.pop()
-        for t in translations:
-            u, v = t[x], t[y]
-            if _union(parent, u, v):
-                todo.append((u, v))
-    return _canonical(parent)
-
-
-def _join(theta: tuple[int, ...], phi: tuple[int, ...]) -> tuple[int, ...]:
-    """The join of two equivalences, each given by its least indices."""
-    parent = list(theta)
-    for i, r in enumerate(phi):
-        _union(parent, i, r)
-    return _canonical(parent)
+        todo += _merge(theta, set(zip(columns[x], columns[y])))
+    return tuple(theta)
 
 
 def _partition_order_key(theta: tuple[int, ...]) -> tuple[int, ...]:
@@ -466,16 +456,17 @@ def _partition_order_key(theta: tuple[int, ...]) -> tuple[int, ...]:
     after it, its blocks sorted by ascending largest element, or opens a
     new block, listed last.  The list is lexicographic in those choices.
     """
-    n = len(theta)
     top: dict[int, int] = {}
     for i, r in enumerate(theta):
         top[r] = i
     maxima = sorted(top.values())
-    key = []
-    for k in range(n - 1, -1, -1):
-        later = [m for m in maxima if m > k]
+    rank = {m: j for j, m in enumerate(maxima)}
+    key, first = [], len(maxima)         # maxima[first:] are the later blocks
+    for k in range(len(theta) - 1, -1, -1):
+        if first and maxima[first - 1] > k:
+            first -= 1
         own = top[theta[k]]
-        key.append(later.index(own) if own > k else len(later))
+        key.append(rank[own] - first if own > k else len(maxima) - first)
     return tuple(key)
 
 
@@ -491,29 +482,24 @@ def all_congruences(alg: OrderedAlgebra) -> list[Rel]:
     """
     carrier = alg.carrier
     n = len(carrier)
-    translations = _translations(alg)
-    principals = list(dict.fromkeys(_principal(n, translations, a, b)
-                                    for a in range(n) for b in range(a + 1, n)))
+    columns = list(zip(*alg.translations.values())) or [()] * n
+    principals = dict.fromkeys(_principal(columns, a, b)
+                               for a in range(n) for b in range(a + 1, n))
     lattice = {tuple(range(n))}
     for p in principals:
-        lattice.update([_join(theta, p) for theta in lattice
-                        if any(theta[i] != theta[r] for i, r in enumerate(p))])
+        pairs = [(i, r) for i, r in enumerate(p) if i != r]
+        # A copy of theta that merges nothing already lies above p.
+        lattice.update([tuple(theta) for theta in map(list, lattice) if _merge(theta, pairs)])
     # One tuple per pair, shared by all the congruences (a cache holds them).
     pairs = [[(a, b) for b in carrier] for a in carrier]
-    out = []
-    for theta in sorted(lattice, key=_partition_order_key):
-        blocks: dict[int, list[int]] = {}
-        for i, r in enumerate(theta):
-            blocks.setdefault(r, []).append(i)
-        out.append(frozenset(pairs[i][j] for block in blocks.values()
-                             for i in block for j in block))
-    return out
+    return [frozenset(pairs[i][j] for i in range(n) for j in range(n) if theta[i] == theta[j])
+            for theta in sorted(lattice, key=_partition_order_key)]
 
 
-def _monotone_maps(domains, pairs_at, order, check=None):
-    """Each choice of one value per position from `domains`, in
-    lexicographic order, with (values[a], values[b]) in `order` for each
-    pair of `pairs_at[i]` and `check(i, values)` true, both tested at the
+def _monotone_maps(domains, pairs_at, rows, check=None):
+    """Each choice of one value index per position from `domains`, in
+    lexicographic order, with values[a] <= values[b] under the bitmask
+    `rows` for each pair of `pairs_at[i]` and `check(i, values)` true, both tested at the
     position i where the last value they read is chosen.  Yields one list,
     refilled.  Domains are first narrowed against the one-value domains
     (forward checking, Haralick and Elliott, AI 14, 1980); the search
@@ -522,9 +508,9 @@ def _monotone_maps(domains, pairs_at, order, check=None):
     domains = list(domains)
     for a, b in itertools.chain.from_iterable(pairs_at):
         if len(domains[a]) == 1:
-            domains[b] = [v for v in domains[b] if (domains[a][0], v) in order]
+            domains[b] = [v for v in domains[b] if rows[domains[a][0]] >> v & 1]
         if len(domains[b]) == 1:
-            domains[a] = [v for v in domains[a] if (v, domains[b][0]) in order]
+            domains[a] = [v for v in domains[a] if rows[v] >> domains[b][0] & 1]
     if not all(domains):
         return
     values = [None] * len(domains)
@@ -532,7 +518,7 @@ def _monotone_maps(domains, pairs_at, order, check=None):
     def consistent(i: int):
         for v in domains[i]:
             values[i] = v
-            if (all((values[a], values[b]) in order for a, b in pairs_at[i])
+            if (all(rows[values[a]] >> values[b] & 1 for a, b in pairs_at[i])
                     and (check is None or check(i, values))):
                 yield True
 
@@ -554,30 +540,39 @@ def all_homomorphisms(dom: OrderedAlgebra, cod: OrderedAlgebra) -> list[Homomorp
     order, the constants' images fixed: each strict order pair and table
     entry is tested once the last element it mentions has a value.
     """
-    n = len(dom.carrier)
-    domains = [cod.carrier] * n
+    n, m = len(dom.carrier), len(cod.carrier)
+    domains = [range(m)] * n
     for c in dom.sig.constants():
-        i = dom.index[dom.const(c)]
-        domains[i] = [v for v in domains[i] if v == cod.const(c)]
+        i, v = dom.index[dom.const(c)], cod.index[cod.const(c)]
+        domains[i] = [u for u in domains[i] if u == v]
     pairs_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (a, b) in dom.order:
+    for a, b in relations.from_rows(dom.coded.rows, range(n)):
         if a != b:
-            ia, ib = dom.index[a], dom.index[b]
-            pairs_at[max(ia, ib)].append((ia, ib))
+            pairs_at[max(a, b)].append((a, b))
+    # Per position and operation: its entries' argument indices by column, and values.
     table_at: list[list] = [[] for _ in range(n)]
     for f, k in dom.sig.operations():
-        tbl_c = cod.op_tables[f]
-        for args, v in dom.op_tables[f].items():
-            idx = tuple(dom.index[a] for a in args)
-            iv = dom.index[v]
-            table_at[max(idx + (iv,))].append((tbl_c, idx, iv))
+        entries: list[list] = [[] for _ in range(n)]
+        for args, v in zip(itertools.product(range(n), repeat=k), dom.coded.tables[f]):
+            entries[max(*args, v)].append(args + (v,))
+        for i, group in enumerate(entries):
+            if group:
+                *columns, results = zip(*group)
+                table_at[i].append((cod.coded.tables[f].__getitem__, columns, results))
 
-    def commutes(i: int, values: list[str]) -> bool:
-        return all(tbl_c[tuple([values[j] for j in idx])] == values[iv]
-                   for tbl_c, idx, iv in table_at[i])
+    def commutes(i: int, values: list[int]) -> bool:
+        get = values.__getitem__
+        for table, columns, results in table_at[i]:
+            codes = map(get, columns[0])
+            for column in columns[1:]:
+                codes = map(operator.add, map(operator.mul, codes, itertools.repeat(m)),
+                            map(get, column))
+            if not all(map(operator.eq, map(table, codes), map(get, results))):
+                return False
+        return True
 
-    return [Homomorphism(dom, cod, dict(zip(dom.carrier, values)))
-            for values in _monotone_maps(domains, pairs_at, cod.order, commutes)]
+    return [Homomorphism(dom, cod, dict(zip(dom.carrier, map(cod.carrier.__getitem__, values))))
+            for values in _monotone_maps(domains, pairs_at, cod.coded.rows, commutes)]
 
 
 # File format support (.oalg and .hom).

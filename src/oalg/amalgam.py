@@ -17,6 +17,7 @@ from pathlib import Path as FsPath
 
 from . import relations
 from .algebra import (
+    _codes,
     _image,
     _monotone_maps,
     _order_quotient,
@@ -66,7 +67,7 @@ def side_tag(name: str, side: int) -> str:
 def tag_algebra(alg: OrderedAlgebra, side: int) -> tuple[OrderedAlgebra, dict[str, str]]:
     """A disjoint copy with every element name suffixed by the side marker."""
     ren = {e: side_tag(e, side) for e in alg.carrier}
-    return _image(alg, ren, alg.order, name=side_tag(alg.name, side))[0], ren
+    return _image(alg, list(ren.values()), alg.coded.rows, name=side_tag(alg.name, side))[0], ren
 
 
 class Amalgam:
@@ -797,10 +798,8 @@ class Separator:
 
 
 def _fingerprint(d: OrderedAlgebra) -> tuple:
-    """Carrier, order, tables and constants: equal exactly for equal algebras."""
-    return (tuple(d.carrier), tuple(sorted(d.order)),
-            tuple(sorted((f, tuple(sorted(tbl.items())))
-                         for f, tbl in d.op_tables.items())),
+    """Carrier, coded order and tables, constants: equal exactly for equal algebras."""
+    return (tuple(d.carrier), d.coded.rows, tuple(d.coded.tables.items()),
             tuple(sorted(d.const_vals.items())))
 
 
@@ -813,7 +812,7 @@ def separator_candidates(alg: OrderedAlgebra, max_size: int):
         thetas = alg.__dict__["_separator_congruences"] = all_congruences(alg)
     seen: set = set()
     for theta in thetas:
-        quotient = _order_quotient(alg, theta)[1]
+        quotient = _order_quotient(alg, theta)
         if quotient is None:
             continue
         d = quotient[0]
@@ -847,13 +846,10 @@ def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
             # At most one map into it, so never a pair.
             continue
         key = _fingerprint(cod)
-        if key in cache:
-            homs = cache[key]
-        else:
-            homs = all_homomorphisms(alg, cod)
-            cache[key] = homs
+        if key not in cache:
+            cache[key] = all_homomorphisms(alg, cod)
         by_restriction: dict[tuple, list[Homomorphism]] = {}
-        for h in homs:
+        for h in cache[key]:
             key2 = tuple(h.map[c] for c in center)
             by_restriction.setdefault(key2, []).append(h)
         for group in by_restriction.values():
@@ -872,30 +868,25 @@ def _recheck_maps(maps, source: str) -> None:
             raise WitnessInconsistency(f"{source} produced a bad map")
 
 
-def _forced_table(table: dict, maps, arity: int, elements: list[str],
-                  order: frozenset) -> dict | None:
-    """A total codomain table, monotone for `order`, under which every map
-    commutes with this operation, or None: the first completion of the
-    forced entries in `itertools.product` order over the free cells, by
-    `_monotone_maps` with each cell paired with the cells above it.
+def _forced_table(cells: set[tuple[int, int]], arity: int, size: int,
+                  rows: list[int]) -> list[int] | None:
+    """A coded table on `size` elements, monotone for the bitmask `rows`,
+    that holds the forced `(code, value)` cells, or None (also when two of
+    them force one code): the first completion in `itertools.product`
+    order over the free cells, by `_monotone_maps` with each cell paired
+    with the cells above it.
     """
-    forced: dict = {}
-    for h in maps:
-        for args, v in table.items():
-            if forced.setdefault(tuple(h[a] for a in args), h[v]) != h[v]:
-                return None
-    cells = list(itertools.product(elements, repeat=arity))
-    index = {c: i for i, c in enumerate(cells)}
-    up = {a: [b for b in elements if (a, b) in order] for a in elements}
-    pairs_at: list[list[tuple[int, int]]] = [[] for _ in cells]
-    for i, c in enumerate(cells):
-        for above in itertools.product(*[up[a] for a in c]):
-            j = index[above]
+    forced = dict(cells)
+    if len(forced) < len(cells):
+        return None
+    ups = [[j for j in range(size) if row >> j & 1] for row in rows]
+    pairs_at: list[list[tuple[int, int]]] = [[] for _ in range(size ** arity)]
+    for i, cell in enumerate(itertools.product(range(size), repeat=arity)):
+        for j in _codes([ups[a] for a in cell], size):
             if j != i:
                 pairs_at[max(i, j)].append((i, j))
-    domains = [[forced[c]] if c in forced else elements for c in cells]
-    values = next(_monotone_maps(domains, pairs_at, order), None)
-    return None if values is None else dict(zip(cells, values))
+    domains = [[forced[i]] if i in forced else range(size) for i in range(size ** arity)]
+    return next(_monotone_maps(domains, pairs_at, rows), None)
 
 
 def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
@@ -908,41 +899,49 @@ def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
     the least quasiorder making both maps monotone and ordering the
     constants as the signature does, and its tables as any monotone
     completion of the entries the homomorphism conditions force.  Any
-    separator at the cap is found this way.
+    separator at the cap is found this way.  The maps, order and tables
+    are coded; the codomain is named d0, d1, ... once it is found.
     """
-    elements = [f"d{i}" for i in range(max_size)]
-    consts = alg.sig.constants()
-    strict = [(a, b) for (a, b) in alg.order if a != b]
-    op_items = alg.sig.operations()
-    free = [e for e in alg.carrier if e not in center]
-    for h1v in itertools.product(elements, repeat=len(alg.carrier)):
-        h1 = dict(zip(alg.carrier, h1v))
-        const_pairs = {(h1[alg.const(c)], h1[alg.const(d)])
-                       for (c, d) in alg.sig.const_order if c != d}
-        cvals = {c: h1[alg.const(c)] for c in consts}
-        for h2v in itertools.product(elements, repeat=len(free)):
-            h2 = dict(h1)
-            h2.update(zip(free, h2v))
-            if h1[x] == h2[x]:
-                continue
-            base = {(h[a], h[b]) for h in (h1, h2) for (a, b) in strict}
-            order = relations.reflexive_transitive_closure(base | const_pairs, elements)
-            if not relations.is_antisymmetric(order):
+    n, names = len(alg.carrier), [f"d{i}" for i in range(max_size)]
+    identity = [1 << v for v in range(max_size)]
+    consts = {c: alg.index[alg.const(c)] for c in alg.sig.constants()}
+    strict = [(a, b) for a, b in relations.from_rows(alg.coded.rows, range(n)) if a != b]
+    const_pairs = [(consts[c], consts[d]) for c, d in alg.sig.const_order if c != d]
+    free, ix = {alg.index[e] for e in alg.carrier if e not in center}, alg.index[x]
+
+    def cells(h, f, k):
+        """The `(code, value)` cells of f's table that h commuting with f forces."""
+        return {(c, h[v]) for c, v in zip(_codes([h] * k, max_size), alg.coded.tables[f])}
+
+    for h1 in itertools.product(range(max_size), repeat=n):
+        forced = {f: cells(h1, f, k) for f, k in alg.sig.operations()}
+        if any(len(dict(pairs)) < len(pairs) for pairs in forced.values()):
+            continue        # h1 alone forces two values into one cell
+        for h2 in itertools.product(*[[u for u in range(max_size) if i != ix or u != v]
+                                      if i in free else (v,) for i, v in enumerate(h1)]):
+            rows = list(identity)
+            for h, pairs in ((h1, strict), (h2, strict), (h1, const_pairs)):
+                for a, b in pairs:
+                    rows[h[a]] |= 1 << h[b]
+            rows = relations.warshall(rows)
+            if relations.symmetric_part(rows) != identity:
                 continue
             tables = {}
-            for f, k in op_items:
-                total = _forced_table(alg.op_tables[f], (h1, h2), k, elements, order)
-                if total is None:
+            for f, k in alg.sig.operations():
+                tables[f] = _forced_table(forced[f] | cells(h2, f, k), k, max_size, rows)
+                if tables[f] is None:
                     break
-                tables[f] = total
-            if len(tables) < len(op_items):
+            if None in tables.values():
                 continue
-            cod = OrderedAlgebra(alg.sig, elements, order, tables, cvals,
-                                 name=f"S{max_size}")
+            cod = OrderedAlgebra(alg.sig, names, relations.from_rows(rows, names),
+                                 {f: dict(zip(itertools.product(names, repeat=k),
+                                              map(names.__getitem__, tables[f])))
+                                  for f, k in alg.sig.operations()},
+                                 {c: names[h1[i]] for c, i in consts.items()}, name=f"S{max_size}")
             if validate_algebra(cod):
                 raise WitnessInconsistency("exhaustive separator built a bad codomain")
-            f_hom = Homomorphism(alg, cod, h1)
-            g_hom = Homomorphism(alg, cod, h2)
+            f_hom, g_hom = (Homomorphism(alg, cod, {e: names[v] for e, v in zip(alg.carrier, h)})
+                            for h in (h1, h2))
             _recheck_maps((f_hom, g_hom), "exhaustive separator")
             return Separator(cod, f_hom, g_hom, x)
     return None

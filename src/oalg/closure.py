@@ -40,12 +40,12 @@ def _one_slot_images(alg: OrderedAlgebra):
     """The `extend` of `relations.close` for compatible closures: for a pair
     (x, y), its image (t(x), t(y)) under each of the algebra's one-slot
     translations t, in op / fillers / slot order."""
-    translations, index = alg.translations.items(), alg.index
+    translations, index, carrier = alg.translations.items(), alg.index, alg.carrier
 
     def images(pair: Pair):
         i, j = index[pair[0]], index[pair[1]]
         for (f, fillers, slot), t in translations:
-            yield (t[i], t[j]), ("op", f, fillers, slot, pair)
+            yield (carrier[t[i]], carrier[t[j]]), ("op", f, fillers, slot, pair)
 
     return images
 
@@ -100,10 +100,10 @@ class GeneratedClosure:
         self._memo[pair] = steps
         return steps
 
-    def _transport(self, step: Step, trans: Translation, images: tuple[str, ...]) -> Step:
-        """The step under `trans`, whose values on the carrier are `images`."""
-        index = self.alg.index
-        left, right = (leaf(images[index[s.label]]) for s in (step.left, step.right))
+    def _transport(self, step: Step, trans: Translation, images: tuple[int, ...]) -> Step:
+        """The step under `trans`, whose values' indices on the carrier are `images`."""
+        index, carrier = self.alg.index, self.alg.carrier
+        left, right = (leaf(carrier[images[index[s.label]]]) for s in (step.left, step.right))
         if isinstance(step, IneqStep):
             return IneqStep(left, right)
         assert isinstance(step, RelStep)

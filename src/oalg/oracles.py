@@ -1,6 +1,7 @@
 """Independent oracles, used only by the command line, the acceptance suite
 and the tests: the congruences, homomorphisms and variety membership by
-brute-force filters, and compatibility, the generated quasiorder (by
+brute-force filters, the homomorphism flags by a walk over the name-keyed
+tables, and compatibility, the generated quasiorder (by
 breadth-first search over translated generator steps) and a recheck of
 closure witnesses by raw walks over the tables, sharing no code with
 `closure.py` or `OrderedAlgebra.translations`; the term order as the
@@ -82,6 +83,20 @@ def homomorphisms_by_product_filter(dom: OrderedAlgebra,
         if good:
             out.append(Homomorphism(dom, cod, m))
     return out
+
+
+def homomorphism_flags_by_table_walk(h: Homomorphism) -> dict[str, bool]:
+    """The flags of `algebra.check_homomorphism`, by a walk over every entry
+    of the name-keyed tables and every pair of the name-keyed orders: the
+    reference for the check on the coded form."""
+    a, b, m = h.dom, h.cod, h.map
+    is_hom = (all(m[v] == b.const_vals[c] for c, v in a.const_vals.items())
+              and all(m[v] == b.op_tables[f][tuple(m[x] for x in args)]
+                      for f, tbl in a.op_tables.items() for args, v in tbl.items()))
+    is_monotone = all(b.leq(m[x], m[y]) for x, y in a.order)
+    reflects = all(a.leq(x, y) for x in a.carrier for y in a.carrier if b.leq(m[x], m[y]))
+    return {"is_hom": is_hom, "is_monotone": is_monotone,
+            "is_order_embedding": is_monotone and reflects}
 
 
 def monotone_completion_by_product_filter(forced: dict, arity: int, elements: list[str],

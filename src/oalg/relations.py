@@ -1,6 +1,8 @@
 """Small helpers for binary relations stored as sets of pairs.
 
-`close` is the one closure engine: a worklist that adds transitive
+Plain transitive closures run Warshall's algorithm over bitmask rows (bit
+j of row i stands for the pair (i, j)).  `close` is the closure engine for
+the closures that carry derivations: a worklist that adds transitive
 composites and, through a caller-supplied `extend`, any further images
 of each pair (one-slot operation compatibility, for the algebra closures
 in `closure.py`).  It indexes the known pairs by their endpoints, so a
@@ -10,7 +12,8 @@ evaluation) instead of a rescan of the whole relation.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable
+import itertools
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import ValidationError
 
@@ -23,13 +26,6 @@ def identity(elements: Iterable) -> frozenset:
 
 def inverse(pairs: Iterable[Pair]) -> frozenset:
     return frozenset((b, a) for (a, b) in pairs)
-
-
-def compose(r: Iterable[Pair], s: Iterable[Pair]) -> frozenset:
-    by_left: dict = {}
-    for (a, b) in s:
-        by_left.setdefault(a, []).append(b)
-    return frozenset((a, c) for (a, b) in r for c in by_left.get(b, ()))
 
 
 def close(seeds: Iterable[tuple[Pair, tuple]],
@@ -75,12 +71,43 @@ def close(seeds: Iterable[tuple[Pair, tuple]],
     return found
 
 
+def to_rows(pairs: Iterable[Pair], index: dict) -> list[int]:
+    """The bitmask rows of a relation on the keys of `index`."""
+    rows = [0] * len(index)
+    for a, b in pairs:
+        rows[index[a]] |= 1 << index[b]
+    return rows
+
+
+def from_rows(rows: Sequence[int], names: Sequence) -> frozenset:
+    """The pairs of bitmask rows, each position read as `names[position]`."""
+    n = len(rows)
+    return frozenset((names[i], names[j]) for i, row in enumerate(rows)
+                     for j in range(n) if row >> j & 1)
+
+
+def warshall(rows: list[int]) -> list[int]:
+    """The transitive closure of bitmask rows (Warshall, JACM 9, 1962)."""
+    for k in range(len(rows)):
+        bit, row = 1 << k, rows[k]
+        rows = [r | row if r & bit else r for r in rows]
+    return rows
+
+
+def symmetric_part(rows: list[int]) -> list[int]:
+    """The rows of r & r^-1 for the relation r of `rows`."""
+    return [row & sum(1 << j for j, other in enumerate(rows) if other >> i & 1)
+            for i, row in enumerate(rows)]
+
+
 def transitive_closure(pairs: Iterable[Pair]) -> frozenset:
-    return frozenset(close((p, ("seed",)) for p in pairs))
+    pairs = list(pairs)
+    names = list(dict.fromkeys(itertools.chain.from_iterable(pairs)))
+    return from_rows(warshall(to_rows(pairs, {x: i for i, x in enumerate(names)})), names)
 
 
 def reflexive_transitive_closure(pairs: Iterable[Pair], elements: Iterable) -> frozenset:
-    return transitive_closure(set(pairs) | set(identity(elements)))
+    return transitive_closure(itertools.chain(pairs, identity(elements)))
 
 
 def is_reflexive(pairs: frozenset, elements: Iterable) -> bool:
@@ -88,7 +115,7 @@ def is_reflexive(pairs: frozenset, elements: Iterable) -> bool:
 
 
 def is_transitive(pairs: frozenset) -> bool:
-    return compose(pairs, pairs) <= pairs
+    return transitive_closure(pairs) == pairs
 
 
 def is_antisymmetric(pairs: frozenset) -> bool:

@@ -556,8 +556,12 @@ def normalize(am, sch: Scheme, max_iters: int | None = None) -> NormalizeResult:
     step, pushes the unfold right and the fold left past the inequalities
     left over, and resolves the pair by the covering case analysis.  Runs
     that exceed the iteration cap stop with a diagnosis instead of looping;
-    they are never silently wrong.
+    they are never silently wrong.  An invalid scheme is stuck at once,
+    with its first violation as the reason.
     """
+    report = validate_scheme(am, sch)
+    if report:
+        return NormalizeResult("stuck", sch, 0, [], f"invalid scheme: {report[0]}")
     if not (sch.source.is_leaf and sch.target.is_leaf):
         return NormalizeResult("stuck", sch, 0, [], "endpoints are not single leaves")
     if max_iters is None:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,9 +42,10 @@ from oalg.errors import (
 )
 from oalg.generators import random_algebra, random_partial_order, random_relation
 from oalg.oracles import compatible_by_table_walk, congruences_by_partition_filter, \
-    homomorphisms_by_product_filter, variety_report_by_pair_filter
+    homomorphism_flags_by_table_walk, homomorphisms_by_product_filter, \
+    variety_report_by_pair_filter
 from oalg.relations import partition_to_pairs
-from oalg.signature import SIG1
+from oalg.signature import SIG1, Signature
 from oalg.terms import parse_term
 
 CH2 = chain(2, SIG1)
@@ -121,6 +123,54 @@ def test_check_homomorphism():
     assert flags == {"is_hom": True, "is_monotone": True, "is_order_embedding": False}
     broken = Homomorphism(CH3, CH3, {"e0": "e1", "e1": "e1", "e2": "e2"})
     assert not check_homomorphism(broken)["is_hom"]
+
+
+def dual(alg):
+    return OrderedAlgebra(alg.sig, alg.carrier, relations.inverse(alg.order),
+                          alg.op_tables, alg.const_vals, name=alg.name + "^op")
+
+
+def test_check_homomorphism_agrees_with_the_table_walk():
+    # Candidates: the endomorphisms and random maps, each into the algebra
+    # and into its order dual (the same tables, so the endomorphisms stay
+    # homomorphisms but are seldom monotone), and some homomorphisms into
+    # a second random algebra.
+    rng = random.Random(29)
+    kinds = Counter()
+    for _ in range(60):
+        dom = random_algebra(rng, SIG1, rng.randrange(1, 5))
+        cod = random_algebra(rng, SIG1, rng.randrange(1, 4), name="S")
+        maps = [h.map for h in all_homomorphisms(dom, dom)]
+        maps += [{e: rng.choice(dom.carrier) for e in dom.carrier} for _ in range(3)]
+        candidates = [Homomorphism(dom, target, m) for target in (dom, dual(dom)) for m in maps]
+        for h in candidates + all_homomorphisms(dom, cod)[:3]:
+            flags = check_homomorphism(h)
+            assert flags == homomorphism_flags_by_table_walk(h)
+            kinds[tuple(flags.values())] += 1
+    assert all(kinds[key] >= 10 for key in [(True, True, True), (True, True, False),
+                                            (True, False, False), (False, True, False),
+                                            (False, False, False)])
+
+
+# One operation of each arity from 1 to 3, and two ordered constants.
+SIG123 = Signature({"h": 1, "f": 2, "g": 3, "c": 0, "d": 0}, frozenset({("c", "d")}))
+
+
+def test_coded_form_matches_the_names():
+    rng = random.Random(17)
+    for size in [1, 1, 2, 2, 3, 3, 4, 5]:
+        alg = random_algebra(rng, SIG123, size)
+        n, index = len(alg.carrier), alg.index
+        for f, k in alg.sig.operations():
+            assert len(alg.coded.tables[f]) == n ** k
+            for args in itertools.product(alg.carrier, repeat=k):
+                code = 0
+                for a in args:
+                    code = code * n + index[a]
+                assert alg.coded.tables[f][code] == index[alg.op_tables[f][args]]
+        for a in alg.carrier:
+            assert [alg.coded.rows[index[a]] >> index[b] & 1 == 1 for b in alg.carrier] \
+                == [alg.leq(a, b) for b in alg.carrier]
 
 
 def test_directed_kernel_example():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import oalg.amalgam as amalgam
 import oalg.closure as closure
+from oalg import relations
 from oalg.algebra import Homomorphism, OrderedAlgebra, chain, generated_subalgebra, \
     subalgebra, with_trivial_order
 from oalg.amalgam import (
@@ -319,6 +320,16 @@ def test_exhaustive_separator_finds_whatever_a_regular_quotient_finds(monkeypatc
     assert outcomes.count(True) >= 20 and outcomes.count(False) >= 10
 
 
+def forced_table_by_name(forced: dict, arity: int, elements: list[str], order) -> dict | None:
+    """`amalgam._forced_table` on a partial table keyed by names, read back by name."""
+    index = {e: i for i, e in enumerate(elements)}
+    cells = list(itertools.product(elements, repeat=arity))
+    codes = {cells.index(c): index[v] for c, v in forced.items()}
+    table = amalgam._forced_table(set(codes.items()), arity, len(elements),
+                                  relations.to_rows(order, index))
+    return None if table is None else {c: elements[v] for c, v in zip(cells, table)}
+
+
 def test_forced_table_is_the_first_monotone_completion():
     rng = random.Random(41)
     outcomes = []
@@ -329,8 +340,7 @@ def test_forced_table_is_the_first_monotone_completion():
         cells = list(itertools.product(elements, repeat=arity))
         forced = {c: rng.choice(elements)
                   for c in rng.sample(cells, rng.randrange(len(cells) + 1))}
-        identity = {e: e for e in elements}
-        table = amalgam._forced_table(forced, (identity,), arity, elements, order)
+        table = forced_table_by_name(forced, arity, elements, order)
         assert table == monotone_completion_by_product_filter(forced, arity, elements, order)
         outcomes.append(table is not None)
     assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
@@ -341,8 +351,7 @@ def test_forced_table_completes_more_than_a_thousand_free_cells():
     elements, g = ch.carrier, ch.op_tables["g"]
     forced = {args: g[args] for args in [("e0", "e0", "e0"), ("e3", "e5", "e1"),
                                          ("e10", "e10", "e10")]}
-    identity = {e: e for e in elements}
-    table = amalgam._forced_table(forced, (identity,), 3, elements, ch.order)
+    table = forced_table_by_name(forced, 3, elements, ch.order)
     assert len(table) == 11 ** 3 and len(table) - len(forced) > 1000
     assert all(table[c] == v for c, v in forced.items())
     # On a product of chains, monotone means monotone along each cover.

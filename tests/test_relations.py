@@ -7,21 +7,39 @@ from oalg.errors import ValidationError
 from oalg.signature import Signature, parse_signature
 from oalg.termorder import VarPoset
 
-elements = st.integers(min_value=0, max_value=5)
+# Integers and strings, mixed in one relation.
+elements = st.one_of(st.integers(min_value=0, max_value=5), st.sampled_from(["a", "b", "e0<1>"]))
 
 
-def warshall(pairs, carrier):
-    reach = {(a, b): (a, b) in pairs for a in carrier for b in carrier}
-    for k in carrier:
-        for a in carrier:
-            for b in carrier:
-                reach[a, b] = reach[a, b] or (reach[a, k] and reach[k, b])
-    return frozenset(p for p, r in reach.items() if r)
+def reachable(pairs, elements=()):
+    """(a, b) for each b reached from a in one or more steps, by depth-first
+    search from each element, and (x, x) for each of `elements`."""
+    succ: dict = {}
+    for a, b in pairs:
+        succ.setdefault(a, []).append(b)
+    out = {(x, x) for x in elements}
+    for a, nexts in succ.items():
+        seen, stack = set(), list(nexts)
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack.extend(succ.get(b, ()))
+        out.update((a, b) for b in seen)
+    return frozenset(out)
 
 
 @given(st.frozensets(st.tuples(elements, elements), max_size=20))
-def test_transitive_closure_matches_warshall(pairs):
-    assert relations.transitive_closure(pairs) == warshall(pairs, range(6))
+def test_transitive_closure_matches_reachability(pairs):
+    assert relations.transitive_closure(pairs) == reachable(pairs)
+
+
+@given(st.frozensets(st.tuples(elements, elements), max_size=12),
+       st.frozensets(st.sampled_from([6, 7, "z"])))
+def test_reflexive_transitive_closure_matches_reachability(pairs, isolated):
+    # The isolated elements are drawn from outside the pool of the pairs.
+    carrier = [x for pair in pairs for x in pair] + list(isolated)
+    assert relations.reflexive_transitive_closure(pairs, carrier) == reachable(pairs, carrier)
 
 
 def _algebra(elements, pairs):

@@ -214,6 +214,16 @@ def test_normalize_iteration_cap():
     assert res.status == "stuck" and "cap" in res.reason
 
 
+def test_normalize_reports_an_invalid_scheme_as_stuck():
+    # Both relation steps claim that the leaf e2<1> evaluates to another element.
+    sch = Scheme(E21, E01, (make_rel("EV1INV", E21, (), E11), IneqStep(E11, E21),
+                            make_rel("EV1", E21, (), E01)))
+    first = validate_scheme(SP, sch)[0]
+    res = normalize(SP, sch)
+    assert (res.status, res.scheme, res.iterations) == ("stuck", sch, 0)
+    assert res.reason == f"invalid scheme: {first}"
+
+
 def test_is_case1():
     assert is_case1(Scheme(E01, E01, ()))
     assert not is_case1(unfold_fold_scheme())
