@@ -233,8 +233,16 @@ def _compatible(alg: OrderedAlgebra, rel: Rel) -> bool:
                for t in alg.translations.values() for i, j in pairs)
 
 
+def _check_carrier(alg: OrderedAlgebra, rel: Rel) -> None:
+    """Raise `ValidationError` unless rel relates only carrier elements."""
+    outside = sorted({e for pair in rel for e in pair if e not in alg.index}, key=repr)
+    if outside:
+        raise ValidationError(f"relation names {outside[0]!r}, outside the carrier of {alg.name}")
+
+
 def is_congruence(alg: OrderedAlgebra, theta: Rel) -> bool:
     """Equivalence compatible with the ops of the unordered reduct."""
+    _check_carrier(alg, theta)
     return (relations.is_reflexive(theta, alg.carrier)
             and theta == relations.inverse(theta)
             and relations.is_transitive(theta)
@@ -260,6 +268,7 @@ def is_order_congruence(alg: OrderedAlgebra, theta: Rel) -> bool:
 
 
 def is_compatible_quasiorder(alg: OrderedAlgebra, sigma: Rel) -> bool:
+    _check_carrier(alg, sigma)
     return (relations.is_reflexive(sigma, alg.carrier)
             and relations.is_transitive(sigma)
             and alg.order <= sigma

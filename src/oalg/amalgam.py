@@ -797,30 +797,26 @@ class Separator:
     element: str
 
 
-def _fingerprint(d: OrderedAlgebra) -> tuple:
-    """Carrier, coded order and tables, constants: equal exactly for equal algebras."""
-    return (tuple(d.carrier), d.coded.rows, tuple(d.coded.tables.items()),
-            tuple(sorted(d.const_vals.items())))
-
-
 def separator_candidates(alg: OrderedAlgebra, max_size: int):
-    """Codomains tried by the separator search before the complete one,
-    lazily and without repeats: the regular quotients within the cap.
-    The congruences are computed once per base algebra."""
-    thetas = alg.__dict__.get("_separator_congruences")
-    if thetas is None:
-        thetas = alg.__dict__["_separator_congruences"] = all_congruences(alg)
-    seen: set = set()
-    for theta in thetas:
-        quotient = _order_quotient(alg, theta)
-        if quotient is None:
-            continue
-        d = quotient[0]
-        if len(d.carrier) <= max_size and not validate_algebra(d):
-            fp = _fingerprint(d)
-            if fp not in seen:
-                seen.add(fp)
-                yield d
+    """The codomains tried by the separator search before the complete
+    one, each with the homomorphisms into it: the regular quotients in
+    the variety within the cap, lazily, in `all_congruences` order.  One
+    memo per base algebra keeps each quotient (None outside the variety)
+    once a search reaches it, and the maps into it once a search within
+    the cap does.  Repeated quotients come again: having the maps of the
+    first copy, they separate nothing it did not."""
+    memo = alg.__dict__.get("_separator_memo")
+    if memo is None:
+        memo = alg.__dict__["_separator_memo"] = {theta: [] for theta in all_congruences(alg)}
+    for theta, kept in memo.items():
+        if not kept:
+            quotient = _order_quotient(alg, theta)
+            kept.append(None if quotient is None or validate_algebra(quotient[0])
+                        else quotient[0])
+        if kept[0] is not None and len(kept[0].carrier) <= max_size:
+            if len(kept) == 1:
+                kept.append(all_homomorphisms(alg, kept[0]))
+            yield kept[0], kept[1]
 
 
 def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
@@ -840,18 +836,11 @@ def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
         raise PreconditionFailed(
             f"{sorted(center)} is not a subalgebra: not closed under the "
             f"operations or missing a constant")
-    cache = alg.__dict__.setdefault("_separator_hom_cache", {})
-    for cod in separator_candidates(alg, max_size):
-        if len(cod.carrier) < 2:
-            # At most one map into it, so never a pair.
-            continue
-        key = _fingerprint(cod)
-        if key not in cache:
-            cache[key] = all_homomorphisms(alg, cod)
+    for cod, homs in separator_candidates(alg, max_size):
         by_restriction: dict[tuple, list[Homomorphism]] = {}
-        for h in cache[key]:
-            key2 = tuple(h.map[c] for c in center)
-            by_restriction.setdefault(key2, []).append(h)
+        for h in homs:
+            key = tuple(h.map[c] for c in center)
+            by_restriction.setdefault(key, []).append(h)
         for group in by_restriction.values():
             for f, g in itertools.combinations(group, 2):
                 if f.map[x] != g.map[x]:

@@ -29,7 +29,7 @@ def inverse(pairs: Iterable[Pair]) -> frozenset:
 
 
 def close(seeds: Iterable[tuple[Pair, tuple]],
-          extend: Callable[[Pair], Iterable[tuple[Pair, tuple]]] | None = None) -> dict:
+          extend: Callable[[Pair], Iterable[tuple[Pair, tuple]]]) -> dict:
     """Least relation containing the seeds, closed under transitivity and
     under `extend`; maps each pair to the derivation it was first found by.
 
@@ -64,10 +64,9 @@ def close(seeds: Iterable[tuple[Pair, tuple]],
                 add((a, y), ("trans", (a, x), pair))
             if a == y and (x, b) not in found:
                 add((x, b), ("trans", pair, (y, b)))
-        if extend is not None:
-            for image, derivation in extend(pair):
-                if image not in found:
-                    add(image, derivation)
+        for image, derivation in extend(pair):
+            if image not in found:
+                add(image, derivation)
     return found
 
 

@@ -377,6 +377,16 @@ def test_regular_quotient_rejects_bad_input():
         regular_quotient(CH3, frozenset({("e0", "e1")}))
 
 
+@pytest.mark.parametrize("entry", [
+    is_congruence, is_order_congruence, leq_theta, regular_quotient,
+    pytest.param(lambda alg, rel: factor_through(
+        Homomorphism(alg, alg, {e: e for e in alg.carrier}), rel), id="factor_through"),
+    is_compatible_quasiorder, nonregular_quotient])
+def test_a_relation_off_the_carrier_is_rejected(entry):
+    with pytest.raises(ValidationError, match="'zz'"):
+        entry(CH3, relations.identity(CH3.carrier) | {("zz", "zz")})
+
+
 def test_nonregular_quotient():
     same = nonregular_quotient(CH3, CH3.order)
     assert len(same.carrier) == 3

@@ -170,15 +170,18 @@ def test_separator_search_tries_quotients_differing_only_in_constants():
     assert all(sep.f.map[e] == sep.g.map[e] for e in ("e0", "e3"))
 
 
+def _algebra_key(d: OrderedAlgebra) -> tuple:
+    """Carrier, order, tables and constants: equal exactly for equal algebras."""
+    return (d.carrier, sorted(d.order),
+            sorted((f, sorted(tbl.items())) for f, tbl in d.op_tables.items()),
+            sorted(d.const_vals.items()))
+
+
 def _separator_digest(sep) -> str | None:
-    """A hash of the codomain (carrier, order, tables, constants) and both maps."""
+    """A hash of the codomain's `_algebra_key` and both maps."""
     if sep is None:
         return None
-    d = sep.codomain
-    pinned = (d.carrier, sorted(d.order),
-              sorted((f, sorted(tbl.items())) for f, tbl in d.op_tables.items()),
-              sorted(d.const_vals.items()), sorted(sep.f.map.items()),
-              sorted(sep.g.map.items()))
+    pinned = _algebra_key(sep.codomain) + (sorted(sep.f.map.items()), sorted(sep.g.map.items()))
     return hashlib.sha256(repr(pinned).encode()).hexdigest()[:16]
 
 
@@ -262,15 +265,49 @@ def test_regular_separators_are_rechecked(monkeypatch):
         separator_search(chain(3, SIG1), ["e0", "e2"], "e1", 3)
 
 
+def test_a_repeated_quotient_is_tried_again_and_separates_nothing_new(monkeypatch):
+    # Two congruences of R142 give one two-element quotient, and the search
+    # for e4 reaches both.  The digests were computed with repeats skipped,
+    # so they show that the repeat separates nothing new.
+    reached = []
+    candidates = amalgam.separator_candidates
+
+    def recording(alg, max_size):
+        for cod, homs in candidates(alg, max_size):
+            reached.append(repr(_algebra_key(cod)))
+            yield cod, homs
+
+    monkeypatch.setattr(amalgam, "separator_candidates", recording)
+    rng = random.Random(142)
+    alg = random_algebra(rng, SIG1, rng.randrange(3, 6), name="R142")
+    core = generated_subalgebra(alg, [])
+    got, repeats = {}, {}
+    for x in alg.carrier:
+        if x not in core:
+            reached.clear()
+            got[x] = _separator_digest(separator_search(alg, core, x, 2))
+            repeats[x] = len(reached) - len(set(reached))
+    assert got == {"e2": "56599d6e26805db5", "e4": "f5558dbc688356c1"}
+    assert repeats["e4"] > 0
+
+
 def test_congruences_are_computed_once_per_base(monkeypatch):
-    calls = []
+    calls, built, mapped = [], [], []
     enumerate_congruences = amalgam.all_congruences
+    quotient = amalgam._order_quotient
+    enumerate_homs = amalgam.all_homomorphisms
     monkeypatch.setattr(amalgam, "all_congruences",
                         lambda alg: calls.append(alg) or enumerate_congruences(alg))
+    monkeypatch.setattr(amalgam, "_order_quotient",
+                        lambda alg, theta: built.append(theta) or quotient(alg, theta))
+    monkeypatch.setattr(amalgam, "all_homomorphisms",
+                        lambda dom, cod: mapped.append(id(cod)) or enumerate_homs(dom, cod))
     alg = chain(6, SIG1)
-    for x in ("e1", "e2", "e3"):
-        assert separator_search(alg, ["e0", "e5"], x, 3) is not None
+    for x, cap in (("e1", 3), ("e2", 3), ("e3", 3), ("e1", 2)):
+        assert separator_search(alg, ["e0", "e5"], x, cap) is not None
     assert calls == [alg]
+    assert len(set(built)) == len(built)
+    assert len(set(mapped)) == len(mapped) <= len(enumerate_congruences(alg))
 
 
 def _r141():
