@@ -210,11 +210,17 @@ def check_homomorphism(h: Homomorphism) -> dict[str, bool]:
             "is_order_embedding": is_monotone and pulled == list(a.coded.rows)}
 
 
+def require_monotone_hom(error: Exception, *maps: Homomorphism) -> None:
+    """Raise `error` unless every map is a monotone homomorphism."""
+    for h in maps:
+        flags = check_homomorphism(h)
+        if not (flags["is_hom"] and flags["is_monotone"]):
+            raise error
+
+
 def directed_kernel(h: Homomorphism) -> Rel:
     """All pairs the codomain orders after mapping; a compatible quasiorder."""
-    flags = check_homomorphism(h)
-    if not (flags["is_hom"] and flags["is_monotone"]):
-        raise NotAHomomorphism("directed kernel needs a monotone homomorphism")
+    require_monotone_hom(NotAHomomorphism("directed kernel needs a monotone homomorphism"), h)
     return frozenset((x, y)
                      for x in h.dom.carrier for y in h.dom.carrier
                      if h.cod.leq(h.map[x], h.map[y]))
@@ -264,7 +270,7 @@ def is_order_congruence(alg: OrderedAlgebra, theta: Rel) -> bool:
     """Closed chain condition: mutually leq-theta-related elements are glued."""
     if not is_congruence(alg, theta):
         raise NotACongruence("relation is not a congruence of the reduct")
-    return _order_quotient(alg, theta) is not None
+    return _order_quotient(alg, relations.to_rows(theta, alg.index)) is not None
 
 
 def is_compatible_quasiorder(alg: OrderedAlgebra, sigma: Rel) -> bool:
@@ -301,11 +307,10 @@ def _quotient_algebra(alg: OrderedAlgebra, eq: list[int], rows: list[int],
     return _image(alg, names, rows, name)
 
 
-def _order_quotient(alg: OrderedAlgebra, theta: Rel):
-    """The regular quotient with its natural map, or None if theta fails
-    the closed chain condition, which for a congruence (not rechecked
-    here) reads `lt & lt^-1 == theta`, lt the closure of order | theta."""
-    eq = relations.to_rows(theta, alg.index)
+def _order_quotient(alg: OrderedAlgebra, eq: list[int]):
+    """The regular quotient by the congruence with bitmask rows eq, and its
+    natural map, or None if eq fails the closed chain condition, which for
+    a congruence (not rechecked here) reads `lt & lt^-1 == eq`."""
     lt = relations.warshall([a | b for a, b in zip(alg.coded.rows, eq)])
     if relations.symmetric_part(lt) != eq:
         return None
@@ -320,7 +325,7 @@ def regular_quotient(alg: OrderedAlgebra, theta: Rel) -> tuple[OrderedAlgebra, H
     """
     if not is_congruence(alg, theta):
         raise NotOrderCongruence("not a congruence")
-    quotient = _order_quotient(alg, theta)
+    quotient = _order_quotient(alg, relations.to_rows(theta, alg.index))
     if quotient is None:
         raise NotOrderCongruence("congruence fails the closed chain condition")
     return quotient
@@ -338,13 +343,10 @@ def nonregular_quotient(alg: OrderedAlgebra, sigma: Rel) -> OrderedAlgebra:
 def factor_through(f: Homomorphism, theta: Rel) -> Homomorphism:
     """The unique map g from the quotient with g after the natural map = f."""
     alg = f.dom
-    if not is_congruence(alg, theta):
-        raise NotACongruence("relation is not a congruence of the reduct")
-    missing = sorted(relations.transitive_closure(alg.order | theta) - directed_kernel(f))
+    missing = sorted(leq_theta(alg, theta) - directed_kernel(f))
     if missing:
-        raise PreconditionFailed(
-            f"leq-theta pair {missing[0]} is not in the directed kernel")
-    quotient = _order_quotient(alg, theta)
+        raise PreconditionFailed(f"leq-theta pair {missing[0]} is not in the directed kernel")
+    quotient = _order_quotient(alg, relations.to_rows(theta, alg.index))
     if quotient is None:
         raise NotOrderCongruence("congruence fails the closed chain condition")
     # theta lies in the kernel of f now, so f is constant on each class.
@@ -479,9 +481,9 @@ def _partition_order_key(theta: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(key)
 
 
-def all_congruences(alg: OrderedAlgebra) -> list[Rel]:
-    """Every congruence of the unordered reduct, in the order of
-    `relations.all_partitions`.
+def all_congruences(alg: OrderedAlgebra) -> list[tuple[int, ...]]:
+    """Every congruence of the unordered reduct as its class tuple (each index
+    to the least index in its class), in `relations.all_partitions` order.
 
     Each congruence is the join of the principal congruences of its
     pairs, and a join of congruences is their join as equivalences
@@ -489,8 +491,7 @@ def all_congruences(alg: OrderedAlgebra) -> list[Rel]:
     2008).  So the lattice is the least set holding the identity and
     closed under joining with each principal congruence.
     """
-    carrier = alg.carrier
-    n = len(carrier)
+    n = len(alg.carrier)
     columns = list(zip(*alg.translations.values())) or [()] * n
     principals = dict.fromkeys(_principal(columns, a, b)
                                for a in range(n) for b in range(a + 1, n))
@@ -499,10 +500,7 @@ def all_congruences(alg: OrderedAlgebra) -> list[Rel]:
         pairs = [(i, r) for i, r in enumerate(p) if i != r]
         # A copy of theta that merges nothing already lies above p.
         lattice.update([tuple(theta) for theta in map(list, lattice) if _merge(theta, pairs)])
-    # One tuple per pair, shared by all the congruences (a cache holds them).
-    pairs = [[(a, b) for b in carrier] for a in carrier]
-    return [frozenset(pairs[i][j] for i in range(n) for j in range(n) if theta[i] == theta[j])
-            for theta in sorted(lattice, key=_partition_order_key)]
+    return sorted(lattice, key=_partition_order_key)
 
 
 def _monotone_maps(domains, pairs_at, rows, check=None):

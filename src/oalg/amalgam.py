@@ -29,6 +29,7 @@ from .algebra import (
     evaluate,
     generated_subalgebra,
     load_algebra,
+    require_monotone_hom,
     subalgebra,
     validate_algebra,
 )
@@ -753,9 +754,8 @@ def mediate(am: Amalgam, target: OrderedAlgebra, gamma1: dict[str, str],
     h1 = Homomorphism(am.a1, target, gamma1)
     h2 = Homomorphism(am.a2, target, gamma2)
     for h, label in ((h1, "gamma1"), (h2, "gamma2")):
-        flags = check_homomorphism(h)
-        if not (flags["is_hom"] and flags["is_monotone"]):
-            raise CommutationFailure(f"{label} is not a homomorphism of ordered algebras")
+        require_monotone_hom(CommutationFailure(
+            f"{label} is not a homomorphism of ordered algebras"), h)
     for z in am.c.carrier:
         if gamma1[am.phi1[z]] != gamma2[am.phi2[z]]:
             raise CommutationFailure(
@@ -797,20 +797,22 @@ class Separator:
     element: str
 
 
+def _separator_memo(alg: OrderedAlgebra) -> dict[tuple[int, ...], list]:
+    """The per-base memo both separator stages read, in `all_congruences` order."""
+    if "_separator_memo" not in alg.__dict__:
+        alg.__dict__["_separator_memo"] = {theta: [] for theta in all_congruences(alg)}
+    return alg.__dict__["_separator_memo"]
+
+
 def separator_candidates(alg: OrderedAlgebra, max_size: int):
-    """The codomains tried by the separator search before the complete
-    one, each with the homomorphisms into it: the regular quotients in
-    the variety within the cap, lazily, in `all_congruences` order.  One
-    memo per base algebra keeps each quotient (None outside the variety)
-    once a search reaches it, and the maps into it once a search within
-    the cap does.  Repeated quotients come again: having the maps of the
-    first copy, they separate nothing it did not."""
-    memo = alg.__dict__.get("_separator_memo")
-    if memo is None:
-        memo = alg.__dict__["_separator_memo"] = {theta: [] for theta in all_congruences(alg)}
-    for theta, kept in memo.items():
+    """The codomains tried by the separator search before the complete one,
+    with the homomorphisms into each: the regular quotients in the variety
+    within the cap, lazily, in `all_congruences` order, each kept in the memo
+    (None outside the variety) with the maps into it.  Repeats come again,
+    and having the first copy's maps they separate nothing new."""
+    for theta, kept in _separator_memo(alg).items():
         if not kept:
-            quotient = _order_quotient(alg, theta)
+            quotient = _order_quotient(alg, relations.class_rows(theta))
             kept.append(None if quotient is None or validate_algebra(quotient[0])
                         else quotient[0])
         if kept[0] is not None and len(kept[0].carrier) <= max_size:
@@ -829,6 +831,8 @@ def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
     exists at the cap; it never asserts that x is dominated.  Either
     stage's maps are rechecked as monotone homomorphisms before return.
     """
+    if x not in alg.index:
+        raise PreconditionFailed(f"{x!r} is not in the carrier of {alg.name}")
     if x in center:
         raise PreconditionFailed(f"{x} already lies in the subalgebra")
     if (any(e not in alg.index for e in center)
@@ -844,17 +848,10 @@ def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
         for group in by_restriction.values():
             for f, g in itertools.combinations(group, 2):
                 if f.map[x] != g.map[x]:
-                    _recheck_maps((f, g), "regular separator")
+                    require_monotone_hom(WitnessInconsistency(
+                        "regular separator produced a bad map"), f, g)
                     return Separator(cod, f, g, x)
     return exhaustive_separator(alg, center, x, max_size)
-
-
-def _recheck_maps(maps, source: str) -> None:
-    """Raise unless every map is a monotone homomorphism."""
-    for h in maps:
-        flags = check_homomorphism(h)
-        if not (flags["is_hom"] and flags["is_monotone"]):
-            raise WitnessInconsistency(f"{source} produced a bad map")
 
 
 def _forced_table(cells: set[tuple[int, int]], arity: int, size: int,
@@ -878,18 +875,26 @@ def _forced_table(cells: set[tuple[int, int]], arity: int, size: int,
     return next(_monotone_maps(domains, pairs_at, rows), None)
 
 
+def _first_maps(alg: OrderedAlgebra, max_size: int):
+    """The congruences of at most max_size classes, labelled by first occurrence, in
+    sorted class-tuple order: the `itertools.product` order of the labellings."""
+    for theta in sorted(t for t in _separator_memo(alg) if len(set(t)) <= max_size):
+        yield tuple(map(sorted(set(theta)).index, theta))
+
+
 def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
                          max_size: int) -> Separator | None:
     """Complete search over all codomains of at most max_size elements,
     the separator search's last stage after the regular quotients.
 
-    Enumerates the two maps jointly, the second only off the core (on it,
-    the two agree); the codomain's order can be taken as
-    the least quasiorder making both maps monotone and ordering the
-    constants as the signature does, and its tables as any monotone
+    Enumerates the two maps jointly: the first over `_first_maps` (the rest
+    either force two values into one table cell or relabel the codomain), the
+    second only off the core (on it, the two agree).  The codomain's order can
+    be taken as the least quasiorder making both maps monotone and ordering
+    the constants as the signature does, and its tables as any monotone
     completion of the entries the homomorphism conditions force.  Any
-    separator at the cap is found this way.  The maps, order and tables
-    are coded; the codomain is named d0, d1, ... once it is found.
+    separator at the cap is found this way.  The maps, order and tables are
+    coded; the codomain is named d0, d1, ... once it is found.
     """
     n, names = len(alg.carrier), [f"d{i}" for i in range(max_size)]
     identity = [1 << v for v in range(max_size)]
@@ -902,10 +907,8 @@ def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
         """The `(code, value)` cells of f's table that h commuting with f forces."""
         return {(c, h[v]) for c, v in zip(_codes([h] * k, max_size), alg.coded.tables[f])}
 
-    for h1 in itertools.product(range(max_size), repeat=n):
+    for h1 in _first_maps(alg, max_size):
         forced = {f: cells(h1, f, k) for f, k in alg.sig.operations()}
-        if any(len(dict(pairs)) < len(pairs) for pairs in forced.values()):
-            continue        # h1 alone forces two values into one cell
         for h2 in itertools.product(*[[u for u in range(max_size) if i != ix or u != v]
                                       if i in free else (v,) for i, v in enumerate(h1)]):
             rows = list(identity)
@@ -931,7 +934,8 @@ def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
                 raise WitnessInconsistency("exhaustive separator built a bad codomain")
             f_hom, g_hom = (Homomorphism(alg, cod, {e: names[v] for e, v in zip(alg.carrier, h)})
                             for h in (h1, h2))
-            _recheck_maps((f_hom, g_hom), "exhaustive separator")
+            require_monotone_hom(WitnessInconsistency("exhaustive separator produced a bad map"),
+                                 f_hom, g_hom)
             return Separator(cod, f_hom, g_hom, x)
     return None
 
@@ -954,9 +958,7 @@ def epi_check(h: Homomorphism, max_size: int) -> EpiReport:
     for alg in (h.dom, h.cod):
         if validate_algebra(alg):
             raise PreconditionFailed(f"{alg.name} is not in the variety")
-    flags = check_homomorphism(h)
-    if not (flags["is_hom"] and flags["is_monotone"]):
-        raise NotAHomomorphism("epi check needs a monotone homomorphism")
+    require_monotone_hom(NotAHomomorphism("epi check needs a monotone homomorphism"), h)
     image = h.image()
     missing = [e for e in h.cod.carrier if e not in image]
     if not missing:

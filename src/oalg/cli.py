@@ -80,19 +80,15 @@ def cmd_validate(args, rep: Reporter) -> int:
         return EXIT_OK
     if path.suffix == ".oalg":
         alg = load_algebra(path)
-        report = validate_algebra(alg)
-        for item in report:
-            rep.record("violation", **{k: str(v) for k, v in item.items()})
-        rep.record("summary", violations=len(report), algebra=alg.name)
-        return EXIT_VIOLATION if report else EXIT_OK
-    if path.suffix == ".amalgam":
-        am = load_amalgam(path)
-        report = validate_amalgam(am)
-        for item in report:
-            rep.record("violation", **{k: str(v) for k, v in item.items()})
-        rep.record("summary", violations=len(report))
-        return EXIT_VIOLATION if report else EXIT_OK
-    raise ParseError(f"unknown input kind {path.suffix!r}")
+        report, named = validate_algebra(alg), {"algebra": alg.name}
+    elif path.suffix == ".amalgam":
+        report, named = validate_amalgam(load_amalgam(path)), {}
+    else:
+        raise ParseError(f"unknown input kind {path.suffix!r}")
+    for item in report:
+        rep.record("violation", **{k: str(v) for k, v in item.items()})
+    rep.record("summary", violations=len(report), **named)
+    return EXIT_VIOLATION if report else EXIT_OK
 
 
 def cmd_closure(args, rep: Reporter) -> int:

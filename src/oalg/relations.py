@@ -85,6 +85,11 @@ def from_rows(rows: Sequence[int], names: Sequence) -> frozenset:
                      for j in range(n) if row >> j & 1)
 
 
+def class_rows(classes: Sequence[int]) -> list[int]:
+    """The bitmask rows of the equivalence relating i, j if classes[i] == classes[j]."""
+    return [sum(1 << j for j, c in enumerate(classes) if c == r) for r in classes]
+
+
 def warshall(rows: list[int]) -> list[int]:
     """The transitive closure of bitmask rows (Warshall, JACM 9, 1962)."""
     for k in range(len(rows)):

@@ -220,7 +220,8 @@ def criterion_4(seed: int = 2, instances: int = 12):
                                    for i in range(instances)]
     quotients = 0
     for alg in algebras:
-        for theta in all_congruences(alg):
+        for classes in all_congruences(alg):
+            theta = relations.from_rows(relations.class_rows(classes), alg.carrier)
             if not is_order_congruence(alg, theta):
                 continue
             q, nat = regular_quotient(alg, theta)

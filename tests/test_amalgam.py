@@ -6,11 +6,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+import oalg.algebra as algebra
 import oalg.amalgam as amalgam
 import oalg.closure as closure
 from oalg import relations
-from oalg.algebra import Homomorphism, OrderedAlgebra, chain, generated_subalgebra, \
-    subalgebra, with_trivial_order
+from oalg.algebra import Homomorphism, OrderedAlgebra, chain, directed_kernel, \
+    generated_subalgebra, subalgebra, with_trivial_order
 from oalg.amalgam import (
     Amalgam,
     Budget,
@@ -28,8 +29,8 @@ from oalg.amalgam import (
 from oalg.errors import CommutationFailure, NotAHomomorphism, PreconditionFailed, \
     UnboundVariable, WitnessInconsistency
 from oalg.generators import random_algebra, random_partial_order, random_special_amalgam
-from oalg.oracles import monotone_completion_by_product_filter, moves_by_path_walk, \
-    unfold_pool_by_layers
+from oalg.oracles import compatible_by_table_walk, monotone_completion_by_product_filter, \
+    moves_by_path_walk, unfold_pool_by_layers
 from oalg.schemes import scheme_to_lines, validate_scheme
 from oalg.signature import SIG1, Signature
 from oalg.terms import Term, enumerate_terms, leaf, leaves, node, op_count, parse_term, \
@@ -299,15 +300,67 @@ def test_congruences_are_computed_once_per_base(monkeypatch):
     monkeypatch.setattr(amalgam, "all_congruences",
                         lambda alg: calls.append(alg) or enumerate_congruences(alg))
     monkeypatch.setattr(amalgam, "_order_quotient",
-                        lambda alg, theta: built.append(theta) or quotient(alg, theta))
+                        lambda alg, eq: built.append(tuple(eq)) or quotient(alg, eq))
     monkeypatch.setattr(amalgam, "all_homomorphisms",
                         lambda dom, cod: mapped.append(id(cod)) or enumerate_homs(dom, cod))
     alg = chain(6, SIG1)
     for x, cap in (("e1", 3), ("e2", 3), ("e3", 3), ("e1", 2)):
         assert separator_search(alg, ["e0", "e5"], x, cap) is not None
+    # The complete stage reads the same memo.
+    assert amalgam.exhaustive_separator(alg, ["e0", "e5"], "e1", 3) is not None
     assert calls == [alg]
     assert len(set(built)) == len(built)
     assert len(set(mapped)) == len(mapped) <= len(enumerate_congruences(alg))
+
+
+def test_the_complete_search_walks_the_congruences_in_product_order():
+    # Its first maps are the maps of itertools.product in first-occurrence
+    # form whose kernel is a congruence, in product order.
+    rng = random.Random(61)
+    algebras = [random_algebra(rng, SIG1, rng.randrange(1, 6), name=f"W{i}") for i in range(40)]
+    algebras.append(with_trivial_order(chain(5, SIG1)))
+    unsorted = 0
+    for alg in algebras:
+        unsorted += amalgam.all_congruences(alg) != sorted(amalgam.all_congruences(alg))
+        for cap in range(1, 5):
+            expected = []
+            for h in itertools.product(range(cap), repeat=len(alg.carrier)):
+                named = list(zip(alg.carrier, h))
+                kernel = frozenset((a, b) for a, u in named for b, v in named if u == v)
+                if (list(dict.fromkeys(h)) == list(range(len(set(h))))
+                        and compatible_by_table_walk(alg, kernel)):
+                    expected.append(h)
+            assert list(amalgam._first_maps(alg, cap)) == expected, (alg.name, cap)
+    # Some lattices come in another order from all_congruences, so an
+    # unsorted walk fails here.
+    assert unsorted > 0
+
+
+def test_an_element_off_the_carrier_is_a_precondition_failure():
+    with pytest.raises(PreconditionFailed, match="'zz' is not in the carrier of CH3"):
+        separator_search(chain(3, SIG1), ["e0", "e2"], "zz", 3)
+
+
+def test_each_monotone_homomorphism_check_keeps_its_error(monkeypatch):
+    def fails(call, error, message):
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message
+
+    monkeypatch.setattr(algebra, "check_homomorphism",
+                        lambda h: {"is_hom": False, "is_monotone": True})
+    ident = Homomorphism(CH3, CH3, {e: e for e in CH3.carrier})
+    fails(lambda: directed_kernel(ident), NotAHomomorphism,
+          "directed kernel needs a monotone homomorphism")
+    fails(lambda: epi_check(ident, 3), NotAHomomorphism,
+          "epi check needs a monotone homomorphism")
+    untag = {e: e.split("<")[0] for e in SP.variables()}
+    fails(lambda: mediate(SP, CH3, untag, untag), CommutationFailure,
+          "gamma1 is not a homomorphism of ordered algebras")
+    fails(lambda: separator_search(CH3, ["e0", "e2"], "e1", 3), WitnessInconsistency,
+          "regular separator produced a bad map")
+    fails(lambda: amalgam.exhaustive_separator(CH3, ["e0", "e2"], "e1", 3),
+          WitnessInconsistency, "exhaustive separator produced a bad map")
 
 
 def _r141():

@@ -42,6 +42,12 @@ def test_reflexive_transitive_closure_matches_reachability(pairs, isolated):
     assert relations.reflexive_transitive_closure(pairs, carrier) == reachable(pairs, carrier)
 
 
+def test_class_rows_relate_the_members_of_each_class():
+    expected = relations.partition_to_pairs([["a", "b", "d"], ["c"]])
+    assert relations.from_rows(relations.class_rows((0, 0, 2, 0)), "abcd") == expected
+    assert relations.class_rows(()) == []
+
+
 def _algebra(elements, pairs):
     return OrderedAlgebra(Signature({}), list(elements), pairs, {}, {})
 
