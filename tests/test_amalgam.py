@@ -336,6 +336,19 @@ def test_the_complete_search_walks_the_congruences_in_product_order():
     assert unsorted > 0
 
 
+# exhaustive_separator on with_trivial_order(chain(n, SIG1)) with core
+# {e0, e(n-1)}, x = e1 and cap n, where no regular quotient separates e1:
+# digests of the separators the product-order walk of the second maps found.
+PINNED_CHAIN_SEPARATORS = {6: "120b71b9975ede07", 7: "2aeb1176a492ffe5", 8: "2e29b3ca62e732a4"}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_CHAIN_SEPARATORS))
+def test_the_complete_search_on_trivially_ordered_chains_is_pinned(n):
+    sep = amalgam.exhaustive_separator(with_trivial_order(chain(n, SIG1)),
+                                       ["e0", f"e{n - 1}"], "e1", n)
+    assert _separator_digest(sep) == PINNED_CHAIN_SEPARATORS[n]
+
+
 def test_an_element_off_the_carrier_is_a_precondition_failure():
     with pytest.raises(PreconditionFailed, match="'zz' is not in the carrier of CH3"):
         separator_search(chain(3, SIG1), ["e0", "e2"], "zz", 3)
