@@ -126,6 +126,23 @@ class OrderedAlgebra:
                     out[(f, fillers, slot)] = table[start:start + w * n:w]
         return out
 
+    @cached_property
+    def hom_plan(self) -> tuple[list, list, list]:
+        """The domain's side of `all_homomorphisms`, built once: the strict order pairs, then
+        those and the table entries (op, argument columns, values) by the largest index named."""
+        n = len(self.carrier)
+        strict = [(a, b) for a, b in relations.from_rows(self.coded.rows, range(n)) if a != b]
+        pairs_at = [[pair for pair in strict if max(pair) == i] for i in range(n)]
+        table_at: list[list] = [[] for _ in range(n)]
+        for f, k in self.sig.operations():
+            entries: list[list] = [[] for _ in range(n)]
+            for args, v in zip(itertools.product(range(n), repeat=k), self.coded.tables[f]):
+                entries[max(*args, v)].append(args + (v,))
+            for at, group in zip(table_at, entries):
+                if group:
+                    at.append((f, *zip(*group)))
+        return strict, pairs_at, table_at
+
     def __repr__(self):
         return f"OrderedAlgebra({self.name}, |{len(self.carrier)}|)"
 
@@ -485,14 +502,14 @@ def all_congruences(alg: OrderedAlgebra) -> list[tuple[int, ...]]:
     """Every congruence of the unordered reduct as its class tuple (each index
     to the least index in its class), in `relations.all_partitions` order.
 
-    Each congruence is the join of the principal congruences of its
-    pairs, and a join of congruences is their join as equivalences
-    (Freese, Computing congruences efficiently, Algebra Universalis 59,
-    2008).  So the lattice is the least set holding the identity and
+    Each congruence is the join of the principal congruences of its pairs, each a
+    closure under the distinct one-slot translations, and a join of congruences is
+    their join as equivalences (Freese, Computing congruences efficiently, Algebra
+    Universalis 59, 2008).  So the lattice is the least set holding the identity and
     closed under joining with each principal congruence.
     """
     n = len(alg.carrier)
-    columns = list(zip(*alg.translations.values())) or [()] * n
+    columns = list(zip(*dict.fromkeys(alg.translations.values()))) or [()] * n
     principals = dict.fromkeys(_principal(columns, a, b)
                                for a in range(n) for b in range(a + 1, n))
     lattice = {tuple(range(n))}
@@ -543,33 +560,21 @@ def all_homomorphisms(dom: OrderedAlgebra, cod: OrderedAlgebra) -> list[Homomorp
     """Every homomorphism of ordered algebras between two small carriers,
     in the order of `itertools.product(cod.carrier, repeat=len(dom.carrier))`.
 
-    `_monotone_maps` over the domain in carrier order, values in codomain
-    order, the constants' images fixed: each strict order pair and table
-    entry is tested once the last element it mentions has a value.
+    `_monotone_maps` over the domain in carrier order, values in codomain order, the
+    constants' images fixed: each strict order pair and table entry is tested once the
+    last element it mentions has a value, as the domain's `hom_plan` groups them.
     """
     n, m = len(dom.carrier), len(cod.carrier)
     domains = [range(m)] * n
     for c in dom.sig.constants():
         i, v = dom.index[dom.const(c)], cod.index[cod.const(c)]
         domains[i] = [u for u in domains[i] if u == v]
-    pairs_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b in relations.from_rows(dom.coded.rows, range(n)):
-        if a != b:
-            pairs_at[max(a, b)].append((a, b))
-    # Per position and operation: its entries' argument indices by column, and values.
-    table_at: list[list] = [[] for _ in range(n)]
-    for f, k in dom.sig.operations():
-        entries: list[list] = [[] for _ in range(n)]
-        for args, v in zip(itertools.product(range(n), repeat=k), dom.coded.tables[f]):
-            entries[max(*args, v)].append(args + (v,))
-        for i, group in enumerate(entries):
-            if group:
-                *columns, results = zip(*group)
-                table_at[i].append((cod.coded.tables[f].__getitem__, columns, results))
+    _, pairs_at, plan_at = dom.hom_plan
+    table_at = [[(cod.coded.tables[f].__getitem__, *rest) for f, *rest in at] for at in plan_at]
 
     def commutes(i: int, values: list[int]) -> bool:
         get = values.__getitem__
-        for table, columns, results in table_at[i]:
+        for table, *columns, results in table_at[i]:
             codes = map(get, columns[0])
             for column in columns[1:]:
                 codes = map(operator.add, map(operator.mul, codes, itertools.repeat(m)),

@@ -821,6 +821,17 @@ def separator_candidates(alg: OrderedAlgebra, max_size: int):
             yield kept[0], kept[1]
 
 
+def _require_outside(alg: OrderedAlgebra, center: list[str], x: str) -> None:
+    """Raise `PreconditionFailed` unless x lies outside the subalgebra center."""
+    if x not in alg.index:
+        raise PreconditionFailed(f"{x!r} is not in the carrier of {alg.name}")
+    if x in center:
+        raise PreconditionFailed(f"{x} already lies in the subalgebra")
+    if set(center) - alg.index.keys() or set(generated_subalgebra(alg, center)) != set(center):
+        raise PreconditionFailed(f"{sorted(center)} is not a subalgebra: not closed under the "
+                                 f"operations or missing a constant")
+
+
 def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
                      max_size: int) -> Separator | None:
     """A pair of homomorphisms agreeing on the subalgebra but not at x.
@@ -831,15 +842,7 @@ def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
     exists at the cap; it never asserts that x is dominated.  Either
     stage's maps are rechecked as monotone homomorphisms before return.
     """
-    if x not in alg.index:
-        raise PreconditionFailed(f"{x!r} is not in the carrier of {alg.name}")
-    if x in center:
-        raise PreconditionFailed(f"{x} already lies in the subalgebra")
-    if (any(e not in alg.index for e in center)
-            or set(generated_subalgebra(alg, center)) != set(center)):
-        raise PreconditionFailed(
-            f"{sorted(center)} is not a subalgebra: not closed under the "
-            f"operations or missing a constant")
+    _require_outside(alg, center, x)
     for cod, homs in separator_candidates(alg, max_size):
         by_restriction: dict[tuple, list[Homomorphism]] = {}
         for h in homs:
@@ -882,26 +885,39 @@ def _first_maps(alg: OrderedAlgebra, max_size: int):
         yield tuple(map(sorted(set(theta)).index, theta))
 
 
+def _second_maps(alg: OrderedAlgebra, h1: tuple, core: list[int], ix: int, max_size: int):
+    """The maps into range(max_size) agreeing with h1 on the core but not at ix whose kernel
+    is a congruence, in `itertools.product` order: `_monotone_maps` over the prefixes of the
+    memo's class tuples, a core class read as its label and any other as -1 - its least index."""
+    labels, keys = {h1[i] for i in core}, set()
+    for theta in _separator_memo(alg):
+        if len(fixed := {theta[i]: h1[i] for i in core}) == len(labels):  # one core class a label
+            keys.update(itertools.accumulate((fixed.get(r, -1 - r),) for r in theta))
+    domains = [[v] if i in core else [u for u in range(max_size) if i != ix or u != v]
+               for i, v in enumerate(h1)]
+    return map(tuple, _monotone_maps(domains, [()] * len(h1), (), lambda i, h2: tuple(
+        v if v in labels else -1 - h2.index(v) for v in h2[:i + 1]) in keys))
+
+
 def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
                          max_size: int) -> Separator | None:
     """Complete search over all codomains of at most max_size elements,
     the separator search's last stage after the regular quotients.
 
-    Enumerates the two maps jointly: the first over `_first_maps` (the rest
-    either force two values into one table cell or relabel the codomain), the
-    second only off the core (on it, the two agree).  The codomain's order can
-    be taken as the least quasiorder making both maps monotone and ordering
-    the constants as the signature does, and its tables as any monotone
-    completion of the entries the homomorphism conditions force.  Any
-    separator at the cap is found this way.  The maps, order and tables are
-    coded; the codomain is named d0, d1, ... once it is found.
+    Enumerates the two maps jointly: the first over `_first_maps` (the rest either
+    force two values into one table cell or relabel the codomain), the second over
+    `_second_maps`, the same congruences labelled to agree with the first only on
+    the core, which x lies outside.  The codomain's order can be taken as the least
+    quasiorder making both maps monotone and ordering the constants as the signature
+    does, and its tables as any monotone completion of the entries the homomorphism
+    conditions force.  Any separator at the cap is found this way.  The maps, order
+    and tables are coded; the codomain is named d0, d1, ... once it is found.
     """
-    n, names = len(alg.carrier), [f"d{i}" for i in range(max_size)]
-    identity = [1 << v for v in range(max_size)]
+    _require_outside(alg, center, x)
+    names, identity = [f"d{i}" for i in range(max_size)], [1 << v for v in range(max_size)]
     consts = {c: alg.index[alg.const(c)] for c in alg.sig.constants()}
-    strict = [(a, b) for a, b in relations.from_rows(alg.coded.rows, range(n)) if a != b]
     const_pairs = [(consts[c], consts[d]) for c, d in alg.sig.const_order if c != d]
-    free, ix = {alg.index[e] for e in alg.carrier if e not in center}, alg.index[x]
+    core, ix = [alg.index[e] for e in center], alg.index[x]
 
     def cells(h, f, k):
         """The `(code, value)` cells of f's table that h commuting with f forces."""
@@ -909,10 +925,9 @@ def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
 
     for h1 in _first_maps(alg, max_size):
         forced = {f: cells(h1, f, k) for f, k in alg.sig.operations()}
-        for h2 in itertools.product(*[[u for u in range(max_size) if i != ix or u != v]
-                                      if i in free else (v,) for i, v in enumerate(h1)]):
+        for h2 in _second_maps(alg, h1, core, ix, max_size):
             rows = list(identity)
-            for h, pairs in ((h1, strict), (h2, strict), (h1, const_pairs)):
+            for h, pairs in ((h1, alg.hom_plan[0]), (h2, alg.hom_plan[0]), (h1, const_pairs)):
                 for a, b in pairs:
                     rows[h[a]] |= 1 << h[b]
             rows = relations.warshall(rows)

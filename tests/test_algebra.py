@@ -245,6 +245,22 @@ def test_all_congruences_enumerates_no_partitions(monkeypatch):
     assert len(all_congruences(chain(9, SIG1))) == 2 ** 8
 
 
+def test_principal_congruences_close_under_distinct_translations(monkeypatch):
+    seen = []
+    principal = algebra._principal
+    monkeypatch.setattr(algebra, "_principal",
+                        lambda columns, a, b: seen.append(columns) or principal(columns, a, b))
+    for alg in (chain(8, SIG1), random_algebra(random.Random(34), SIG1, 5)):
+        seen.clear()
+        expected = congruences_by_partition_filter(alg)
+        assert congruence_pairs(alg) == expected
+        translations = list(zip(*seen[0]))
+        assert all(columns is seen[0] for columns in seen)
+        assert len(translations) == len(set(translations))
+        assert set(translations) == set(alg.translations.values())
+        assert len(translations) < len(alg.translations)
+
+
 def test_compatible_matches_the_table_walk_on_quasiorders():
     # Orders, closures of random pairs and their unions with the order:
     # relations that are seldom symmetric.
@@ -276,6 +292,22 @@ def test_all_homomorphisms_match_the_product_filter_in_order():
         assert _maps(homs) == _maps(homomorphisms_by_product_filter(dom, cod))
         found += len(homs)
     assert found >= 50
+
+
+def test_the_homomorphism_plan_is_built_once_per_domain(monkeypatch):
+    # The plan holds only the domain's side: visiting other codomains in
+    # between leaves each list as the product filter has it.
+    builds = []
+    plan = vars(OrderedAlgebra)["hom_plan"]
+    build = plan.func
+    monkeypatch.setattr(plan, "func", lambda alg: builds.append(alg) or build(alg))
+    dom = chain(4, SIG1)
+    found = 0
+    for cod in (CH3, CH2, dom, CH2):
+        homs = all_homomorphisms(dom, cod)
+        assert _maps(homs) == _maps(homomorphisms_by_product_filter(dom, cod)), cod.name
+        found += len(homs)
+    assert builds == [dom] and found >= 6
 
 
 def test_leq_theta():

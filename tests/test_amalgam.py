@@ -349,9 +349,59 @@ def test_the_complete_search_on_trivially_ordered_chains_is_pinned(n):
     assert _separator_digest(sep) == PINNED_CHAIN_SEPARATORS[n]
 
 
+def test_the_second_maps_are_the_product_maps_with_a_congruence_kernel():
+    # Those agreeing with the first map on the core and differing at x, in
+    # product order: the only ones a codomain can be built for.
+    rng = random.Random(62)
+    algebras = [random_algebra(rng, SIG1, rng.randrange(1, 6), name=f"V{i}") for i in range(30)]
+    algebras.append(with_trivial_order(chain(5, SIG1)))
+    walked = 0
+    for alg in algebras:
+        core = generated_subalgebra(alg, rng.sample(alg.carrier, rng.randrange(2)))
+        outside = [alg.index[e] for e in alg.carrier if e not in core]
+        fixed = [alg.index[e] for e in core]
+        compatible = {}
+        for cap in range(1, 5) if outside else ():
+            ix = rng.choice(outside)
+            for h1 in list(amalgam._first_maps(alg, cap))[:4]:
+                expected = []
+                for h2 in itertools.product(range(cap), repeat=len(alg.carrier)):
+                    if h2[ix] == h1[ix] or any(h2[i] != h1[i] for i in fixed):
+                        continue
+                    kernel = frozenset((a, b) for a, u in zip(alg.carrier, h2)
+                                       for b, v in zip(alg.carrier, h2) if u == v)
+                    if kernel not in compatible:
+                        compatible[kernel] = compatible_by_table_walk(alg, kernel)
+                    if compatible[kernel]:
+                        expected.append(h2)
+                got = list(amalgam._second_maps(alg, h1, fixed, ix, cap))
+                assert got == expected, (alg.name, cap, h1)
+                walked += len(got)
+    assert walked >= 200
+
+
 def test_an_element_off_the_carrier_is_a_precondition_failure():
     with pytest.raises(PreconditionFailed, match="'zz' is not in the carrier of CH3"):
         separator_search(chain(3, SIG1), ["e0", "e2"], "zz", 3)
+
+
+def test_the_complete_search_refuses_an_element_off_the_carrier():
+    with pytest.raises(PreconditionFailed, match="'zz' is not in the carrier of CH3"):
+        amalgam.exhaustive_separator(chain(3, SIG1), ["e0", "e2"], "zz", 3)
+
+
+def test_the_complete_search_refuses_an_element_of_the_core():
+    # Without the check it returned two equal maps.
+    with pytest.raises(PreconditionFailed, match="e0 already lies in the subalgebra"):
+        amalgam.exhaustive_separator(chain(3, SIG1), ["e0", "e2"], "e0", 3)
+
+
+@pytest.mark.parametrize("center, x", [(["e0", "e2", "zz"], "e1"), (["e0", "e1"], "e2")])
+def test_the_complete_search_refuses_a_core_that_is_no_subalgebra(center, x):
+    # "zz" lies off the carrier; {e0, e1} misses the constant d = e2.
+    for search in (separator_search, amalgam.exhaustive_separator):
+        with pytest.raises(PreconditionFailed, match="is not a subalgebra"):
+            search(chain(3, SIG1), center, x, 3)
 
 
 def test_each_monotone_homomorphism_check_keeps_its_error(monkeypatch):
