@@ -513,6 +513,33 @@ def test_forced_table_completes_more_than_a_thousand_free_cells():
                for c, v in table.items() for k, a in enumerate(c) if a in cover)
 
 
+def test_the_complete_search_skips_a_pair_of_maps_that_clash_in_a_cell(monkeypatch):
+    # The first pair of maps, e0, e1 -> d0, d0 and -> d1, d0, force both
+    # d0 (from the first) and d1 (from f(e1, e1) = e0 under the second)
+    # into the cell (d0, d0) of f's table; the second pair gives the pin.
+    alg = random_algebra(random.Random(2), Signature({"f": 2}), 2)
+    assert alg.op_tables["f"] == {("e0", "e0"): "e0", ("e0", "e1"): "e0",
+                                  ("e1", "e0"): "e1", ("e1", "e1"): "e0"}
+    clashes = []
+    forced_table = amalgam._forced_table
+
+    def spy(cells, *args):
+        table = forced_table(cells, *args)
+        clashes.append(len(dict(cells)) < len(cells) and table is None)
+        return table
+
+    monkeypatch.setattr(amalgam, "_forced_table", spy)
+    sep = amalgam.exhaustive_separator(alg, [], "e0", 2)
+    assert clashes == [True, False]
+    cod = sep.codomain
+    assert (cod.carrier, cod.order, cod.op_tables, cod.const_vals) == (
+        ["d0", "d1"], {("d0", "d0"), ("d1", "d1")},
+        {"f": {("d0", "d0"): "d0", ("d0", "d1"): "d0", ("d1", "d0"): "d0", ("d1", "d1"): "d1"}},
+        {})
+    assert (sep.f.map, sep.g.map, sep.element) == (
+        {"e0": "d0", "e1": "d0"}, {"e0": "d1", "e1": "d1"}, "e0")
+
+
 def test_epi_check_examples():
     ident = Homomorphism(CH3, CH3, {e: e for e in CH3.carrier})
     assert epi_check(ident, 3).verdict == "Surjective"
