@@ -8,8 +8,6 @@ surjectivity, and normalize certificates down to their single-node form.
 
 from .signature import SIG1, Signature, parse_signature, print_signature
 from .terms import (
-    LeafSeq,
-    Skeleton,
     Term,
     leaf,
     leaf_subst,

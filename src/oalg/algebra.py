@@ -127,9 +127,9 @@ class OrderedAlgebra:
         return out
 
     @cached_property
-    def hom_plan(self) -> tuple[list, list, list]:
-        """The domain's side of `all_homomorphisms`, built once: the strict order pairs, then
-        those and the table entries (op, argument columns, values) by the largest index named."""
+    def hom_plan(self) -> tuple[list, list]:
+        """The domain's side of `all_homomorphisms`, built once: the strict order pairs and
+        the table entries (op, argument columns, values), grouped by the largest index named."""
         n = len(self.carrier)
         strict = [(a, b) for a, b in relations.from_rows(self.coded.rows, range(n)) if a != b]
         pairs_at = [[pair for pair in strict if max(pair) == i] for i in range(n)]
@@ -141,7 +141,7 @@ class OrderedAlgebra:
             for at, group in zip(table_at, entries):
                 if group:
                     at.append((f, *zip(*group)))
-        return strict, pairs_at, table_at
+        return pairs_at, table_at
 
     def __repr__(self):
         return f"OrderedAlgebra({self.name}, |{len(self.carrier)}|)"
@@ -152,9 +152,6 @@ class Homomorphism:
     dom: OrderedAlgebra
     cod: OrderedAlgebra
     map: dict[str, str]
-
-    def __call__(self, a: str) -> str:
-        return self.map[a]
 
     def image(self) -> list[str]:
         seen = set(self.map.values())
@@ -569,7 +566,7 @@ def all_homomorphisms(dom: OrderedAlgebra, cod: OrderedAlgebra) -> list[Homomorp
     for c in dom.sig.constants():
         i, v = dom.index[dom.const(c)], cod.index[cod.const(c)]
         domains[i] = [u for u in domains[i] if u == v]
-    _, pairs_at, plan_at = dom.hom_plan
+    pairs_at, plan_at = dom.hom_plan
     table_at = [[(cod.coded.tables[f].__getitem__, *rest) for f, *rest in at] for at in plan_at]
 
     def commutes(i: int, values: list[int]) -> bool:
@@ -629,6 +626,9 @@ def parse_algebra(text: str, base_dir: str | FsPath = ".") -> OrderedAlgebra:
             raise ParseError(f"unknown line {line!r}")
     if sig is None:
         raise ParseError("no signature: need an `algebra <name> over <sigfile>` line")
+    if not carrier:
+        # The tables of an empty carrier have no entries, so no `op` lines.
+        tables = {f: {} for f, _ in sig.operations()} | tables
     elements = set(carrier)
     if len(elements) < len(carrier):
         first = next(e for e in carrier if carrier.count(e) > 1)

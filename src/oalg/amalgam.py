@@ -161,14 +161,12 @@ class Amalgam:
 
 
 def validate_amalgam(am: Amalgam) -> list[dict]:
-    """Check the embeddings, the disjointness, and variety membership."""
+    """Check the embeddings and variety membership; the side tags keep the
+    two carriers disjoint."""
     report = []
     for alg in (am.c, am.a1, am.a2):
         for item in validate_algebra(alg):
             report.append({"kind": "variety", "algebra": alg.name, **item})
-    overlap = set(am.a1.carrier) & set(am.a2.carrier)
-    if overlap:
-        report.append({"kind": "disjointness", "shared": sorted(overlap)})
     for label, phi, target in (("phi1", am.phi1, am.a1), ("phi2", am.phi2, am.a2)):
         h = Homomorphism(am.c, target, phi)
         flags = check_homomorphism(h)
@@ -918,6 +916,7 @@ def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
     consts = {c: alg.index[alg.const(c)] for c in alg.sig.constants()}
     const_pairs = [(consts[c], consts[d]) for c, d in alg.sig.const_order if c != d]
     core, ix = [alg.index[e] for e in center], alg.index[x]
+    strict = [pair for pairs in alg.hom_plan[0] for pair in pairs]
 
     def cells(h, f, k):
         """The `(code, value)` cells of f's table that h commuting with f forces."""
@@ -927,7 +926,7 @@ def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
         forced = {f: cells(h1, f, k) for f, k in alg.sig.operations()}
         for h2 in _second_maps(alg, h1, core, ix, max_size):
             rows = list(identity)
-            for h, pairs in ((h1, alg.hom_plan[0]), (h2, alg.hom_plan[0]), (h1, const_pairs)):
+            for h, pairs in ((h1, strict), (h2, strict), (h1, const_pairs)):
                 for a, b in pairs:
                     rows[h[a]] |= 1 << h[b]
             rows = relations.warshall(rows)
@@ -938,20 +937,20 @@ def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
                 tables[f] = _forced_table(forced[f] | cells(h2, f, k), k, max_size, rows)
                 if tables[f] is None:
                     break
-            if None in tables.values():
-                continue
-            cod = OrderedAlgebra(alg.sig, names, relations.from_rows(rows, names),
-                                 {f: dict(zip(itertools.product(names, repeat=k),
-                                              map(names.__getitem__, tables[f])))
-                                  for f, k in alg.sig.operations()},
-                                 {c: names[h1[i]] for c, i in consts.items()}, name=f"S{max_size}")
-            if validate_algebra(cod):
-                raise WitnessInconsistency("exhaustive separator built a bad codomain")
-            f_hom, g_hom = (Homomorphism(alg, cod, {e: names[v] for e, v in zip(alg.carrier, h)})
-                            for h in (h1, h2))
-            require_monotone_hom(WitnessInconsistency("exhaustive separator produced a bad map"),
-                                 f_hom, g_hom)
-            return Separator(cod, f_hom, g_hom, x)
+            else:
+                cod = OrderedAlgebra(alg.sig, names, relations.from_rows(rows, names),
+                                     {f: dict(zip(itertools.product(names, repeat=k),
+                                                  map(names.__getitem__, tables[f])))
+                                      for f, k in alg.sig.operations()},
+                                     {c: names[h1[i]] for c, i in consts.items()},
+                                     name=f"S{max_size}")
+                if validate_algebra(cod):
+                    raise WitnessInconsistency("exhaustive separator built a bad codomain")
+                f_hom, g_hom = (Homomorphism(alg, cod, {e: names[v] for e, v in
+                                                        zip(alg.carrier, h)}) for h in (h1, h2))
+                require_monotone_hom(WitnessInconsistency(
+                    "exhaustive separator produced a bad map"), f_hom, g_hom)
+                return Separator(cod, f_hom, g_hom, x)
     return None
 
 

@@ -1,10 +1,10 @@
 """Generated compatible quasiorders and order-congruences on finite algebras.
 
-Both closures run the one engine `relations.close`, with
-`_one_slot_images` as its extension: transitivity interleaved with
-one-slot operation compatibility.  Scheme witnesses are reconstructed on
-demand from the derivations the engine records.  The independent
-breadth-first oracle over translated generator steps is in `oracles.py`.
+Both closures run the one engine `_close`: a worklist that interleaves
+transitivity with one-slot operation compatibility and records how each
+pair was first derived.  Scheme witnesses are reconstructed on demand
+from those derivations.  The independent breadth-first oracle over
+translated generator steps is in `oracles.py`.
 """
 
 from __future__ import annotations
@@ -36,18 +36,52 @@ def _single_op_translation(alg: OrderedAlgebra, op: str, fillers: tuple[str, ...
     return Translation(template, slot, fillers)
 
 
-def _one_slot_images(alg: OrderedAlgebra):
-    """The `extend` of `relations.close` for compatible closures: for a pair
-    (x, y), its image (t(x), t(y)) under each of the algebra's one-slot
-    translations t, in op / fillers / slot order."""
+def _close(alg: OrderedAlgebra, seeds) -> dict[Pair, tuple]:
+    """Least relation containing the seeds, closed under transitivity and
+    under the algebra's one-slot translations; maps each pair to the
+    derivation it was first found by.
+
+    `seeds` yields `(pair, derivation)`.  A transitive composite is derived
+    as `("trans", left, right)`, and the image (t(x), t(y)) of a pair under
+    the translation t at `(f, fillers, slot)` as `("op", f, fillers, slot,
+    pair)`.  The dict is in discovery order, which is deterministic: the
+    worklist is LIFO, and a popped pair (x, y) first meets the pairs known
+    when it is popped, in the order they were found (a pair (a, x) gives
+    (a, y), then a pair (y, b) gives (x, b)), and then its images, in
+    `alg.translations` order.  The known pairs are indexed by their
+    endpoints, so a popped pair meets only the pairs it composes with
+    (semi-naive evaluation) instead of a rescan of the whole relation.
+    """
     translations, index, carrier = alg.translations.items(), alg.index, alg.carrier
+    found: dict[Pair, tuple] = {}
+    todo: list[Pair] = []
+    ending: dict = {}       # v -> [(seq, (a, v)), ...] in discovery order
+    starting: dict = {}     # v -> [(seq, (v, b)), ...] in discovery order
 
-    def images(pair: Pair):
-        i, j = index[pair[0]], index[pair[1]]
+    def add(pair: Pair, derivation: tuple) -> None:
+        entry = (len(found), pair)
+        found[pair] = derivation
+        ending.setdefault(pair[1], []).append(entry)
+        starting.setdefault(pair[0], []).append(entry)
+        todo.append(pair)
+
+    for pair, derivation in seeds:
+        if pair not in found:
+            add(pair, derivation)
+    while todo:
+        pair = todo.pop()
+        x, y = pair
+        for _, (a, b) in sorted(ending.get(x, []) + starting.get(y, [])):
+            if b == x and (a, y) not in found:
+                add((a, y), ("trans", (a, x), pair))
+            if a == y and (x, b) not in found:
+                add((x, b), ("trans", pair, (y, b)))
+        i, j = index[x], index[y]
         for (f, fillers, slot), t in translations:
-            yield (carrier[t[i]], carrier[t[j]]), ("op", f, fillers, slot, pair)
-
-    return images
+            image = (carrier[t[i]], carrier[t[j]])
+            if image not in found:
+                add(image, ("op", f, fillers, slot, pair))
+    return found
 
 
 class GeneratedClosure:
@@ -69,7 +103,7 @@ class GeneratedClosure:
 
         seeds = ([(p, ("base",)) for p in sorted(alg.order, key=by_position)]
                  + [(p, ("hyp", p)) for p in sorted(self.hyp_all, key=by_position)])
-        self._prov: dict[Pair, tuple] = relations.close(seeds, _one_slot_images(alg))
+        self._prov: dict[Pair, tuple] = _close(alg, seeds)
         self.relation = frozenset(self._prov)
         self._memo: dict[Pair, tuple[Step, ...]] = {}
 
@@ -118,7 +152,7 @@ def gen_compatible_quasiorder(alg: OrderedAlgebra, hyp) -> GeneratedClosure:
 def compatible_closure(alg: OrderedAlgebra, pairs) -> frozenset[Pair]:
     """Least compatible quasiorder containing the order and the pairs."""
     seeds = [(p, ("seed",)) for p in itertools.chain(alg.order, pairs)]
-    return frozenset(relations.close(seeds, _one_slot_images(alg)))
+    return frozenset(_close(alg, seeds))
 
 
 def all_compatible_quasiorders(alg: OrderedAlgebra) -> list[frozenset[Pair]]:

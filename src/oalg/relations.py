@@ -1,19 +1,14 @@
-"""Small helpers for binary relations stored as sets of pairs.
+"""Small helpers for plain binary relations stored as sets of pairs.
 
-Plain transitive closures run Warshall's algorithm over bitmask rows (bit
-j of row i stands for the pair (i, j)).  `close` is the closure engine for
-the closures that carry derivations: a worklist that adds transitive
-composites and, through a caller-supplied `extend`, any further images
-of each pair (one-slot operation compatibility, for the algebra closures
-in `closure.py`).  It indexes the known pairs by their endpoints, so a
-popped pair meets only the pairs it composes with (semi-naive
-evaluation) instead of a rescan of the whole relation.
+Transitive closures run Warshall's algorithm over bitmask rows (bit j of
+row i stands for the pair (i, j)).  The closures that record a derivation
+for each pair are in `closure.py`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import ValidationError
 
@@ -26,48 +21,6 @@ def identity(elements: Iterable) -> frozenset:
 
 def inverse(pairs: Iterable[Pair]) -> frozenset:
     return frozenset((b, a) for (a, b) in pairs)
-
-
-def close(seeds: Iterable[tuple[Pair, tuple]],
-          extend: Callable[[Pair], Iterable[tuple[Pair, tuple]]]) -> dict:
-    """Least relation containing the seeds, closed under transitivity and
-    under `extend`; maps each pair to the derivation it was first found by.
-
-    `seeds` yields `(pair, derivation)`; a transitive composite is derived
-    as `("trans", left, right)`, and `extend(pair)` yields further
-    `(pair, derivation)` images.  The dict is in discovery order, which is
-    deterministic: the worklist is LIFO, and a popped pair (x, y) first
-    meets the pairs known when it is popped, in the order they were found
-    (a pair (a, x) gives (a, y), then a pair (y, b) gives (x, b)), and
-    then its `extend` images.
-    """
-    found: dict = {}
-    todo: list[Pair] = []
-    ending: dict = {}       # v -> [(seq, (a, v)), ...] in discovery order
-    starting: dict = {}     # v -> [(seq, (v, b)), ...] in discovery order
-
-    def add(pair: Pair, derivation: tuple) -> None:
-        entry = (len(found), pair)
-        found[pair] = derivation
-        ending.setdefault(pair[1], []).append(entry)
-        starting.setdefault(pair[0], []).append(entry)
-        todo.append(pair)
-
-    for pair, derivation in seeds:
-        if pair not in found:
-            add(pair, derivation)
-    while todo:
-        pair = todo.pop()
-        x, y = pair
-        for _, (a, b) in sorted(ending.get(x, []) + starting.get(y, [])):
-            if b == x and (a, y) not in found:
-                add((a, y), ("trans", (a, x), pair))
-            if a == y and (x, b) not in found:
-                add((x, b), ("trans", pair, (y, b)))
-        for image, derivation in extend(pair):
-            if image not in found:
-                add(image, derivation)
-    return found
 
 
 def to_rows(pairs: Iterable[Pair], index: dict) -> list[int]:

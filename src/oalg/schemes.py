@@ -209,7 +209,7 @@ def validate_scheme(am, sch: Scheme) -> list[dict]:
             if skeleton(s.left) != skeleton(s.right):
                 report.append({"kind": "multi-skeleton", "step": idx})
                 continue
-            ls, rs = list(leaves(s.left)), list(leaves(s.right))
+            ls, rs = leaves(s.left), leaves(s.right)
             if len(s.tags) != len(ls):
                 report.append({"kind": "multi-tags", "step": idx})
                 continue
@@ -310,7 +310,7 @@ def grid_contract(am, sch: Scheme, i: int, j: int) -> Scheme:
     if not segment:
         raise NotApplicable("empty segment")
     skel = skeleton(segment[0].left)
-    rows = [tuple(leaves(segment[0].left))]
+    rows = [leaves(segment[0].left)]
     columns: list[tuple[str, ...] | None] = []
     for s in segment:
         if skeleton(s.left) != skel or skeleton(s.right) != skel:
@@ -325,7 +325,7 @@ def grid_contract(am, sch: Scheme, i: int, j: int) -> Scheme:
                                  for c in range(1, len(rows[0]) + 1)))
         else:
             raise SkeletonMismatch(f"step tag outside the grid fragment: {s}")
-        rows.append(tuple(leaves(s.right)))
+        rows.append(leaves(s.right))
     top, bottom = rows[0], rows[-1]
     mid_from: list[str] = []
     mid_to: list[str] = []

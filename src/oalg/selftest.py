@@ -84,8 +84,7 @@ def criterion_1():
     """Worked single-term example: leaves, variables, skeletons."""
     varnames = ["x1", "x2", "x4"]
     t = parse_term(SIG1, varnames, "f g x2 x1 c f x1 x4")
-    ls = leaves(t)
-    ok = (len(ls) == 5 and ls.at(1) == "x2" and ls.at(3) == "c" and ls.at(5) == "x4")
+    ok = leaves(t) == ("x2", "x1", "c", "x1", "x4")
     ok = ok and var_seq(t, SIG1) == ("x2", "x1", "x1", "x4")
     s = parse_term(SIG1, varnames, "f g x2 x1 x1 f x4 c")
     r = parse_term(SIG1, varnames, "g c f x2 x1 f x1 x4")

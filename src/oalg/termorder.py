@@ -14,24 +14,9 @@ from typing import Callable
 
 from . import relations
 from .algebra import OrderedAlgebra, evaluate, validate_algebra
-from .errors import NotMonotone, ParseError, ValidationError
+from .errors import NotMonotone, ValidationError
 from .signature import Signature
-from .syntax import match, records
 from .terms import Term
-
-
-def parse_var_poset(text: str) -> "VarPoset":
-    """Parse `var x1` / `varorder x1 <= x2` lines into a variable poset."""
-    names: list[str] = []
-    order: set[tuple[str, str]] = set()
-    for tokens, line in records(text):
-        if tokens[0] == "var":
-            names.extend(match("var _", tokens, line))
-        elif tokens[0] == "varorder":
-            order.add(tuple(match("varorder _ <= _", tokens, line)))
-        else:
-            raise ParseError(f"unknown variable line {line!r}")
-    return VarPoset(tuple(names), frozenset(order))
 
 
 @dataclass(frozen=True)

@@ -54,54 +54,6 @@ def node(op: str, *children: Term) -> Term:
     return Term(op, tuple(children))
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """A term's tree with leaf labels erased; internal labels are retained."""
-
-    shape: tuple
-
-    def leaf_count(self) -> int:
-        def count(s):
-            if s == ():
-                return 1
-            return sum(count(c) for c in s[1])
-        return count(self.shape)
-
-
-class LeafSeq:
-    """The left-to-right leaf labels of a term, indexed from 1."""
-
-    def __init__(self, labels: Iterable[str]):
-        self._labels = tuple(labels)
-
-    def at(self, i: int) -> str:
-        if not 1 <= i <= len(self._labels):
-            raise IndexOutOfRange(f"leaf index {i} out of range 1..{len(self._labels)}")
-        return self._labels[i - 1]
-
-    def prefix(self, l: int) -> tuple[str, ...]:
-        if not 0 <= l <= len(self._labels):
-            raise IndexOutOfRange(f"prefix length {l} out of range 0..{len(self._labels)}")
-        return self._labels[:l]
-
-    def __len__(self):
-        return len(self._labels)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._labels)
-
-    def __eq__(self, other):
-        if isinstance(other, LeafSeq):
-            return self._labels == other._labels
-        return self._labels == tuple(other)
-
-    def __hash__(self):
-        return hash(self._labels)
-
-    def __repr__(self):
-        return f"LeafSeq{self._labels!r}"
-
-
 def _tokenize(word: str) -> list[str]:
     for ch in "(),":
         word = word.replace(ch, f" {ch} ")
@@ -179,8 +131,9 @@ def preorder(t: Term) -> Iterator[Term]:
         stack.extend(reversed(n.children))
 
 
-def leaves(t: Term) -> LeafSeq:
-    return LeafSeq(n.label for n in preorder(t) if n.is_leaf)
+def leaves(t: Term) -> tuple[str, ...]:
+    """The leaf labels, left to right."""
+    return tuple(n.label for n in preorder(t) if n.is_leaf)
 
 
 def leaf_count(t: Term) -> int:
@@ -196,19 +149,19 @@ def var_seq(t: Term, sig: Signature) -> tuple[str, ...]:
     return tuple(l for l in leaves(t) if not sig.has(l))
 
 
-def skeleton(t: Term) -> Skeleton:
-    def shape(n: Term):
-        if n.is_leaf:
-            return ()
-        return (n.label, tuple(shape(c) for c in n.children))
-    return Skeleton(shape(t))
+def skeleton(t: Term) -> tuple:
+    """The tree with leaf labels erased, as nested tuples: () for a leaf,
+    (label, children's skeletons) for an operation node."""
+    if t.is_leaf:
+        return ()
+    return (t.label, tuple(map(skeleton, t.children)))
 
 
 def formal_var(i: int) -> str:
     return f"z{i}"
 
 
-def regularize(t: Term) -> tuple[Term, LeafSeq]:
+def regularize(t: Term) -> tuple[Term, tuple[str, ...]]:
     """Split a term into a constant-free template over z1..zn plus its leaves.
 
     Substituting the returned leaf sequence back into the template
@@ -238,7 +191,7 @@ def substitute_leaves(template: Term, fills: Iterable[Union[str, Term]]) -> Term
 
 def is_regular(t: Term, sig: Signature) -> tuple[bool, int | None]:
     """True when var(t) = (z1,...,zn) for some n >= 1 and t is constant free."""
-    seq = list(leaves(t))
+    seq = leaves(t)
     for i, l in enumerate(seq, start=1):
         if l != formal_var(i):
             return False, None

@@ -15,6 +15,8 @@ from oalg.algebra import Homomorphism, OrderedAlgebra, chain, directed_kernel, \
 from oalg.amalgam import (
     Amalgam,
     Budget,
+    ProvenEqual,
+    SearchStats,
     SpecialAmalgam,
     dominion_special,
     epi_check,
@@ -31,7 +33,8 @@ from oalg.errors import CommutationFailure, NotAHomomorphism, PreconditionFailed
 from oalg.generators import random_algebra, random_partial_order, random_special_amalgam
 from oalg.oracles import compatible_by_table_walk, monotone_completion_by_product_filter, \
     moves_by_path_walk, unfold_pool_by_layers
-from oalg.schemes import scheme_to_lines, validate_scheme
+from oalg.schemes import IDENTITY_TRANSLATION, IneqStep, RelStep, Scheme, scheme_to_lines, \
+    validate_scheme
 from oalg.signature import SIG1, Signature
 from oalg.terms import Term, enumerate_terms, leaf, leaves, node, op_count, parse_term, \
     replace_at, skeleton, substitute_leaves
@@ -615,6 +618,53 @@ def test_mediate_into_first_copy():
         assert med(leaf(x)) == x
     res = pushout_equal(SP, leaf("e0<1>"), leaf("e0<2>"))
     med.check_pair(res)
+
+
+def test_the_mediator_rejects_a_scheme_it_does_not_carry_to_the_target():
+    sp = make_special(chain(3, SIG1), ["e0", "e2"])
+    med = mediate(sp, sp.a1, {e: e for e in sp.a1.carrier},
+                  {e: sp.nu_inv[e] for e in sp.a2.carrier})
+    e0, e1, e2, e1_2, e2_2 = map(leaf, ["e0<1>", "e1<1>", "e2<1>", "e1<2>", "e2<2>"])
+    cases = [
+        (Scheme(e1, e0, (IneqStep(e1, e0),)), "inequality step broke under the mediator"),
+        (Scheme(e1, e2, (IneqStep(e0, e2),)), "scheme transport lost the chain"),
+        (Scheme(e1, e2_2, (RelStep("GLUE", IDENTITY_TRANSLATION, e1, e2_2, e1, e2_2),)),
+         "relation step not collapsed by the mediator"),
+    ]
+    for sch, message in cases:
+        with pytest.raises(WitnessInconsistency, match=message):
+            med.check_scheme(sch)
+    # Each direction is checked, then the two ends against each other.
+    up, still = Scheme(e0, e2, (IneqStep(e0, e2),)), Scheme(e2, e2, ())
+    with pytest.raises(WitnessInconsistency, match="mediator disagrees on a proven equality"):
+        med.check_pair(ProvenEqual(up, still, SearchStats()))
+    with pytest.raises(WitnessInconsistency, match="inequality step broke under the mediator"):
+        med.check_pair(ProvenEqual(still, Scheme(e1_2, e0, (IneqStep(e1_2, e0),)),
+                                   SearchStats()))
+
+
+def test_a_search_that_runs_out_of_levels_is_unknown():
+    # One level expands the start alone and never reaches e1<2>.
+    sp = make_special(chain(3, SIG1), ["e0", "e2"])
+    res = pushout_leq(sp, node("f", leaf("e1<1>"), leaf("e1<2>")), leaf("e1<2>"),
+                      Budget(max_scheme_len=1, max_nodes=10**6))
+    assert not res.proven
+    assert res.stats.as_dict() == {"nodes_expanded": 1, "nodes_generated": 2426,
+                                   "depth_reached": 1, "capped": False, "pruned": 2042}
+
+
+def test_validate_amalgam_reports_the_variety_and_an_embedding_that_drops_the_order():
+    # The side-1 copy has the trivial order, so its constants c <= d no
+    # longer hold, and the identity phi1 neither keeps nor reflects e0 <= e1.
+    ch = chain(2, SIG1)
+    ident = {e: e for e in ch.carrier}
+    report = validate_amalgam(Amalgam(ch, with_trivial_order(ch), ch, ident, ident))
+    assert report == [
+        {"kind": "constant", "algebra": "CH2=<1>", "left": "c", "right": "d",
+         "left_val": "e0<1>", "right_val": "e1<1>"},
+        {"kind": "embedding", "map": "phi1", "problem": "not monotone"},
+        {"kind": "embedding", "map": "phi1", "problem": "does not reflect the order"},
+    ]
 
 
 def _p(word):

@@ -120,27 +120,17 @@ def test_every_private_helper_is_used():
     assert unreferenced_private_helpers() == []
 
 
-def calls_the_closure_engine(path: Path) -> bool:
-    """Whether the file imports `relations.close` or reads `close` off a
-    name it bound to the `relations` module."""
-    tree = ast.parse(path.read_text())
-    aliases = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            base = ".".join(filter(None, ["oalg" if node.level else "", node.module]))
-            aliases.update(a.asname or a.name for a in node.names
-                           if f"{base}.{a.name}" == "oalg.relations")
-        elif isinstance(node, ast.Import):
-            aliases.update(a.asname for a in node.names if a.name == "oalg.relations" and a.asname)
-    return "oalg.relations.close" in imported_modules(path) or any(
-        isinstance(node, ast.Attribute) and node.attr == "close"
-        and isinstance(node.value, ast.Name) and node.value.id in aliases
-        for node in ast.walk(tree))
+def reads_name(path: Path, name: str) -> bool:
+    """Whether the file reads `name`: bare, as an attribute, or imported."""
+    return any(getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+               or isinstance(node, ast.alias) and node.name == name
+               for node in ast.walk(ast.parse(path.read_text())))
 
 
 def test_only_the_derivation_closures_call_the_closure_engine():
-    # `relations.close` records a derivation for every pair; the plain
-    # closures run Warshall over bitmask rows instead.
-    callers = [p.stem for p in sorted(SRC.glob("*.py"))
-               if p.stem != "relations" and calls_the_closure_engine(p)]
-    assert callers == ["closure"]
+    # `closure._close` records a derivation for every pair; the plain
+    # closures in `relations` run Warshall over bitmask rows instead.
+    defined = {stmt.name for stmt in ast.parse((SRC / "relations.py").read_text()).body
+               if isinstance(stmt, ast.FunctionDef)}
+    assert not defined & {"close", "_close"}
+    assert [p.stem for p in sorted(SRC.glob("*.py")) if reads_name(p, "_close")] == ["closure"]

@@ -204,6 +204,20 @@ def test_print_algebra_round_trips(files, seed):
     assert print_algebra(again, "s.sig") == text
 
 
+def test_the_empty_algebra_round_trips(tmp_path):
+    # Its table for f has no entries, so it prints no `op` line.
+    sig = Signature({"f": 2})
+    (tmp_path / "p.sig").write_text(print_signature(sig))
+    empty = chain(0, sig)
+    text = print_algebra(empty, "p.sig")
+    assert text == "algebra CH0 over p.sig\nelements \n"
+    again = parse_algebra(text, tmp_path)
+    assert (again.carrier, again.order, again.op_tables) == ([], frozenset(), {"f": {}})
+    assert print_algebra(again, "p.sig") == text
+    with pytest.raises(OalgError, match="missing table for 'f'"):
+        parse_algebra("algebra A over p.sig\nelements e0\n", tmp_path)
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 10**6), st.sampled_from(["proper", "nested", "disjoint", "cross"]))
 def test_scheme_to_lines_round_trips(seed, recipe):

@@ -104,11 +104,3 @@ def test_extension_is_monotone_for_term_order():
         for t in enumerate_terms(SIG1, labels, 1):
             for u in single_raises(SIG1, xp, t):
                 assert target.leq(beta(t), beta(u))
-
-
-def test_parse_var_poset():
-    from oalg.termorder import parse_var_poset
-    xp = parse_var_poset("var x1\nvar x2\nvarorder x1 <= x2\n")
-    assert xp.names == ("x1", "x2") and xp.leq("x1", "x2")
-    with pytest.raises(Exception):
-        parse_var_poset("vars x1 x2")
