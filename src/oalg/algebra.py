@@ -220,8 +220,9 @@ def check_homomorphism(h: Homomorphism) -> dict[str, bool]:
     # Row i of `pulled`: the j with m(i) <= m(j).
     pulled = [sum(1 << j for j, mj in enumerate(m) if b.coded.rows[mi] >> mj & 1) for mi in m]
     is_monotone = all(row & ~p == 0 for row, p in zip(a.coded.rows, pulled))
-    return {"is_hom": is_hom, "is_monotone": is_monotone,
-            "is_order_embedding": is_monotone and pulled == list(a.coded.rows)}
+    reflects_order = all(p & ~row == 0 for row, p in zip(a.coded.rows, pulled))
+    return {"is_hom": is_hom, "is_monotone": is_monotone, "reflects_order": reflects_order,
+            "is_order_embedding": is_monotone and reflects_order}
 
 
 def require_monotone_hom(error: Exception, *maps: Homomorphism) -> None:
@@ -473,31 +474,9 @@ def _principal(columns: list[tuple[int, ...]], a: int, b: int) -> tuple[int, ...
     return tuple(theta)
 
 
-def _partition_order_key(theta: tuple[int, ...]) -> tuple[int, ...]:
-    """Where `relations.all_partitions` lists this partition.
-
-    It builds each partition from one of the later elements: element k,
-    from last to first, joins block i of the partition of the elements
-    after it, its blocks sorted by ascending largest element, or opens a
-    new block, listed last.  The list is lexicographic in those choices.
-    """
-    top: dict[int, int] = {}
-    for i, r in enumerate(theta):
-        top[r] = i
-    maxima = sorted(top.values())
-    rank = {m: j for j, m in enumerate(maxima)}
-    key, first = [], len(maxima)         # maxima[first:] are the later blocks
-    for k in range(len(theta) - 1, -1, -1):
-        if first and maxima[first - 1] > k:
-            first -= 1
-        own = top[theta[k]]
-        key.append(rank[own] - first if own > k else len(maxima) - first)
-    return tuple(key)
-
-
 def all_congruences(alg: OrderedAlgebra) -> list[tuple[int, ...]]:
     """Every congruence of the unordered reduct as its class tuple (each index
-    to the least index in its class), in `relations.all_partitions` order.
+    to the least index in its class), fewest classes first, then by class tuple.
 
     Each congruence is the join of the principal congruences of its pairs, each a
     closure under the distinct one-slot translations, and a join of congruences is
@@ -514,7 +493,7 @@ def all_congruences(alg: OrderedAlgebra) -> list[tuple[int, ...]]:
         pairs = [(i, r) for i, r in enumerate(p) if i != r]
         # A copy of theta that merges nothing already lies above p.
         lattice.update([tuple(theta) for theta in map(list, lattice) if _merge(theta, pairs)])
-    return sorted(lattice, key=_partition_order_key)
+    return sorted(lattice, key=lambda theta: (len(set(theta)), theta))
 
 
 def _monotone_maps(domains, pairs_at, rows, check=None):

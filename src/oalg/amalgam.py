@@ -166,7 +166,8 @@ def validate_amalgam(am: Amalgam) -> list[dict]:
     report = []
     for alg in (am.c, am.a1, am.a2):
         for item in validate_algebra(alg):
-            report.append({"kind": "variety", "algebra": alg.name, **item})
+            report.append({"kind": "variety", "algebra": alg.name,
+                           "violation": item.pop("kind"), **item})
     for label, phi, target in (("phi1", am.phi1, am.a1), ("phi2", am.phi2, am.a2)):
         h = Homomorphism(am.c, target, phi)
         flags = check_homomorphism(h)
@@ -174,7 +175,7 @@ def validate_amalgam(am: Amalgam) -> list[dict]:
             report.append({"kind": "embedding", "map": label, "problem": "not a homomorphism"})
         if not flags["is_monotone"]:
             report.append({"kind": "embedding", "map": label, "problem": "not monotone"})
-        if not flags["is_order_embedding"]:
+        if not flags["reflects_order"]:
             report.append({"kind": "embedding", "map": label,
                            "problem": "does not reflect the order"})
         if len(set(phi.values())) != len(phi):
@@ -725,7 +726,8 @@ class Mediator:
 
     def check_scheme(self, sch: Scheme) -> None:
         """A valid scheme must transport to a chain of target inequalities
-        whose relation steps become equalities."""
+        from its source's value to its target's, whose relation steps
+        become equalities."""
         prev_val = self.beta(sch.source)
         for s in sch.steps:
             lv, rv = self.beta(s.left), self.beta(s.right)
@@ -738,6 +740,8 @@ class Mediator:
                 if lv != rv:
                     raise WitnessInconsistency("relation step not collapsed by the mediator")
             prev_val = rv
+        if prev_val != self.beta(sch.target):
+            raise WitnessInconsistency("scheme transport stops short of the target")
 
     def check_pair(self, result: ProvenEqual) -> None:
         self.check_scheme(result.forward)
@@ -805,15 +809,19 @@ def _separator_memo(alg: OrderedAlgebra) -> dict[tuple[int, ...], list]:
 def separator_candidates(alg: OrderedAlgebra, max_size: int):
     """The codomains tried by the separator search before the complete one,
     with the homomorphisms into each: the regular quotients in the variety
-    within the cap, lazily, in `all_congruences` order, each kept in the memo
-    (None outside the variety) with the maps into it.  Repeats come again,
-    and having the first copy's maps they separate nothing new."""
+    within the cap, lazily, in `all_congruences` order (fewest classes first),
+    each kept in the memo (None outside the variety) with the maps into it.
+    The walk stops at the first congruence with more classes than the cap, so
+    no quotient above it is built.  Repeats come again, and having the first
+    copy's maps they separate nothing new."""
     for theta, kept in _separator_memo(alg).items():
+        if len(set(theta)) > max_size:
+            return
         if not kept:
             quotient = _order_quotient(alg, relations.class_rows(theta))
             kept.append(None if quotient is None or validate_algebra(quotient[0])
                         else quotient[0])
-        if kept[0] is not None and len(kept[0].carrier) <= max_size:
+        if kept[0] is not None:
             if len(kept) == 1:
                 kept.append(all_homomorphisms(alg, kept[0]))
             yield kept[0], kept[1]

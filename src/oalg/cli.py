@@ -12,7 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import relations
 from .algebra import (
     OrderedAlgebra,
     load_algebra,
@@ -33,7 +32,6 @@ from .amalgam import (
 )
 from .closure import gen_compatible_quasiorder, gen_order_congruence
 from .errors import OalgError, ParseError, PreconditionFailed, TheoremContradiction
-from .oracles import bfs_generated_quasiorder
 from .schemes import normalize, scheme_from_lines, scheme_to_lines, validate_scheme
 from .selftest import run_all
 from .signature import parse_signature
@@ -96,30 +94,22 @@ def cmd_closure(args, rep: Reporter) -> int:
     hyp = _read_pairs(args.pairs, alg)
     if args.congruence:
         res = gen_order_congruence(alg, hyp)
-        rel = res.leq
-        label = "leq"
-        witness = res.witness
-        seed = hyp | relations.inverse(hyp)
+        rel, label, witness = res.leq, "leq", res.witness
     else:
         clo = gen_compatible_quasiorder(alg, hyp)
-        rel = clo.relation
-        label = "quasiorder"
-        witness = clo.witness
-        seed = hyp
-    for (a, b) in sorted(rel, key=lambda p: (alg.index[p[0]], alg.index[p[1]])):
+        rel, label, witness = clo.relation, "quasiorder", clo.witness
+    pairs = sorted(rel, key=lambda p: (alg.index[p[0]], alg.index[p[1]]))
+    for (a, b) in pairs:
         rep.record(label, left=a, right=b)
-    oracle = bfs_generated_quasiorder(alg, seed, args.max_ops, args.max_len)
-    rep.record("oracle", max_ops=args.max_ops, max_len=args.max_len,
-               agrees=oracle == rel)
     if args.witness:
-        for (a, b) in sorted(rel, key=lambda p: (alg.index[p[0]], alg.index[p[1]])):
+        for (a, b) in pairs:
             if (a, b) in alg.order:
                 continue
             sch = witness(a, b)
             rep.record("witness", left=a, right=b, steps=len(sch.steps))
             for line in scheme_to_lines(sch):
                 print("  " + line)
-    return EXIT_OK if oracle == rel else EXIT_VIOLATION
+    return EXIT_OK
 
 
 def cmd_quotient(args, rep: Reporter) -> int:
@@ -250,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("pairs")
     c.add_argument("--congruence", action="store_true")
     c.add_argument("--witness", action="store_true")
-    c.add_argument("--max-ops", type=nonnegative, default=3)
-    c.add_argument("--max-len", type=nonnegative, default=6)
     c.set_defaults(fn=cmd_closure)
 
     q = sub.add_parser("quotient", help="regular or non-regular quotient")

@@ -46,7 +46,9 @@ def compatible_by_table_walk(alg: OrderedAlgebra, rel: frozenset) -> bool:
 
 def congruences_by_partition_filter(alg: OrderedAlgebra) -> list[frozenset]:
     """Every congruence of the unordered reduct, by filtering all Bell(n)
-    partitions: the reference for `algebra.all_congruences`, same order.
+    partitions in `relations.all_partitions` order: the reference for
+    `algebra.all_congruences`, which lists the same congruences sorted by
+    number of classes, then class tuple.
 
     A partition's pairs are an equivalence by construction, so only
     compatibility is tested.
@@ -95,7 +97,7 @@ def homomorphism_flags_by_table_walk(h: Homomorphism) -> dict[str, bool]:
                       for f, tbl in a.op_tables.items() for args, v in tbl.items()))
     is_monotone = all(b.leq(m[x], m[y]) for x, y in a.order)
     reflects = all(a.leq(x, y) for x in a.carrier for y in a.carrier if b.leq(m[x], m[y]))
-    return {"is_hom": is_hom, "is_monotone": is_monotone,
+    return {"is_hom": is_hom, "is_monotone": is_monotone, "reflects_order": reflects,
             "is_order_embedding": is_monotone and reflects}
 
 

@@ -118,9 +118,10 @@ def collapse_hom():
 def test_check_homomorphism():
     ident = Homomorphism(CH3, CH3, {e: e for e in CH3.carrier})
     assert check_homomorphism(ident) == {"is_hom": True, "is_monotone": True,
-                                         "is_order_embedding": True}
+                                         "reflects_order": True, "is_order_embedding": True}
     flags = check_homomorphism(collapse_hom())
-    assert flags == {"is_hom": True, "is_monotone": True, "is_order_embedding": False}
+    assert flags == {"is_hom": True, "is_monotone": True, "reflects_order": False,
+                     "is_order_embedding": False}
     broken = Homomorphism(CH3, CH3, {"e0": "e1", "e1": "e1", "e2": "e2"})
     assert not check_homomorphism(broken)["is_hom"]
 
@@ -131,10 +132,11 @@ def dual(alg):
 
 
 def test_check_homomorphism_agrees_with_the_table_walk():
-    # Candidates: the endomorphisms and random maps, each into the algebra
-    # and into its order dual (the same tables, so the endomorphisms stay
-    # homomorphisms but are seldom monotone), and some homomorphisms into
-    # a second random algebra.
+    # Candidates: the endomorphisms and random maps, each into the algebra,
+    # into its order dual (the same tables, so the endomorphisms stay
+    # homomorphisms but are seldom monotone) and into its trivially ordered
+    # copy (where a map that is not monotone can still reflect the order),
+    # and some homomorphisms into a second random algebra.
     rng = random.Random(29)
     kinds = Counter()
     for _ in range(60):
@@ -142,14 +144,17 @@ def test_check_homomorphism_agrees_with_the_table_walk():
         cod = random_algebra(rng, SIG1, rng.randrange(1, 4), name="S")
         maps = [h.map for h in all_homomorphisms(dom, dom)]
         maps += [{e: rng.choice(dom.carrier) for e in dom.carrier} for _ in range(3)]
-        candidates = [Homomorphism(dom, target, m) for target in (dom, dual(dom)) for m in maps]
+        candidates = [Homomorphism(dom, target, m) for m in maps
+                      for target in (dom, dual(dom), with_trivial_order(dom))]
         for h in candidates + all_homomorphisms(dom, cod)[:3]:
             flags = check_homomorphism(h)
             assert flags == homomorphism_flags_by_table_walk(h)
             kinds[tuple(flags.values())] += 1
-    assert all(kinds[key] >= 10 for key in [(True, True, True), (True, True, False),
-                                            (True, False, False), (False, True, False),
-                                            (False, False, False)])
+    assert all(kinds[key] >= 10 for key in [(True, True, True, True), (True, True, False, False),
+                                            (True, False, True, False),
+                                            (True, False, False, False),
+                                            (False, True, False, False),
+                                            (False, False, False, False)])
 
 
 # One operation of each arity from 1 to 3, and two ordered constants.
@@ -209,6 +214,16 @@ def congruence_pairs(alg):
             for theta in all_congruences(alg)]
 
 
+def by_classes(alg, thetas):
+    """Relations on the carrier sorted as `all_congruences` lists them: fewest
+    classes first, then by class tuple (each index to the least index it relates to)."""
+    def key(theta):
+        classes = tuple(min(j for j, b in enumerate(alg.carrier) if (b, a) in theta)
+                        for a in alg.carrier)
+        return len(set(classes)), classes
+    return sorted(thetas, key=key)
+
+
 def test_all_congruences_match_congruence_filter():
     rng = random.Random(21)
     for _ in range(20):
@@ -216,7 +231,7 @@ def test_all_congruences_match_congruence_filter():
         expected = [theta for theta in map(partition_to_pairs,
                                            relations.all_partitions(alg.carrier))
                     if is_congruence(alg, theta)]
-        assert congruence_pairs(alg) == expected
+        assert congruence_pairs(alg) == by_classes(alg, expected)
 
 
 def _criterion_4_corpus():
@@ -233,7 +248,8 @@ def test_all_congruences_match_the_partition_filter_in_order():
                  for a in (chain(n, SIG1), with_trivial_order(chain(n, SIG1)))]
     algebras += _criterion_4_corpus() + [_projection_diamond()]
     for alg in algebras:
-        assert congruence_pairs(alg) == congruences_by_partition_filter(alg), alg.name
+        assert congruence_pairs(alg) == by_classes(alg, congruences_by_partition_filter(alg)), \
+            alg.name
 
 
 def test_all_congruences_enumerates_no_partitions(monkeypatch):
@@ -252,7 +268,7 @@ def test_principal_congruences_close_under_distinct_translations(monkeypatch):
                         lambda columns, a, b: seen.append(columns) or principal(columns, a, b))
     for alg in (chain(8, SIG1), random_algebra(random.Random(34), SIG1, 5)):
         seen.clear()
-        expected = congruences_by_partition_filter(alg)
+        expected = by_classes(alg, congruences_by_partition_filter(alg))
         assert congruence_pairs(alg) == expected
         translations = list(zip(*seen[0]))
         assert all(columns is seen[0] for columns in seen)

@@ -11,7 +11,7 @@ import oalg.amalgam as amalgam
 import oalg.closure as closure
 from oalg import relations
 from oalg.algebra import Homomorphism, OrderedAlgebra, chain, directed_kernel, \
-    generated_subalgebra, subalgebra, with_trivial_order
+    generated_subalgebra, regular_quotient, subalgebra, validate_algebra, with_trivial_order
 from oalg.amalgam import (
     Amalgam,
     Budget,
@@ -28,10 +28,11 @@ from oalg.amalgam import (
     separator_search,
     validate_amalgam,
 )
-from oalg.errors import CommutationFailure, NotAHomomorphism, PreconditionFailed, \
-    UnboundVariable, WitnessInconsistency
+from oalg.errors import CommutationFailure, NotAHomomorphism, NotOrderCongruence, \
+    PreconditionFailed, UnboundVariable, WitnessInconsistency
 from oalg.generators import random_algebra, random_partial_order, random_special_amalgam
-from oalg.oracles import compatible_by_table_walk, monotone_completion_by_product_filter, \
+from oalg.oracles import compatible_by_table_walk, congruences_by_partition_filter, \
+    homomorphisms_by_product_filter, monotone_completion_by_product_filter, \
     moves_by_path_walk, unfold_pool_by_layers
 from oalg.schemes import IDENTITY_TRANSLATION, IneqStep, RelStep, Scheme, scheme_to_lines, \
     validate_scheme
@@ -193,18 +194,18 @@ def _separator_digest(sep) -> str | None:
 # algebras: separator_search with codomains of at most two elements, then
 # exhaustive_separator with at most three.
 GOLDEN_SEPARATORS = {
-    'G0 e0': ('8af50d68b86d32b7', 'c733509efb006aca'),
-    'G0 e1': ('0b65926f2b0c9b11', '6b51ec7cf6c6bcfc'),
+    'G0 e0': ('c9e0624960bba83b', 'c733509efb006aca'),
+    'G0 e1': ('17c59c1a16699316', '6b51ec7cf6c6bcfc'),
     'G1 e1': ('2db9ba7e2d7fb69c', 'b2826d5c7b699592'),
     'G2 e0': ('533bf3a920206b0b', 'c733509efb006aca'),
-    'G2 e1': ('5578b577f63b6387', '7921a5c68a312ac2'),
+    'G2 e1': ('0715b3ff78119919', '7921a5c68a312ac2'),
     'G5 e1': ('75fca8ae486d4a3a', 'c30bb5fe7a5ae12e'),
     'G6 e0': ('cb490e4f525f87b0', '0b1e6bc1dff0edd2'),
     'G8 e1': ('85b947aaaa607c3e', '50450221e47bfb76'),
     'G13 e0': ('533bf3a920206b0b', 'c733509efb006aca'),
     'G13 e1': (None, None),
-    'G16 e0': ('8af50d68b86d32b7', 'c733509efb006aca'),
-    'G16 e1': ('0b65926f2b0c9b11', '6b51ec7cf6c6bcfc'),
+    'G16 e0': ('c9e0624960bba83b', 'c733509efb006aca'),
+    'G16 e1': ('17c59c1a16699316', '6b51ec7cf6c6bcfc'),
     'G18 e0': ('168cb8c8872d5497', '48b0399b26c1575c'),
     'G19 e1': (None, 'fe7ccc41119fa167'),
     'G20 e0': ('1adc0af4b7013d20', '922db0c0464231fb'),
@@ -217,8 +218,8 @@ GOLDEN_SEPARATORS = {
     'G35 e0': ('cb490e4f525f87b0', '0b1e6bc1dff0edd2'),
     'G40 e0': ('cb490e4f525f87b0', '0b1e6bc1dff0edd2'),
     'G40 e1': (None, '890be1441d93ac26'),
-    'G41 e0': ('8af50d68b86d32b7', 'c733509efb006aca'),
-    'G41 e1': ('0b65926f2b0c9b11', '6b51ec7cf6c6bcfc'),
+    'G41 e0': ('c9e0624960bba83b', 'c733509efb006aca'),
+    'G41 e1': ('17c59c1a16699316', '6b51ec7cf6c6bcfc'),
     'G41 e2': (None, '1226e583793cee5a'),
     'G45 e0': (None, '1a3c2d1846a4829f'),
     'G45 e2': (None, '1a3c2d1846a4829f'),
@@ -270,9 +271,10 @@ def test_regular_separators_are_rechecked(monkeypatch):
 
 
 def test_a_repeated_quotient_is_tried_again_and_separates_nothing_new(monkeypatch):
-    # Two congruences of R142 give one two-element quotient, and the search
-    # for e4 reaches both.  The digests were computed with repeats skipped,
-    # so they show that the repeat separates nothing new.
+    # Two congruences of R142 give one two-element quotient, and the
+    # candidates at cap 2 yield it twice, with the same maps both times.
+    # The digests were computed with repeats skipped, so they show that
+    # the repeat separates nothing new.
     reached = []
     candidates = amalgam.separator_candidates
 
@@ -285,14 +287,97 @@ def test_a_repeated_quotient_is_tried_again_and_separates_nothing_new(monkeypatc
     rng = random.Random(142)
     alg = random_algebra(rng, SIG1, rng.randrange(3, 6), name="R142")
     core = generated_subalgebra(alg, [])
-    got, repeats = {}, {}
+    got = {}
     for x in alg.carrier:
         if x not in core:
             reached.clear()
             got[x] = _separator_digest(separator_search(alg, core, x, 2))
-            repeats[x] = len(reached) - len(set(reached))
-    assert got == {"e2": "56599d6e26805db5", "e4": "f5558dbc688356c1"}
-    assert repeats["e4"] > 0
+    assert got == {"e2": "ded65386bd6bf64d", "e4": "f5558dbc688356c1"}
+    # The search for e4 stops at the second codomain, before the repeat.
+    assert len(reached) == len(set(reached)) == 2
+    seen = {}
+    yielded = list(candidates(alg, 2))
+    for cod, homs in yielded:
+        maps = [sorted(h.map.items()) for h in homs]
+        assert seen.setdefault(repr(_algebra_key(cod)), maps) == maps
+    assert (len(yielded), len(yielded) - len(seen)) == (6, 1)
+
+
+def test_the_regular_stage_tries_the_fewest_classes_first(monkeypatch):
+    # The join chain on 8 elements with d moved down to e5: e7 is separated
+    # by a two-element quotient, met right after the one-element one.
+    sizes = []
+    candidates = amalgam.separator_candidates
+
+    def recording(alg, max_size):
+        for cod, homs in candidates(alg, max_size):
+            sizes.append(len(cod.carrier))
+            yield cod, homs
+
+    monkeypatch.setattr(amalgam, "separator_candidates", recording)
+    ch = chain(8, SIG1)
+    alg = OrderedAlgebra(SIG1, ch.carrier, ch.order, ch.op_tables, {"c": "e0", "d": "e5"})
+    sep = separator_search(alg, ["e0", "e3", "e5"], "e7", 8)
+    assert sizes == [1, 2] and len(sep.codomain.carrier) == 2
+
+
+def test_no_quotient_above_the_cap_is_built(monkeypatch):
+    built = []
+    quotient = amalgam._order_quotient
+    monkeypatch.setattr(amalgam, "_order_quotient",
+                        lambda alg, eq: built.append(len(set(eq))) or quotient(alg, eq))
+    rng = random.Random(71)
+    algebras = [chain(6, SIG1), with_trivial_order(chain(5, SIG1))]
+    algebras += [random_algebra(rng, SIG1, rng.randrange(3, 6)) for _ in range(10)]
+    counts = Counter()
+    # The memo keeps each quotient, so a call builds only those new at its cap.
+    for cap in (1, 2, 3):
+        for alg in algebras:
+            built.clear()
+            yielded = list(amalgam.separator_candidates(alg, cap))
+            assert all(size <= cap for size in built), alg.name
+            assert all(len(cod.carrier) <= cap for cod, _ in yielded)
+            counts[cap] += len(built)
+    assert all(counts[cap] >= 10 for cap in (2, 3))
+
+
+def _smallest_separating_quotient(alg, core, x, cap):
+    """The fewest elements of a regular quotient in the variety, within the
+    cap, with two homomorphisms into it that agree on the core but not at x,
+    by brute force; None if there is none."""
+    sizes = []
+    for theta in congruences_by_partition_filter(alg):
+        try:
+            cod = regular_quotient(alg, theta)[0]
+        except NotOrderCongruence:
+            continue
+        if len(cod.carrier) > cap or validate_algebra(cod):
+            continue
+        homs = homomorphisms_by_product_filter(alg, cod)
+        if any(all(f.map[c] == g.map[c] for c in core) and f.map[x] != g.map[x]
+               for f, g in itertools.combinations(homs, 2)):
+            sizes.append(len(cod.carrier))
+    return min(sizes, default=None)
+
+
+def test_the_regular_stage_returns_a_smallest_separating_quotient(monkeypatch):
+    monkeypatch.setattr(amalgam, "exhaustive_separator", lambda *args: None)
+    rng = random.Random(72)
+    unary = Signature({"h": 1, "f": 2, "c": 0})
+    found = Counter()
+    for i in range(120):
+        sig = (SIG1, unary)[i % 2]
+        alg = random_algebra(rng, sig, rng.randrange(2, 6), name=f"M{i}")
+        core = generated_subalgebra(alg, rng.sample(alg.carrier, rng.randrange(2)))
+        for x in alg.carrier:
+            if x in core:
+                continue
+            for cap in (2, 3, 4):
+                sep = separator_search(alg, core, x, cap)
+                smallest = _smallest_separating_quotient(alg, core, x, cap)
+                assert (sep and len(sep.codomain.carrier)) == smallest, (alg.name, x, cap)
+                found[smallest] += 1
+    assert found[None] >= 10 and found[1] == 0 and found[2] >= 10 and found[3] >= 10
 
 
 def test_congruences_are_computed_once_per_base(monkeypatch):
@@ -630,6 +715,7 @@ def test_the_mediator_rejects_a_scheme_it_does_not_carry_to_the_target():
         (Scheme(e1, e2, (IneqStep(e0, e2),)), "scheme transport lost the chain"),
         (Scheme(e1, e2_2, (RelStep("GLUE", IDENTITY_TRANSLATION, e1, e2_2, e1, e2_2),)),
          "relation step not collapsed by the mediator"),
+        (Scheme(e2, e0, ()), "scheme transport stops short of the target"),
     ]
     for sch, message in cases:
         with pytest.raises(WitnessInconsistency, match=message):
@@ -655,15 +741,16 @@ def test_a_search_that_runs_out_of_levels_is_unknown():
 
 def test_validate_amalgam_reports_the_variety_and_an_embedding_that_drops_the_order():
     # The side-1 copy has the trivial order, so its constants c <= d no
-    # longer hold, and the identity phi1 neither keeps nor reflects e0 <= e1.
+    # longer hold, a variety violation, and the identity phi1 does not keep
+    # e0 <= e1.  It still reflects the order: its image pairs are only the
+    # diagonal.
     ch = chain(2, SIG1)
     ident = {e: e for e in ch.carrier}
     report = validate_amalgam(Amalgam(ch, with_trivial_order(ch), ch, ident, ident))
     assert report == [
-        {"kind": "constant", "algebra": "CH2=<1>", "left": "c", "right": "d",
-         "left_val": "e0<1>", "right_val": "e1<1>"},
+        {"kind": "variety", "algebra": "CH2=<1>", "violation": "constant", "left": "c",
+         "right": "d", "left_val": "e0<1>", "right_val": "e1<1>"},
         {"kind": "embedding", "map": "phi1", "problem": "not monotone"},
-        {"kind": "embedding", "map": "phi1", "problem": "does not reflect the order"},
     ]
 
 

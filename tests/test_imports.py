@@ -1,8 +1,8 @@
 """Import boundaries between the modules of `src/oalg`, read from the AST.
 
 The oracles are independent of the closure engine they check, and only
-the entry points (the command line and the acceptance suite) use them;
-`import oalg` does not load them.  The congruence and homomorphism
+the acceptance suite imports them (the command line reaches them through
+its `selftest` command alone); `import oalg` does not load them.  The congruence and homomorphism
 enumerators in `algebra`, and the separator search in `amalgam` that
 calls them, reach the brute-force filters that check them by no chain of
 imports.  No module imports a name it never uses, and no private helper
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "oalg"
-ORACLE_USERS = {"cli", "selftest"}
+ORACLE_USERS = {"selftest"}
 
 
 def imported_modules(path: Path) -> set[str]:

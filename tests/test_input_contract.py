@@ -143,7 +143,7 @@ COMMANDS = {
     "hom": ["epi", "--hom", "{x}", "--max-codomain", "1"],
     "amalgam": ["validate", "{x}"],
     "scheme": ["normalize", "{x}", "--amalgam", "{d}/sp.amalgam"],
-    "pairs": ["closure", "{d}/ch3.oalg", "{x}", "--max-ops", "1", "--max-len", "2"],
+    "pairs": ["closure", "{d}/ch3.oalg", "{x}"],
 }
 
 @pytest.mark.parametrize("fmt", sorted(PARSERS))
