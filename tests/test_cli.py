@@ -453,6 +453,8 @@ def test_input_that_is_not_a_readable_file_is_parse_error(workspace, content, ca
     ("pushout-eq", "sp.amalgam", "e0<1>", "e0<2>", "--max-scheme-len", "-2"),
     ("dominion", "sp.amalgam", "--max-nodes", "-1"),
     ("epi", "--hom", "incl.hom", "--max-codomain", "-1"),
+    ("dominion", "sp.amalgam", "--max-term-ops", "-1"),
+    ("dominion", "sp.amalgam", "--max-scheme-len", "-1"),
     ("normalize", "detour.scheme", "--amalgam", "sp.amalgam", "--max-iters", "-1"),
 ])
 def test_negative_budget_is_usage_error(workspace, argv, capsys):
