@@ -221,8 +221,7 @@ def check_homomorphism(h: Homomorphism) -> dict[str, bool]:
     pulled = [sum(1 << j for j, mj in enumerate(m) if b.coded.rows[mi] >> mj & 1) for mi in m]
     is_monotone = all(row & ~p == 0 for row, p in zip(a.coded.rows, pulled))
     reflects_order = all(p & ~row == 0 for row, p in zip(a.coded.rows, pulled))
-    return {"is_hom": is_hom, "is_monotone": is_monotone, "reflects_order": reflects_order,
-            "is_order_embedding": is_monotone and reflects_order}
+    return {"is_hom": is_hom, "is_monotone": is_monotone, "reflects_order": reflects_order}
 
 
 def require_monotone_hom(error: Exception, *maps: Homomorphism) -> None:

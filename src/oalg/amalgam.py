@@ -10,6 +10,7 @@ as a refutation.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -81,6 +82,8 @@ class Amalgam:
         self.c = center
         self.a1, ren1 = tag_algebra(a1, 1)
         self.a2, ren2 = tag_algebra(a2, 2)
+        # The untagged algebras, whose coded tables the unfold pool counts.
+        self.untagged = {1: a1, 2: a2}
         self.phi1 = {c: ren1[phi1[c]] for c in center.carrier}
         self.phi2 = {c: ren2[phi2[c]] for c in center.carrier}
         self._img1 = {v: k for k, v in self.phi1.items()}
@@ -245,9 +248,9 @@ class Budget:
     but counts every member of it, and a group that crosses the cap counts
     only the members up to it; so the cap falls where it would if each
     candidate were decided alone.  The terms of the unfold pool are built
-    only for the members that the search expands or tests against a
-    composite subterm of the goal, so a wide max_unfold_ops costs counts,
-    not terms, until the search takes the members up."""
+    only for the members that the search expands and the one member a goal
+    test finds, so a wide max_unfold_ops costs counts, once per base
+    algebra, not terms, until the search takes the members up."""
 
     max_term_ops: int = 4
     max_scheme_len: int = 8
@@ -321,40 +324,56 @@ def _achievable_values(am: Amalgam, t: Term, side: int) -> dict[str, Term]:
     return out
 
 
-def _unfold_shapes(am: Amalgam, side: int, n: int):
-    """The shapes of the composite terms over one side's elements with
-    exactly n operations, in pool order: `(op, split, vals, value)` for
+def _unfold_counts(alg: OrderedAlgebra, n: int) -> dict[int, int]:
+    """For each value index of the composite terms over alg's elements
+    with exactly n operations, how many such terms there are, in the order
+    the values first occur.  One pass over each coded table per split of
+    the other n - 1 operations, each entry weighted by its children's
+    counts; no term is built.  Cached on alg, which both copies of a
+    special amalgam's base share."""
+    cache = alg.__dict__.setdefault("_unfold_counts", {})
+    counts = cache.get(n)
+    if counts is None:
+        weights = [[1] * len(alg.carrier)]
+        for m in range(1, n):
+            lower = _unfold_counts(alg, m)
+            weights.append([lower.get(v, 0) for v in range(len(alg.carrier))])
+        counts = {}
+        for f, k in alg.sig.operations():
+            table = alg.coded.tables[f]
+            for split in compositions(n - 1, k):
+                # The entries' weights in code order, as `_codes` builds codes.
+                sizes = [1]
+                for m in split:
+                    sizes = [x * y for x in sizes for y in weights[m]]
+                for size, value in zip(sizes, table):
+                    if size:
+                        counts[value] = counts.get(value, 0) + size
+        cache[n] = counts
+    return counts
+
+
+def _unfold_shapes(alg: OrderedAlgebra, n: int) -> dict[int, list[tuple]]:
+    """The shapes of the composite terms over alg's elements with exactly
+    n operations, by value index, in pool order: `(op, split, vals)` for
     each operation, split of its other n - 1 operations over the children,
-    and children's values (in carrier order, among the values that terms
-    with that many operations take), with the value of the whole."""
-    alg = am.side(side)
-    present = [alg.carrier] + [[e for e in alg.carrier if e in _unfold_counts(am, side, m)]
-                               for m in range(1, n)]
-    for f, k in alg.sig.operations():
-        table = alg.op_tables[f]
-        for split in compositions(n - 1, k):
-            for vals in itertools.product(*[present[m] for m in split]):
-                yield f, split, vals, table[vals]
-
-
-def _unfold_counts(am: Amalgam, side: int, n: int) -> dict[str, int]:
-    """For each value of the composite terms over one side's elements with
-    exactly n operations, how many such terms there are, in the order the
-    values first occur.  Worked out from the tables; no term is built.
-    Cached per amalgam."""
-    cache = am.__dict__.setdefault("_unfold_counts", {})
-    key = (side, n)
-    if key not in cache:
-        lower = [None] + [_unfold_counts(am, side, m) for m in range(1, n)]
-        counts: dict[str, int] = {}
-        for _, split, vals, value in _unfold_shapes(am, side, n):
-            size = 1
-            for m, v in zip(split, vals):
-                if m:
-                    size *= lower[m][v]
-            counts[value] = counts.get(value, 0) + size
-        cache[key] = counts
-    return cache[key]
+    and children's value indices (in carrier order, among the values that
+    terms with that many operations take).  Built in one walk and cached
+    on alg."""
+    cache = alg.__dict__.setdefault("_unfold_shapes", {})
+    shapes = cache.get(n)
+    if shapes is None:
+        size = len(alg.carrier)
+        present = [range(size)] + [sorted(_unfold_counts(alg, m)) for m in range(1, n)]
+        shapes = {}
+        for f, k in alg.sig.operations():
+            table = alg.coded.tables[f]
+            for split in compositions(n - 1, k):
+                digits = [present[m] for m in split]
+                for vals, code in zip(itertools.product(*digits), _codes(digits, size)):
+                    shapes.setdefault(table[code], []).append((f, split, vals))
+        cache[n] = shapes
+    return shapes
 
 
 def _unfold_layer(am: Amalgam, side: int, n: int, value: str) -> list[Term]:
@@ -366,22 +385,50 @@ def _unfold_layer(am: Amalgam, side: int, n: int, value: str) -> list[Term]:
     key = (side, n, value)
     terms = cache.get(key)
     if terms is None:
-        terms = []
-        for f, split, vals, res in _unfold_shapes(am, side, n):
-            if res == value:
-                options = [[am.leaf_of[v]] if m == 0 else _unfold_layer(am, side, m, v)
-                           for m, v in zip(split, vals)]
-                terms.extend(Term(f, kids) for kids in itertools.product(*options))
+        alg, terms = am.side(side), []
+        for f, split, vals in _unfold_shapes(am.untagged[side], n).get(alg.index[value], ()):
+            options = [[am.leaf_of[alg.carrier[v]]] if m == 0
+                       else _unfold_layer(am, side, m, alg.carrier[v]) for m, v in zip(split, vals)]
+            terms.extend(Term(f, kids) for kids in itertools.product(*options))
         cache[key] = terms
     return terms
+
+
+def _first_below(am: Amalgam, side: int, n: int, value: int, ctx: Term) -> tuple[int, Term | None]:
+    """The position in `_unfold_layer(am, side, n, carrier[value])` of its
+    first term below ctx, and that term; or the layer's size and None.
+    Read off the shapes: a term `f(kids)` is below ctx exactly when f is
+    ctx's label and each kid is below ctx's child, so within one shape the
+    first hit takes each child's first hit.  Only the term found is built."""
+    alg, carrier = am.untagged[side], am.side(side).carrier
+    lower = [None] + [_unfold_counts(alg, m) for m in range(1, n)]
+    at = 0
+    for f, split, vals in _unfold_shapes(alg, n)[value]:
+        if f == ctx.label and len(split) == len(ctx.children):
+            pos, kids = 0, []
+            for m, v, c in zip(split, vals, ctx.children):
+                if m == 0:
+                    kid = am.leaf_of[carrier[v]]
+                    if c.children or not am.leaf_leq(kid.label, c.label):
+                        break
+                else:
+                    p, kid = _first_below(am, side, m, v, c) if op_count(c) == m else (0, None)
+                    if kid is None:
+                        break
+                    pos = pos * lower[m][v] + p
+                kids.append(kid)
+            else:
+                return at + pos, Term(f, tuple(kids))
+        at += math.prod([lower[m][v] for m, v in zip(split, vals) if m])
+    return at, None
 
 
 class _UnfoldGroup:
     """The unfold pool's terms of one value on one side, with one to
     `len(sizes)` operations, in pool order; `sizes[n - 1]` members have n
     operations.  The sizes come from `_unfold_counts`; the terms are
-    built, a layer at a time, only when they are asked for.
-    Every member is a composite term."""
+    built, a layer at a time, only when they are iterated.  `size` may
+    exceed what `len()` can return.  Every member is a composite term."""
 
     __slots__ = ("am", "side", "value", "sizes", "size")
 
@@ -396,12 +443,17 @@ class _UnfoldGroup:
         for n in range(1, len(self.sizes) + 1):
             yield from _unfold_layer(self.am, self.side, n, self.value)
 
-    def layer(self, n: int) -> tuple[int, list[Term]]:
-        """The number of members before those with n operations, and
-        those members."""
-        if not 1 <= n <= len(self.sizes):
-            return self.size, []
-        return sum(self.sizes[:n - 1]), _unfold_layer(self.am, self.side, n, self.value)
+    def first_below(self, ctx: Term) -> tuple[int, Term | None]:
+        """The position of the first member below ctx and that member, or
+        the group's size and None.  A member is below ctx only if it has
+        as many operations, so only that layer is read, from its shapes."""
+        n = op_count(ctx)
+        if 1 <= n <= len(self.sizes) and self.sizes[n - 1]:
+            at, new = _first_below(self.am, self.side, n,
+                                   self.am.side(self.side).index[self.value], ctx)
+            if new is not None:
+                return sum(self.sizes[:n - 1]) + at, new
+        return self.size, None
 
 
 def _unfold_groups(am: Amalgam, side: int, width: int) -> dict[str, _UnfoldGroup]:
@@ -411,9 +463,11 @@ def _unfold_groups(am: Amalgam, side: int, width: int) -> dict[str, _UnfoldGroup
     cache = am.__dict__.setdefault("_unfold_groups", {})
     key = (side, width)
     if key not in cache:
-        layers = [_unfold_counts(am, side, n) for n in range(1, width + 1)]
+        layers = [_unfold_counts(am.untagged[side], n) for n in range(1, width + 1)]
+        carrier = am.side(side).carrier
         values = dict.fromkeys(v for counts in layers for v in counts)
-        cache[key] = {v: _UnfoldGroup(am, side, v, tuple(counts.get(v, 0) for counts in layers))
+        cache[key] = {carrier[v]: _UnfoldGroup(am, side, carrier[v],
+                                               tuple(counts.get(v, 0) for counts in layers))
                       for v in values}
     return cache[key]
 
@@ -579,11 +633,10 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
     the prune values and goal context of its path off its node.  A move
     keeps u's subterms beside its path, so both tests are decided from
     the path and the new subterm alone, before its term is built.  Only
-    a candidate that reaches t has its term built.  A term is below its
-    context only if it has as many operations, so of an unfold group
-    only the layer with the context's operation count is goal-tested,
-    and none at a leaf context: a pool term is built only when it is
-    tested against a composite context or expanded.
+    a candidate that reaches t has its term built.  An unfold group is
+    goal-tested from its shapes (`_UnfoldGroup.first_below`), which
+    builds only the member found; a group's size is read from `size`,
+    which may exceed what `len()` can return.
 
     On a special amalgam, a candidate whose collapsed value is not below
     t's is pruned.  The new subterm's value is read from the group's
@@ -653,28 +706,26 @@ def pushout_leq(am: Amalgam, s: Term, t: Term,
                 for node, witness, tag, news in _moves(am, _nodes(am, u, t, top, memo), budget):
                     path, _, accepted, ctx = node
                     room = budget.max_nodes - stats.nodes_generated
+                    group = isinstance(news, _UnfoldGroup)
+                    size = news.size if group else 1
                     one_leaf = witness if witness.is_leaf else news[0]
                     if accepted is not None and memo[one_leaf] not in accepted:
-                        if len(news) > room:
+                        if size > room:
                             return capped(room)
-                        stats.nodes_generated += len(news)
-                        stats.pruned += len(news)
+                        stats.nodes_generated += size
+                        stats.pruned += size
                         continue
                     if ctx is not None:
-                        # A term lies below ctx only if it has as many
-                        # operations: of an unfold group, only that layer
-                        # is tested, and built.
-                        before, tested = (news.layer(op_count(ctx))
-                                          if isinstance(news, _UnfoldGroup) else (0, news))
-                        for i, new in enumerate(itertools.islice(tested, max(room - before, 0))):
-                            if am.term_leq(new, ctx):
-                                stats.nodes_generated += before + i + 1
-                                v = replace_at(u, path, new)
-                                back[v] = (u, path, witness, tag, new)
-                                return finish(v)
-                    if len(news) > room:
+                        at, new = (news.first_below(ctx) if group
+                                   else (0, news[0]) if am.term_leq(news[0], ctx) else (1, None))
+                        if new is not None and at < room:
+                            stats.nodes_generated += at + 1
+                            v = replace_at(u, path, new)
+                            back[v] = (u, path, witness, tag, new)
+                            return finish(v)
+                    if size > room:
                         return capped(0)
-                    stats.nodes_generated += len(news)
+                    stats.nodes_generated += size
                     new_frontier.append((u, path, witness, tag, news))
         if stats.depth_reached < depth:
             # The level had no entry, or each repeated a reached term.

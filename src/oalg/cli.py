@@ -33,7 +33,6 @@ from .amalgam import (
 from .closure import gen_compatible_quasiorder, gen_order_congruence
 from .errors import OalgError, ParseError, PreconditionFailed, TheoremContradiction
 from .schemes import normalize, scheme_from_lines, scheme_to_lines, validate_scheme
-from .selftest import run_all
 from .signature import parse_signature
 from .syntax import match, records
 from .terms import parse_term, print_term
@@ -204,6 +203,7 @@ def cmd_normalize(args, rep: Reporter) -> int:
 
 
 def cmd_selftest(args, rep: Reporter) -> int:
+    from .selftest import run_all  # the oracles load for this command alone
     results = run_all(seed=args.seed)
     failed = 0
     for r in results:

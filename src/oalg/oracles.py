@@ -97,8 +97,7 @@ def homomorphism_flags_by_table_walk(h: Homomorphism) -> dict[str, bool]:
                       for f, tbl in a.op_tables.items() for args, v in tbl.items()))
     is_monotone = all(b.leq(m[x], m[y]) for x, y in a.order)
     reflects = all(a.leq(x, y) for x in a.carrier for y in a.carrier if b.leq(m[x], m[y]))
-    return {"is_hom": is_hom, "is_monotone": is_monotone, "reflects_order": reflects,
-            "is_order_embedding": is_monotone and reflects}
+    return {"is_hom": is_hom, "is_monotone": is_monotone, "reflects_order": reflects}
 
 
 def monotone_completion_by_product_filter(forced: dict, arity: int, elements: list[str],
@@ -402,7 +401,8 @@ def unfold_pool_by_layers(alg: OrderedAlgebra, max_ops: int) -> dict[str, list[T
     """Every composite term of at most max_ops operations over the
     carrier, grouped by value, each layer of one more operation built in
     full from the ones below: the reference for the search's lazy unfold
-    groups (`amalgam._unfold_groups`), same lists in the same order (by
+    groups (`amalgam._unfold_groups`), their counts from the coded tables
+    and their goal test by shape, same lists in the same order (by
     operation count, then operation, split of the operations over the
     children, children's values in carrier order, children's terms)."""
     by_ops: list[dict[str, list[Term]]] = [{e: [leaf(e)] for e in alg.carrier}]

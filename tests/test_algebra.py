@@ -118,10 +118,9 @@ def collapse_hom():
 def test_check_homomorphism():
     ident = Homomorphism(CH3, CH3, {e: e for e in CH3.carrier})
     assert check_homomorphism(ident) == {"is_hom": True, "is_monotone": True,
-                                         "reflects_order": True, "is_order_embedding": True}
+                                         "reflects_order": True}
     flags = check_homomorphism(collapse_hom())
-    assert flags == {"is_hom": True, "is_monotone": True, "reflects_order": False,
-                     "is_order_embedding": False}
+    assert flags == {"is_hom": True, "is_monotone": True, "reflects_order": False}
     broken = Homomorphism(CH3, CH3, {"e0": "e1", "e1": "e1", "e2": "e2"})
     assert not check_homomorphism(broken)["is_hom"]
 
@@ -150,11 +149,9 @@ def test_check_homomorphism_agrees_with_the_table_walk():
             flags = check_homomorphism(h)
             assert flags == homomorphism_flags_by_table_walk(h)
             kinds[tuple(flags.values())] += 1
-    assert all(kinds[key] >= 10 for key in [(True, True, True, True), (True, True, False, False),
-                                            (True, False, True, False),
-                                            (True, False, False, False),
-                                            (False, True, False, False),
-                                            (False, False, False, False)])
+    assert all(kinds[key] >= 10 for key in [(True, True, True), (True, True, False),
+                                            (True, False, True), (True, False, False),
+                                            (False, True, False), (False, False, False)])
 
 
 # One operation of each arity from 1 to 3, and two ordered constants.

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -962,6 +963,143 @@ def test_unfold_groups_are_the_eager_pool_lists():
                 assert seen == {v: len(ts) for v, ts in eager.items()}
                 groups = amalgam._unfold_groups(sp, side, width)
                 assert [(v, list(g)) for v, g in groups.items()] == list(eager.items())
+
+
+# A signature with a unary operation, and one with binary operations only.
+SIG_UNARY = Signature({"h": 1, "f": 2, "c": 0})
+SIG_BINARY = Signature({"f": 2, "k": 2, "c": 0})
+
+
+def _two_table_amalgam(rng: random.Random, sig: Signature, size: int) -> Amalgam:
+    """A general amalgam over the constants' subalgebra of a trivially
+    ordered algebra and a copy of it with every other table entry redrawn,
+    so that the two sides' tables differ."""
+    a1 = with_trivial_order(random_algebra(rng, sig, size))
+    core = generated_subalgebra(a1, [])
+    tables = {f: {args: v if set(args) <= set(core) else rng.choice(a1.carrier)
+                  for args, v in tbl.items()} for f, tbl in a1.op_tables.items()}
+    a2 = OrderedAlgebra(sig, a1.carrier, a1.order, tables, a1.const_vals, name="R2")
+    ident = {e: e for e in core}
+    am = Amalgam(subalgebra(a1, core), a1, a2, ident, ident)
+    assert validate_amalgam(am) == []
+    return am
+
+
+def _pool_amalgams(rng: random.Random):
+    """(amalgam, width) pairs: special and general amalgams over three
+    signatures, at widths 1 to 3."""
+    for sig in (SIG1, SIG_UNARY, SIG_BINARY):
+        for width, max_size in ((1, 3), (2, 3), (3, 2)):
+            for _ in range(2):
+                yield random_special_amalgam(rng, sig, max_size), width
+                if sig is not SIG1:
+                    yield _two_table_amalgam(rng, sig, rng.randrange(2, max_size + 1)), width
+
+
+def test_unfold_counts_and_groups_are_the_eager_pool_on_every_side():
+    # Sizes per layer, value order and members in order; a general
+    # amalgam's sides are counted from their own tables.
+    rng = random.Random(31)
+    differing = 0
+    for am, width in _pool_amalgams(rng):
+        sizes = {}
+        for side in (1, 2):
+            eager = unfold_pool_by_layers(am.side(side), width)
+            groups = amalgam._unfold_groups(am, side, width)
+            assert [(v, g.size, list(g)) for v, g in groups.items()] == [
+                (v, len(ts), ts) for v, ts in eager.items()]
+            for n in range(1, width + 1):
+                in_layer = {am.side(side).index[v]: sum(op_count(t) == n for t in ts)
+                            for v, ts in eager.items()}
+                counts = amalgam._unfold_counts(am.untagged[side], n)
+                assert counts == {v: k for v, k in in_layer.items() if k}
+                assert [g.sizes[n - 1] for g in groups.values()] == [
+                    in_layer[am.side(side).index[v]] for v in groups]
+            sizes[side] = [g.size for g in groups.values()]
+        differing += sizes[1] != sizes[2]
+    assert differing >= 3
+
+
+def _near_context(rng: random.Random, am: Amalgam, t: Term) -> Term:
+    """A goal context made from t: most leaves raised, some swapped for
+    any label (a constant, or a leaf of either side), some subterms cut
+    to a leaf, and some leaves grown into a one-operation term."""
+    labels = am.variables() + am.sig.constants()
+    roll = rng.random()
+    if roll < 0.1:
+        return leaf(rng.choice(labels))
+    if t.children:
+        return Term(t.label, tuple(_near_context(rng, am, c) for c in t.children))
+    if roll < 0.2:
+        f, k = rng.choice(am.sig.operations())
+        return Term(f, tuple(leaf(rng.choice(labels)) for _ in range(k)))
+    return _raised(rng, am, t)
+
+
+def test_the_goal_test_by_shape_is_the_first_hit_of_the_group():
+    rng = random.Random(37)
+    seen = Counter()
+    for am, width in _pool_amalgams(rng):
+        for side in (1, 2):
+            for group in amalgam._unfold_groups(am, side, width).values():
+                members = list(group)
+                for _ in range(3):
+                    ctx = _near_context(rng, am, rng.choice(members))
+                    first = next(((i, m) for i, m in enumerate(members) if am.term_leq(m, ctx)),
+                                 (group.size, None))
+                    assert group.first_below(ctx) == first
+                    seen[first[1] is not None, any(c.children for c in ctx.children)] += 1
+    assert min(seen[key] for key in itertools.product((True, False), repeat=2)) >= 20
+
+
+def test_a_special_amalgam_counts_each_layer_once_for_both_copies(monkeypatch):
+    # Both copies read the base's coded tables, counted on first use by a
+    # search: one pass per operation and split, whichever side asks.
+    walks = []
+    compositions = amalgam.compositions
+    monkeypatch.setattr(amalgam, "compositions",
+                        lambda *key: walks.append(key) or compositions(*key))
+    sp = make_special(chain(3, SIG1), [])
+    assert "_unfold_counts" not in sp.base.__dict__
+    assert sp.untagged == {1: sp.base, 2: sp.base}
+    for side in (1, 2, 1):
+        for width in (1, 2):
+            amalgam._unfold_groups(sp, side, width)
+    assert walks == [(0, 2), (0, 3), (1, 2), (1, 3)]
+    assert set(sp.base.__dict__["_unfold_counts"]) == {1, 2}
+
+
+def test_a_goal_test_builds_only_the_member_it_finds(monkeypatch):
+    layers, built = [], []
+    unfold_layer = amalgam._unfold_layer
+    monkeypatch.setattr(amalgam, "_unfold_layer",
+                        lambda am, *key: layers.append(key) or unfold_layer(am, *key))
+
+    def counting_term(label, children=()):
+        built.append(label)
+        return Term(label, children)
+
+    monkeypatch.setattr(amalgam, "Term", counting_term)
+    sp = make_special(CH3, [])
+    group = amalgam._unfold_groups(sp, 1, 2)["e2<1>"]
+    # Nothing on side 1 lies below a side-2 leaf.
+    assert group.first_below(_p("f f e0<1> e2<2> e2<1>")) == (group.size, None)
+    assert group.first_below(_p("g e2<1> e2<1> e2<2>")) == (group.size, None)
+    assert (layers, built) == ([], [])
+    at, new = group.first_below(_p("f f e0<1> e2<1> e2<1>"))
+    assert (at, new) == (108, _p("f f e0<1> e0<1> e2<1>"))
+    assert (layers, built) == ([], ["f", "f"])
+
+
+def test_a_group_too_large_for_len_caps_the_search():
+    # e2<1>'s group at width 12 has more members than sys.maxsize.
+    sp = make_special(chain(5, SIG1), ["e0"])
+    res = pushout_leq(sp, leaf("e2<1>"), leaf("e2<2>"),
+                      Budget(max_term_ops=12, max_unfold_ops=12))
+    assert amalgam._unfold_groups(sp, 1, 12)["e2<1>"].size > sys.maxsize
+    assert not res.proven
+    assert res.stats.as_dict() == {"nodes_expanded": 1, "nodes_generated": 20_001,
+                                   "depth_reached": 1, "capped": True, "pruned": 1}
 
 
 def _random_term(rng: random.Random, labels: list[str], ops: int) -> Term:

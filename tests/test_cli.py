@@ -572,7 +572,7 @@ def test_structured_outputs_are_pinned(workspace):
 def test_selftest_structured_output_keeps_timings_apart(monkeypatch):
     outputs = []
     for seconds in (0.04, 7.31):
-        monkeypatch.setattr("oalg.cli.run_all", lambda seed, s=seconds: [
+        monkeypatch.setattr("oalg.selftest.run_all", lambda seed, s=seconds: [
             CheckResult("1 paper example", True, "ok", s),
             CheckResult("2 term order", False, "bad", 2 * s)])
         code, out = run("--format", "structured", "selftest")

@@ -62,6 +62,15 @@ def test_importing_the_package_leaves_the_oracles_unloaded():
     assert out.strip() == "False"
 
 
+def test_importing_the_command_line_leaves_the_oracles_unloaded():
+    # `selftest` loads them when its command runs, not when the CLI loads.
+    code = ("import sys, oalg.cli; print([m for m in ('oalg.selftest', 'oalg.oracles',"
+            " 'oalg.generators') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC.parents[1] / "src",
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def reachable_modules(stem: str) -> set[str]:
     """The `oalg` modules a module imports, directly or through others."""
     seen: set[str] = set()
