@@ -13,14 +13,13 @@ import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from functools import cache, partial, reduce
 from pathlib import Path as FsPath
 
-from . import relations
+from . import algebra, relations
 from .algebra import (
     _codes,
     _image,
-    _monotone_maps,
     _order_quotient,
     Homomorphism,
     OrderedAlgebra,
@@ -39,6 +38,7 @@ from .errors import (
     NotAHomomorphism,
     ParseError,
     PreconditionFailed,
+    SizeLimit,
     TheoremContradiction,
     ValidationError,
     WitnessInconsistency,
@@ -850,22 +850,19 @@ class Separator:
     element: str
 
 
-def _separator_memo(alg: OrderedAlgebra) -> dict[tuple[int, ...], list]:
-    """The per-base memo both separator stages read, in `all_congruences` order."""
-    if "_separator_memo" not in alg.__dict__:
-        alg.__dict__["_separator_memo"] = {theta: [] for theta in all_congruences(alg)}
-    return alg.__dict__["_separator_memo"]
-
-
 def separator_candidates(alg: OrderedAlgebra, max_size: int):
-    """The codomains tried by the separator search before the complete one,
-    with the homomorphisms into each: the regular quotients in the variety
-    within the cap, lazily, in `all_congruences` order (fewest classes first),
-    each kept in the memo (None outside the variety) with the maps into it.
-    The walk stops at the first congruence with more classes than the cap, so
-    no quotient above it is built.  Repeats come again, and having the first
-    copy's maps they separate nothing new."""
-    for theta, kept in _separator_memo(alg).items():
+    """The codomains of the separator's regular stage, with the homomorphisms
+    into each: the regular quotients in the variety within the cap, lazily, in
+    `all_congruences` order (fewest classes first).  The per-base memo
+    `alg.__dict__["_separator_memo"]` maps each congruence to a list holding
+    its quotient (None outside the variety) once a walk reaches it, then the
+    maps into it.  The walk stops at the first congruence with more classes
+    than the cap, so no quotient above it is built.  Repeats come again, and
+    having the first copy's maps they separate nothing new."""
+    memo = alg.__dict__.get("_separator_memo")
+    if memo is None:
+        memo = alg.__dict__["_separator_memo"] = {theta: [] for theta in all_congruences(alg)}
+    for theta, kept in memo.items():
         if len(set(theta)) > max_size:
             return
         if not kept:
@@ -891,13 +888,14 @@ def _require_outside(alg: OrderedAlgebra, center: list[str], x: str) -> None:
 
 def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
                      max_size: int) -> Separator | None:
-    """A pair of homomorphisms agreeing on the subalgebra but not at x.
+    """A pair of homomorphisms agreeing on the subalgebra but not at x, into
+    a regular quotient of alg of at most max_size elements.
 
-    Regular quotients first (they give readable witnesses fast), then the
-    complete joint search over all codomains up to the size cap, which
-    alone decides whether a separator exists.  None means no separator
-    exists at the cap; it never asserts that x is dominated.  Either
-    stage's maps are rechecked as monotone homomorphisms before return.
+    The quotients come fewest classes first, so a separator found is a
+    smallest separating quotient.  None means that no regular quotient
+    within the cap separates x; it never asserts that x is dominated, and
+    `exhaustive_separator` separates every such x.  The maps are rechecked
+    as monotone homomorphisms before return.
     """
     _require_outside(alg, center, x)
     for cod, homs in separator_candidates(alg, max_size):
@@ -911,106 +909,112 @@ def separator_search(alg: OrderedAlgebra, center: list[str], x: str,
                     require_monotone_hom(WitnessInconsistency(
                         "regular separator produced a bad map"), f, g)
                     return Separator(cod, f, g, x)
-    return exhaustive_separator(alg, center, x, max_size)
+    return None
 
 
-def _forced_table(cells: set[tuple[int, int]], arity: int, size: int,
-                  rows: list[int]) -> list[int] | None:
-    """A coded table on `size` elements, monotone for the bitmask `rows`,
-    that holds the forced `(code, value)` cells, or None (also when two of
-    them force one code): the first completion in `itertools.product`
-    order over the free cells, by `_monotone_maps` with each cell paired
-    with the cells above it.
+def glued_completion(am: Amalgam) -> tuple[OrderedAlgebra, Homomorphism, Homomorphism]:
+    """A cocone (L, g1, g2) of a valid amalgam A1 <- C -> A2 into which both
+    sides order-embed and in which they meet exactly in C: the glued
+    Dedekind–MacNeille completion (MacNeille, *Partially ordered sets*, 1937).
+
+    D0 is A1 followed by A2 outside phi2(C), iota_i placing side i, under the
+    transitive closure of both orders.  A cut is an intersection of principal
+    down-sets, D0 included, held as a bitmask; L is the algebra of cuts under
+    inclusion generated by the principal ones, where f(X) is the cut closure
+    of the iota_i(f_i(a)) over the tuples a of either side with each
+    iota_i(a_j) in X_j, and g_i(a) is the down-set of iota_i(a).  A chain in
+    D0 between the sides passes through C, and the phi_i reflect the order,
+    so D0 is a partial order that keeps each side's order; iota_1(x) <=
+    iota_2(y) through c gives f_1(x) <= f_1(c) = f_2(c) <= f_2(y), so each g_i
+    is a homomorphism; the operations are monotone, and the constants lie in
+    C.  An operation reads each argument only through its part on each side,
+    so the values come from a memo keyed by those parts.  Raises
+    `PreconditionFailed` unless `validate_amalgam(am)` is empty, and
+    `SizeLimit` as soon as D0 or L would pass `algebra.MAX_CARRIER`; L and
+    both maps are rechecked before return.
     """
-    forced = dict(cells)
-    if len(forced) < len(cells):
-        return None
-    ups = [[j for j in range(size) if row >> j & 1] for row in rows]
-    pairs_at: list[list[tuple[int, int]]] = [[] for _ in range(size ** arity)]
-    for i, cell in enumerate(itertools.product(range(size), repeat=arity)):
-        for j in _codes([ups[a] for a in cell], size):
-            if j != i:
-                pairs_at[max(i, j)].append((i, j))
-    domains = [[forced[i]] if i in forced else range(size) for i in range(size ** arity)]
-    return next(_monotone_maps(domains, pairs_at, rows), None)
+    if validate_amalgam(am):
+        raise PreconditionFailed(f"{am.a1.name} <- {am.c.name} -> {am.a2.name} "
+                                 f"is not a valid amalgam")
+    sides, names = (am.a1, am.a2), list(am.a1.carrier)
+    place = {am.phi2[z]: am.a1.index[am.phi1[z]] for z in am.c.carrier}
+    iotas = (list(range(len(names))), [])
+    for e in am.a2.carrier:
+        if e not in place:
+            place[e] = len(names)
+            names.append(e)
+        iotas[1].append(place[e])
+    size, limit, full = len(names), algebra.MAX_CARRIER, (1 << len(names)) - 1
+    if size > limit:
+        raise SizeLimit(f"the glued poset has {size} elements (> {limit})")
+    rows = [1 << d for d in range(size)]
+    for side, iota in zip(sides, iotas):
+        for a, row in zip(iota, side.coded.rows):
+            rows[a] |= sum(1 << b for j, b in enumerate(iota) if row >> j & 1)
+    rows = relations.warshall(rows)
+    downs = [sum(1 << e for e in range(size) if rows[e] >> d & 1) for d in range(size)]
+
+    @cache
+    def closure(upper: int) -> int:
+        return reduce(operator.and_, (downs[d] for d in range(size) if upper >> d & 1), full)
+
+    @cache
+    def upper(f: str, i: int, parts: tuple) -> int:
+        """The common upper bounds of f's values on side i's tuples from parts."""
+        table, n = sides[i].coded.tables[f], len(sides[i].carrier)
+        return reduce(operator.and_, (rows[iotas[i][table[c]]] for c in _codes(parts, n)), full)
+
+    pos = {cut: i for i, cut in enumerate(downs)}
+    parts: tuple[list, list] = ([], [])       # each cut's elements on each side
+    tables: dict[str, dict] = {f: {} for f, _ in am.sig.operations()}
+    done = 0
+    while done < len(pos):
+        for iota, part in zip(iotas, parts):
+            part += [tuple(j for j, d in enumerate(iota) if cut >> d & 1)
+                     for cut in list(pos)[len(part):]]
+        reached = len(pos)
+        for f, k in am.sig.operations():
+            for args in itertools.product(range(reached), repeat=k):
+                if max(args) >= done:
+                    cut = closure(upper(f, 0, tuple(parts[0][a] for a in args))
+                                  & upper(f, 1, tuple(parts[1][a] for a in args)))
+                    if cut not in pos and len(pos) == limit:
+                        raise SizeLimit(f"the glued completion passes {limit} elements")
+                    tables[f][args] = pos.setdefault(cut, len(pos))
+        done = reached
+    cuts = list(pos)
+    names += ["{" + ",".join(names[d] for d in range(size)
+                             if cut >> d & 1 and rows[d] & cut == 1 << d) + "}"
+              for cut in cuts[size:]]
+    L = OrderedAlgebra(am.sig, names, {(names[i], names[j]) for i, a in enumerate(cuts)
+                                       for j, b in enumerate(cuts) if a & ~b == 0},
+                       {f: {tuple(map(names.__getitem__, args)): names[v]
+                            for args, v in table.items()} for f, table in tables.items()},
+                       {c: names[am.a1.index[am.a1.const(c)]] for c in am.sig.constants()},
+                       name="L")
+    g1, g2 = (Homomorphism(side, L, {e: names[d] for e, d in zip(side.carrier, iota)})
+              for side, iota in zip(sides, iotas))
+    if (validate_algebra(L) or not all(all(check_homomorphism(g).values()) for g in (g1, g2))
+            or any(g1.map[am.phi1[z]] != g2.map[am.phi2[z]] for z in am.c.carrier)):
+        raise WitnessInconsistency("the glued completion failed its recheck")
+    return L, g1, g2
 
 
-def _first_maps(alg: OrderedAlgebra, max_size: int):
-    """The congruences of at most max_size classes, labelled by first occurrence, in
-    sorted class-tuple order: the `itertools.product` order of the labellings."""
-    for theta in sorted(t for t in _separator_memo(alg) if len(set(t)) <= max_size):
-        yield tuple(map(sorted(set(theta)).index, theta))
-
-
-def _second_maps(alg: OrderedAlgebra, h1: tuple, core: list[int], ix: int, max_size: int):
-    """The maps into range(max_size) agreeing with h1 on the core but not at ix whose kernel
-    is a congruence, in `itertools.product` order: `_monotone_maps` over the prefixes of the
-    memo's class tuples, a core class read as its label and any other as -1 - its least index."""
-    labels, keys = {h1[i] for i in core}, set()
-    for theta in _separator_memo(alg):
-        if len(fixed := {theta[i]: h1[i] for i in core}) == len(labels):  # one core class a label
-            keys.update(itertools.accumulate((fixed.get(r, -1 - r),) for r in theta))
-    domains = [[v] if i in core else [u for u in range(max_size) if i != ix or u != v]
-               for i, v in enumerate(h1)]
-    return map(tuple, _monotone_maps(domains, [()] * len(h1), (), lambda i, h2: tuple(
-        v if v in labels else -1 - h2.index(v) for v in h2[:i + 1]) in keys))
-
-
-def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str,
-                         max_size: int) -> Separator | None:
-    """Complete search over all codomains of at most max_size elements,
-    the separator search's last stage after the regular quotients.
-
-    Enumerates the two maps jointly: the first over `_first_maps` (the rest either
-    force two values into one table cell or relabel the codomain), the second over
-    `_second_maps`, the same congruences labelled to agree with the first only on
-    the core, which x lies outside.  The codomain's order can be taken as the least
-    quasiorder making both maps monotone and ordering the constants as the signature
-    does, and its tables as any monotone completion of the entries the homomorphism
-    conditions force.  Any separator at the cap is found this way.  The maps, order
-    and tables are coded; the codomain is named d0, d1, ... once it is found.
+def exhaustive_separator(alg: OrderedAlgebra, center: list[str], x: str) -> Separator:
+    """The separator's complete stage: the glued completion of the special
+    amalgam of alg over the subalgebra center, through both copies.  It
+    separates every element outside center, so it needs no cap; it raises
+    `SizeLimit` where the completion does, and `PreconditionFailed` unless
+    alg lies in the variety and x outside the subalgebra center.
     """
     _require_outside(alg, center, x)
-    names, identity = [f"d{i}" for i in range(max_size)], [1 << v for v in range(max_size)]
-    consts = {c: alg.index[alg.const(c)] for c in alg.sig.constants()}
-    const_pairs = [(consts[c], consts[d]) for c, d in alg.sig.const_order if c != d]
-    core, ix = [alg.index[e] for e in center], alg.index[x]
-    strict = [pair for pairs in alg.hom_plan[0] for pair in pairs]
-
-    def cells(h, f, k):
-        """The `(code, value)` cells of f's table that h commuting with f forces."""
-        return {(c, h[v]) for c, v in zip(_codes([h] * k, max_size), alg.coded.tables[f])}
-
-    for h1 in _first_maps(alg, max_size):
-        forced = {f: cells(h1, f, k) for f, k in alg.sig.operations()}
-        for h2 in _second_maps(alg, h1, core, ix, max_size):
-            rows = list(identity)
-            for h, pairs in ((h1, strict), (h2, strict), (h1, const_pairs)):
-                for a, b in pairs:
-                    rows[h[a]] |= 1 << h[b]
-            rows = relations.warshall(rows)
-            if relations.symmetric_part(rows) != identity:
-                continue
-            tables = {}
-            for f, k in alg.sig.operations():
-                tables[f] = _forced_table(forced[f] | cells(h2, f, k), k, max_size, rows)
-                if tables[f] is None:
-                    break
-            else:
-                cod = OrderedAlgebra(alg.sig, names, relations.from_rows(rows, names),
-                                     {f: dict(zip(itertools.product(names, repeat=k),
-                                                  map(names.__getitem__, tables[f])))
-                                      for f, k in alg.sig.operations()},
-                                     {c: names[h1[i]] for c, i in consts.items()},
-                                     name=f"S{max_size}")
-                if validate_algebra(cod):
-                    raise WitnessInconsistency("exhaustive separator built a bad codomain")
-                f_hom, g_hom = (Homomorphism(alg, cod, {e: names[v] for e, v in
-                                                        zip(alg.carrier, h)}) for h in (h1, h2))
-                require_monotone_hom(WitnessInconsistency(
-                    "exhaustive separator produced a bad map"), f_hom, g_hom)
-                return Separator(cod, f_hom, g_hom, x)
-    return None
+    sp = SpecialAmalgam(alg, center)
+    L, g1, g2 = glued_completion(sp)
+    f, g = (Homomorphism(alg, L, {e: gi.map[alpha[e]] for e in alg.carrier})
+            for gi, alpha in ((g1, sp.alpha1), (g2, sp.alpha2)))
+    if f.map[x] == g.map[x] or any(f.map[z] != g.map[z] for z in center):
+        raise WitnessInconsistency(f"the glued completion does not separate {x}")
+    return Separator(L, f, g, x)
 
 
 @dataclass
@@ -1023,10 +1027,14 @@ class EpiReport:
 def epi_check(h: Homomorphism, max_size: int) -> EpiReport:
     """Surjectivity, or an explicit pair of morphisms splitting the image.
 
-    A separator found for any element outside the image shows the map is
-    not an epimorphism; trivial-order algebras are supported unchanged.
-    Both algebras must lie in the variety, and the map must be a
-    monotone homomorphism.
+    Every element outside the image is first offered to the regular stage
+    (`separator_search` within max_size); if none is separated there, the
+    glued completion separates the first missing element, whatever the cap.
+    So a map that is not surjective is NotEpi, with the separator found, and
+    the verdict is Inconclusive only when the completion passes
+    `algebra.MAX_CARRIER`.  Trivial-order algebras are supported unchanged.
+    Both algebras must lie in the variety, and the map must be a monotone
+    homomorphism.
     """
     for alg in (h.dom, h.cod):
         if validate_algebra(alg):
@@ -1040,7 +1048,11 @@ def epi_check(h: Homomorphism, max_size: int) -> EpiReport:
         sep = separator_search(h.cod, image, x, max_size)
         if sep is not None:
             return EpiReport("NotEpi", separator=sep, missing=missing)
-    return EpiReport("Inconclusive", missing=missing)
+    try:
+        sep = exhaustive_separator(h.cod, image, missing[0])
+    except SizeLimit:
+        return EpiReport("Inconclusive", missing=missing)
+    return EpiReport("NotEpi", separator=sep, missing=missing)
 
 
 # -- File format ------------------------------------------------------------------

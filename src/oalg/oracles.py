@@ -100,22 +100,6 @@ def homomorphism_flags_by_table_walk(h: Homomorphism) -> dict[str, bool]:
     return {"is_hom": is_hom, "is_monotone": is_monotone, "reflects_order": reflects}
 
 
-def monotone_completion_by_product_filter(forced: dict, arity: int, elements: list[str],
-                                          order: frozenset) -> dict | None:
-    """The first table in `itertools.product` order over the cells not in
-    `forced` that extends `forced` and is monotone for `order`, by
-    filtering every filling: the reference for `amalgam._forced_table`."""
-    cells = list(itertools.product(elements, repeat=arity))
-    free = [c for c in cells if c not in forced]
-    comparable = [(c1, c2) for c1 in cells for c2 in cells
-                  if all((a, b) in order for a, b in zip(c1, c2))]
-    for values in itertools.product(elements, repeat=len(free)):
-        table = {**forced, **dict(zip(free, values))}
-        if all((table[c1], table[c2]) in order for c1, c2 in comparable):
-            return table
-    return None
-
-
 def variety_report_by_pair_filter(alg: OrderedAlgebra) -> list[dict]:
     """The membership report of `algebra.validate_algebra`, same entries in
     the same order, by testing every pair of argument tuples of each

@@ -24,10 +24,10 @@ from .algebra import (
     validate_algebra,
     with_trivial_order,
 )
-from .amalgam import Budget, dominion_special, epi_check, make_special, mediate, \
-    pushout_equal, separator_search
+from .amalgam import Budget, dominion_special, epi_check, exhaustive_separator, make_special, \
+    mediate, pushout_equal
 from .closure import gen_compatible_quasiorder, gen_order_congruence
-from .errors import TheoremContradiction
+from .errors import SizeLimit, TheoremContradiction
 from .generators import (
     commuting_cocones,
     padded_glue_scheme,
@@ -341,7 +341,8 @@ def criterion_6(seed: int = 4, count: int = 50, cocones: int = 20):
 
 @_timed
 def criterion_7(seed: int = 4, count: int = 50):
-    """Copies meet exactly in the shared subalgebra; separators exist."""
+    """Copies meet exactly in the shared subalgebra; the glued completion
+    separates every element outside it."""
     _, corpus = _amalgam_corpus(seed, count)
     budget = Budget(max_term_ops=4, max_scheme_len=8)
     outside = 0
@@ -360,20 +361,18 @@ def criterion_7(seed: int = 4, count: int = 50):
             if info["status"] != "NoWitnessFound":
                 return "7 special amalgamation", False, f"instance {idx}: {x} misreported"
             outside += 1
-            sep = separator_search(sp.base, sp.c.carrier, x, len(sp.base.carrier))
-            if sep is None:
+            try:
+                sep = exhaustive_separator(sp.base, sp.c.carrier, x)
+            except SizeLimit:
                 inconclusive.append((idx, x))
-            else:
-                separated += 1
-                if sep.f.map[x] == sep.g.map[x]:
-                    return "7 special amalgamation", False, "separator does not separate"
-                for z in sp.c.carrier:
-                    if sep.f.map[z] != sep.g.map[z]:
-                        return "7 special amalgamation", False, "separator moves the core"
-    if outside and separated / outside < 0.9:
-        return ("7 special amalgamation", False,
-                f"separators for {separated}/{outside} outside elements only")
-    return ("7 special amalgamation", True,
+                continue
+            separated += 1
+            if sep.f.map[x] == sep.g.map[x]:
+                return "7 special amalgamation", False, "separator does not separate"
+            for z in sp.c.carrier:
+                if sep.f.map[z] != sep.g.map[z]:
+                    return "7 special amalgamation", False, "separator moves the core"
+    return ("7 special amalgamation", not inconclusive,
             f"{outside} outside elements, all NoWitnessFound, "
             f"{separated} separated, {len(inconclusive)} inconclusive")
 

@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,9 +11,9 @@ from hypothesis import given, strategies as st
 import oalg.algebra as algebra
 import oalg.amalgam as amalgam
 import oalg.closure as closure
-from oalg import relations
-from oalg.algebra import Homomorphism, OrderedAlgebra, chain, directed_kernel, \
-    generated_subalgebra, regular_quotient, subalgebra, validate_algebra, with_trivial_order
+from oalg.algebra import Homomorphism, OrderedAlgebra, chain, check_homomorphism, \
+    directed_kernel, generated_subalgebra, regular_quotient, subalgebra, validate_algebra, \
+    with_trivial_order
 from oalg.amalgam import (
     Amalgam,
     Budget,
@@ -21,6 +22,8 @@ from oalg.amalgam import (
     SpecialAmalgam,
     dominion_special,
     epi_check,
+    exhaustive_separator,
+    glued_completion,
     make_special,
     mediate,
     parse_amalgam,
@@ -30,10 +33,9 @@ from oalg.amalgam import (
     validate_amalgam,
 )
 from oalg.errors import CommutationFailure, NotAHomomorphism, NotOrderCongruence, \
-    PreconditionFailed, UnboundVariable, WitnessInconsistency
-from oalg.generators import random_algebra, random_partial_order, random_special_amalgam
-from oalg.oracles import compatible_by_table_walk, congruences_by_partition_filter, \
-    homomorphisms_by_product_filter, monotone_completion_by_product_filter, \
+    PreconditionFailed, SizeLimit, UnboundVariable, WitnessInconsistency
+from oalg.generators import random_algebra, random_special_amalgam
+from oalg.oracles import congruences_by_partition_filter, homomorphisms_by_product_filter, \
     moves_by_path_walk, unfold_pool_by_layers
 from oalg.schemes import IDENTITY_TRANSLATION, IneqStep, RelStep, Scheme, scheme_to_lines, \
     validate_scheme
@@ -192,70 +194,63 @@ def _separator_digest(sep) -> str | None:
 
 
 # For each element outside the constants' subalgebra of 60 random
-# algebras: separator_search with codomains of at most two elements, then
-# exhaustive_separator with at most three.
+# algebras: the separator of separator_search with codomains of at most two
+# elements, or where it finds none, the glued completion's.
 GOLDEN_SEPARATORS = {
-    'G0 e0': ('c9e0624960bba83b', 'c733509efb006aca'),
-    'G0 e1': ('17c59c1a16699316', '6b51ec7cf6c6bcfc'),
-    'G1 e1': ('2db9ba7e2d7fb69c', 'b2826d5c7b699592'),
-    'G2 e0': ('533bf3a920206b0b', 'c733509efb006aca'),
-    'G2 e1': ('0715b3ff78119919', '7921a5c68a312ac2'),
-    'G5 e1': ('75fca8ae486d4a3a', 'c30bb5fe7a5ae12e'),
-    'G6 e0': ('cb490e4f525f87b0', '0b1e6bc1dff0edd2'),
-    'G8 e1': ('85b947aaaa607c3e', '50450221e47bfb76'),
-    'G13 e0': ('533bf3a920206b0b', 'c733509efb006aca'),
-    'G13 e1': (None, None),
-    'G16 e0': ('c9e0624960bba83b', 'c733509efb006aca'),
-    'G16 e1': ('17c59c1a16699316', '6b51ec7cf6c6bcfc'),
-    'G18 e0': ('168cb8c8872d5497', '48b0399b26c1575c'),
-    'G19 e1': (None, 'fe7ccc41119fa167'),
-    'G20 e0': ('1adc0af4b7013d20', '922db0c0464231fb'),
-    'G28 e0': (None, None),
-    'G28 e3': (None, None),
-    'G29 e0': ('35f78831c927c22b', '25fd5e5761d4b4ce'),
-    'G29 e1': (None, 'c2d07d6bcac8dcd6'),
-    'G30 e0': ('533bf3a920206b0b', 'c733509efb006aca'),
-    'G34 e1': ('c13702b09f53bc85', '9df11ef0e46c7be2'),
-    'G35 e0': ('cb490e4f525f87b0', '0b1e6bc1dff0edd2'),
-    'G40 e0': ('cb490e4f525f87b0', '0b1e6bc1dff0edd2'),
-    'G40 e1': (None, '890be1441d93ac26'),
-    'G41 e0': ('c9e0624960bba83b', 'c733509efb006aca'),
-    'G41 e1': ('17c59c1a16699316', '6b51ec7cf6c6bcfc'),
-    'G41 e2': (None, '1226e583793cee5a'),
-    'G45 e0': (None, '1a3c2d1846a4829f'),
-    'G45 e2': (None, '1a3c2d1846a4829f'),
-    'G48 e0': (None, None),
-    'G48 e1': (None, None),
-    'G48 e2': (None, None),
-    'G49 e1': ('8ed838eb887c7275', 'caf2b9a508231a00'),
-    'G50 e0': (None, None),
-    'G55 e2': ('b0e0869e425526ff', 'b9ba550178e5db0a'),
-    'G57 e0': (None, 'aae0e053629652b6'),
-    'G57 e3': (None, 'aae0e053629652b6'),
+    'G0 e0': 'c9e0624960bba83b',
+    'G0 e1': '17c59c1a16699316',
+    'G1 e1': '2db9ba7e2d7fb69c',
+    'G2 e0': '533bf3a920206b0b',
+    'G2 e1': '0715b3ff78119919',
+    'G5 e1': '75fca8ae486d4a3a',
+    'G6 e0': 'cb490e4f525f87b0',
+    'G8 e1': '85b947aaaa607c3e',
+    'G13 e0': '533bf3a920206b0b',
+    'G13 e1': '94e65bdfacf8b47d',
+    'G16 e0': 'c9e0624960bba83b',
+    'G16 e1': '17c59c1a16699316',
+    'G18 e0': '168cb8c8872d5497',
+    'G19 e1': '8e4335189848e27d',
+    'G20 e0': '1adc0af4b7013d20',
+    'G28 e0': 'ead1cbcb1d5f930d',
+    'G28 e3': 'ead1cbcb1d5f930d',
+    'G29 e0': '35f78831c927c22b',
+    'G29 e1': '648160a8ede5d437',
+    'G30 e0': '533bf3a920206b0b',
+    'G34 e1': 'c13702b09f53bc85',
+    'G35 e0': 'cb490e4f525f87b0',
+    'G40 e0': 'cb490e4f525f87b0',
+    'G40 e1': '544f22e064b73908',
+    'G41 e0': 'c9e0624960bba83b',
+    'G41 e1': '17c59c1a16699316',
+    'G41 e2': '3babdbbc6b12763c',
+    'G45 e0': '731c7082d2558f7f',
+    'G45 e2': '731c7082d2558f7f',
+    'G48 e0': 'ca9d48be5a784ccb',
+    'G48 e1': 'ca9d48be5a784ccb',
+    'G48 e2': 'ca9d48be5a784ccb',
+    'G49 e1': '8ed838eb887c7275',
+    'G50 e0': '83a6fe6d0aae59b1',
+    'G55 e2': 'b0e0869e425526ff',
+    'G57 e0': 'c94dc3a9168cca1f',
+    'G57 e3': 'c94dc3a9168cca1f',
 }
 
 
-def test_separators_golden(monkeypatch):
-    reached = []
-    exhaustive = amalgam.exhaustive_separator
-    monkeypatch.setattr(amalgam, "exhaustive_separator",
-                        lambda *args: reached.append(args) or exhaustive(*args))
+def test_separators_golden():
     rng = random.Random(5)
-    got = {}
-    decided_by_candidates = 0
+    got, regular = {}, 0
     for i in range(60):
         alg = random_algebra(rng, SIG1, rng.randrange(2, 5), name=f"G{i}")
         core = generated_subalgebra(alg, [])
         for x in alg.carrier:
             if x in core:
                 continue
-            before = len(reached)
             sep = separator_search(alg, core, x, 2)
-            decided_by_candidates += len(reached) == before
-            got[f"G{i} {x}"] = (_separator_digest(sep),
-                                _separator_digest(exhaustive(alg, core, x, 3)))
+            regular += sep is not None
+            got[f"G{i} {x}"] = _separator_digest(sep or exhaustive_separator(alg, core, x))
     assert got == GOLDEN_SEPARATORS
-    assert decided_by_candidates >= 10 and len(reached) >= 10
+    assert regular >= 10 and len(got) - regular >= 10
 
 
 def test_regular_separators_are_rechecked(monkeypatch):
@@ -361,8 +356,7 @@ def _smallest_separating_quotient(alg, core, x, cap):
     return min(sizes, default=None)
 
 
-def test_the_regular_stage_returns_a_smallest_separating_quotient(monkeypatch):
-    monkeypatch.setattr(amalgam, "exhaustive_separator", lambda *args: None)
+def test_the_regular_stage_returns_a_smallest_separating_quotient():
     rng = random.Random(72)
     unary = Signature({"h": 1, "f": 2, "c": 0})
     found = Counter()
@@ -395,78 +389,25 @@ def test_congruences_are_computed_once_per_base(monkeypatch):
     alg = chain(6, SIG1)
     for x, cap in (("e1", 3), ("e2", 3), ("e3", 3), ("e1", 2)):
         assert separator_search(alg, ["e0", "e5"], x, cap) is not None
-    # The complete stage reads the same memo.
-    assert amalgam.exhaustive_separator(alg, ["e0", "e5"], "e1", 3) is not None
     assert calls == [alg]
     assert len(set(built)) == len(built)
     assert len(set(mapped)) == len(mapped) <= len(enumerate_congruences(alg))
 
 
-def test_the_complete_search_walks_the_congruences_in_product_order():
-    # Its first maps are the maps of itertools.product in first-occurrence
-    # form whose kernel is a congruence, in product order.
-    rng = random.Random(61)
-    algebras = [random_algebra(rng, SIG1, rng.randrange(1, 6), name=f"W{i}") for i in range(40)]
-    algebras.append(with_trivial_order(chain(5, SIG1)))
-    unsorted = 0
-    for alg in algebras:
-        unsorted += amalgam.all_congruences(alg) != sorted(amalgam.all_congruences(alg))
-        for cap in range(1, 5):
-            expected = []
-            for h in itertools.product(range(cap), repeat=len(alg.carrier)):
-                named = list(zip(alg.carrier, h))
-                kernel = frozenset((a, b) for a, u in named for b, v in named if u == v)
-                if (list(dict.fromkeys(h)) == list(range(len(set(h))))
-                        and compatible_by_table_walk(alg, kernel)):
-                    expected.append(h)
-            assert list(amalgam._first_maps(alg, cap)) == expected, (alg.name, cap)
-    # Some lattices come in another order from all_congruences, so an
-    # unsorted walk fails here.
-    assert unsorted > 0
-
-
-# exhaustive_separator on with_trivial_order(chain(n, SIG1)) with core
-# {e0, e(n-1)}, x = e1 and cap n, where no regular quotient separates e1:
-# digests of the separators the product-order walk of the second maps found.
-PINNED_CHAIN_SEPARATORS = {6: "120b71b9975ede07", 7: "2aeb1176a492ffe5", 8: "2e29b3ca62e732a4"}
+# A signature without a constant order, whose trivially ordered algebras
+# form the plain unordered variety.
+PLAIN = Signature({"f": 2, "g": 3, "c": 0, "d": 0})
+# exhaustive_separator on with_trivial_order(chain(n, PLAIN)) with core
+# {e0, e(n-1)} and x = e1: digests of the glued completion's separators,
+# of 2n - 1 elements.
+PINNED_CHAIN_SEPARATORS = {6: "0573849cee1cff58", 7: "a0ff33db937b773f", 8: "67a1d3821dc0ad21"}
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_CHAIN_SEPARATORS))
 def test_the_complete_search_on_trivially_ordered_chains_is_pinned(n):
-    sep = amalgam.exhaustive_separator(with_trivial_order(chain(n, SIG1)),
-                                       ["e0", f"e{n - 1}"], "e1", n)
+    sep = exhaustive_separator(with_trivial_order(chain(n, PLAIN)), ["e0", f"e{n - 1}"], "e1")
+    assert len(sep.codomain.carrier) == 2 * n - 1
     assert _separator_digest(sep) == PINNED_CHAIN_SEPARATORS[n]
-
-
-def test_the_second_maps_are_the_product_maps_with_a_congruence_kernel():
-    # Those agreeing with the first map on the core and differing at x, in
-    # product order: the only ones a codomain can be built for.
-    rng = random.Random(62)
-    algebras = [random_algebra(rng, SIG1, rng.randrange(1, 6), name=f"V{i}") for i in range(30)]
-    algebras.append(with_trivial_order(chain(5, SIG1)))
-    walked = 0
-    for alg in algebras:
-        core = generated_subalgebra(alg, rng.sample(alg.carrier, rng.randrange(2)))
-        outside = [alg.index[e] for e in alg.carrier if e not in core]
-        fixed = [alg.index[e] for e in core]
-        compatible = {}
-        for cap in range(1, 5) if outside else ():
-            ix = rng.choice(outside)
-            for h1 in list(amalgam._first_maps(alg, cap))[:4]:
-                expected = []
-                for h2 in itertools.product(range(cap), repeat=len(alg.carrier)):
-                    if h2[ix] == h1[ix] or any(h2[i] != h1[i] for i in fixed):
-                        continue
-                    kernel = frozenset((a, b) for a, u in zip(alg.carrier, h2)
-                                       for b, v in zip(alg.carrier, h2) if u == v)
-                    if kernel not in compatible:
-                        compatible[kernel] = compatible_by_table_walk(alg, kernel)
-                    if compatible[kernel]:
-                        expected.append(h2)
-                got = list(amalgam._second_maps(alg, h1, fixed, ix, cap))
-                assert got == expected, (alg.name, cap, h1)
-                walked += len(got)
-    assert walked >= 200
 
 
 def test_an_element_off_the_carrier_is_a_precondition_failure():
@@ -476,21 +417,27 @@ def test_an_element_off_the_carrier_is_a_precondition_failure():
 
 def test_the_complete_search_refuses_an_element_off_the_carrier():
     with pytest.raises(PreconditionFailed, match="'zz' is not in the carrier of CH3"):
-        amalgam.exhaustive_separator(chain(3, SIG1), ["e0", "e2"], "zz", 3)
+        exhaustive_separator(chain(3, SIG1), ["e0", "e2"], "zz")
 
 
 def test_the_complete_search_refuses_an_element_of_the_core():
-    # Without the check it returned two equal maps.
+    # The completion sends both copies of a core element to one cut.
     with pytest.raises(PreconditionFailed, match="e0 already lies in the subalgebra"):
-        amalgam.exhaustive_separator(chain(3, SIG1), ["e0", "e2"], "e0", 3)
+        exhaustive_separator(chain(3, SIG1), ["e0", "e2"], "e0")
 
 
 @pytest.mark.parametrize("center, x", [(["e0", "e2", "zz"], "e1"), (["e0", "e1"], "e2")])
 def test_the_complete_search_refuses_a_core_that_is_no_subalgebra(center, x):
     # "zz" lies off the carrier; {e0, e1} misses the constant d = e2.
-    for search in (separator_search, amalgam.exhaustive_separator):
+    for search in (partial(separator_search, max_size=3), exhaustive_separator):
         with pytest.raises(PreconditionFailed, match="is not a subalgebra"):
-            search(chain(3, SIG1), center, x, 3)
+            search(chain(3, SIG1), center, x)
+
+
+def test_the_complete_search_refuses_a_base_outside_the_variety():
+    # The trivial order breaks c <= d, and the cuts would break it too.
+    with pytest.raises(PreconditionFailed, match="is not a valid amalgam"):
+        exhaustive_separator(with_trivial_order(CH3), ["e0", "e2"], "e1")
 
 
 def test_each_monotone_homomorphism_check_keeps_its_error(monkeypatch):
@@ -511,8 +458,18 @@ def test_each_monotone_homomorphism_check_keeps_its_error(monkeypatch):
           "gamma1 is not a homomorphism of ordered algebras")
     fails(lambda: separator_search(CH3, ["e0", "e2"], "e1", 3), WitnessInconsistency,
           "regular separator produced a bad map")
-    fails(lambda: amalgam.exhaustive_separator(CH3, ["e0", "e2"], "e1", 3),
-          WitnessInconsistency, "exhaustive separator produced a bad map")
+
+
+@pytest.mark.parametrize("target, failure", [
+    ("validate_algebra", [{"kind": "constant"}]),
+    ("check_homomorphism", {"is_hom": True, "is_monotone": True, "reflects_order": False})])
+def test_the_completion_is_rechecked(monkeypatch, target, failure):
+    # The recheck of L alone fails; the amalgam's own checks pass.
+    real = getattr(amalgam, target)
+    monkeypatch.setattr(amalgam, target, lambda x: failure if getattr(x, "cod", x).name == "L"
+                        else real(x))
+    with pytest.raises(WitnessInconsistency, match="glued completion failed its recheck"):
+        exhaustive_separator(CH3, ["e0", "e2"], "e1")
 
 
 def _r141():
@@ -527,23 +484,21 @@ def _r141():
 
 
 def test_separator_search_needs_no_compatible_quasiorders(monkeypatch):
-    # No regular quotient of R141 separates e2 from the core {e0, e1}.
+    # No regular quotient of R141 separates e2 from the core {e0, e1}; the
+    # glued completion does, and neither stage enumerates quasiorders.
     def refuse(alg):
-        raise AssertionError("separator_search enumerated compatible quasiorders")
+        raise AssertionError("a separator stage enumerated compatible quasiorders")
 
     monkeypatch.setattr(closure, "all_compatible_quasiorders", refuse)
-    sep = separator_search(_r141(), ["e0", "e1"], "e2", 4)
-    assert sep is not None
+    assert separator_search(_r141(), ["e0", "e1"], "e2", 4) is None
+    sep = exhaustive_separator(_r141(), ["e0", "e1"], "e2")
     assert sep.f.map["e0"] == sep.g.map["e0"] and sep.f.map["e1"] == sep.g.map["e1"]
     assert sep.f.map["e2"] != sep.g.map["e2"]
 
 
-def test_exhaustive_separator_finds_whatever_a_regular_quotient_finds(monkeypatch):
-    # The completeness the separator search rests on: a separator built
-    # from a regular quotient lies within the cap, so the complete search
-    # finds one too.
-    exhaustive = amalgam.exhaustive_separator
-    monkeypatch.setattr(amalgam, "exhaustive_separator", lambda *args: None)
+def test_exhaustive_separator_finds_whatever_a_regular_quotient_finds():
+    # And more: the glued completion separates every element outside the
+    # core, whether or not a regular quotient within the cap does.
     rng = random.Random(23)
     outcomes = []
     for i in range(80):
@@ -552,81 +507,11 @@ def test_exhaustive_separator_finds_whatever_a_regular_quotient_finds(monkeypatc
         for x in alg.carrier:
             if x in core:
                 continue
-            cap = rng.randrange(2, 4)
-            by_quotient = separator_search(alg, core, x, cap)
-            outcomes.append(by_quotient is not None)
-            if by_quotient is not None:
-                sep = exhaustive(alg, core, x, cap)
-                assert sep is not None and sep.f.map[x] != sep.g.map[x]
-                assert all(sep.f.map[z] == sep.g.map[z] for z in core)
+            outcomes.append(separator_search(alg, core, x, rng.randrange(2, 4)) is not None)
+            sep = exhaustive_separator(alg, core, x)
+            assert sep.f.map[x] != sep.g.map[x]
+            assert all(sep.f.map[z] == sep.g.map[z] for z in core)
     assert outcomes.count(True) >= 20 and outcomes.count(False) >= 10
-
-
-def forced_table_by_name(forced: dict, arity: int, elements: list[str], order) -> dict | None:
-    """`amalgam._forced_table` on a partial table keyed by names, read back by name."""
-    index = {e: i for i, e in enumerate(elements)}
-    cells = list(itertools.product(elements, repeat=arity))
-    codes = {cells.index(c): index[v] for c, v in forced.items()}
-    table = amalgam._forced_table(set(codes.items()), arity, len(elements),
-                                  relations.to_rows(order, index))
-    return None if table is None else {c: elements[v] for c, v in zip(cells, table)}
-
-
-def test_forced_table_is_the_first_monotone_completion():
-    rng = random.Random(41)
-    outcomes = []
-    for _ in range(150):
-        elements = [f"d{i}" for i in range(rng.randrange(1, 4))]
-        order = random_partial_order(rng, elements)
-        arity = rng.randrange(1, 3)
-        cells = list(itertools.product(elements, repeat=arity))
-        forced = {c: rng.choice(elements)
-                  for c in rng.sample(cells, rng.randrange(len(cells) + 1))}
-        table = forced_table_by_name(forced, arity, elements, order)
-        assert table == monotone_completion_by_product_filter(forced, arity, elements, order)
-        outcomes.append(table is not None)
-    assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
-
-
-def test_forced_table_completes_more_than_a_thousand_free_cells():
-    ch = chain(11, SIG1)
-    elements, g = ch.carrier, ch.op_tables["g"]
-    forced = {args: g[args] for args in [("e0", "e0", "e0"), ("e3", "e5", "e1"),
-                                         ("e10", "e10", "e10")]}
-    table = forced_table_by_name(forced, 3, elements, ch.order)
-    assert len(table) == 11 ** 3 and len(table) - len(forced) > 1000
-    assert all(table[c] == v for c, v in forced.items())
-    # On a product of chains, monotone means monotone along each cover.
-    cover = dict(zip(elements, elements[1:]))
-    assert all((v, table[c[:k] + (cover[a],) + c[k + 1:]]) in ch.order
-               for c, v in table.items() for k, a in enumerate(c) if a in cover)
-
-
-def test_the_complete_search_skips_a_pair_of_maps_that_clash_in_a_cell(monkeypatch):
-    # The first pair of maps, e0, e1 -> d0, d0 and -> d1, d0, force both
-    # d0 (from the first) and d1 (from f(e1, e1) = e0 under the second)
-    # into the cell (d0, d0) of f's table; the second pair gives the pin.
-    alg = random_algebra(random.Random(2), Signature({"f": 2}), 2)
-    assert alg.op_tables["f"] == {("e0", "e0"): "e0", ("e0", "e1"): "e0",
-                                  ("e1", "e0"): "e1", ("e1", "e1"): "e0"}
-    clashes = []
-    forced_table = amalgam._forced_table
-
-    def spy(cells, *args):
-        table = forced_table(cells, *args)
-        clashes.append(len(dict(cells)) < len(cells) and table is None)
-        return table
-
-    monkeypatch.setattr(amalgam, "_forced_table", spy)
-    sep = amalgam.exhaustive_separator(alg, [], "e0", 2)
-    assert clashes == [True, False]
-    cod = sep.codomain
-    assert (cod.carrier, cod.order, cod.op_tables, cod.const_vals) == (
-        ["d0", "d1"], {("d0", "d0"), ("d1", "d1")},
-        {"f": {("d0", "d0"): "d0", ("d0", "d1"): "d0", ("d1", "d0"): "d0", ("d1", "d1"): "d1"}},
-        {})
-    assert (sep.f.map, sep.g.map, sep.element) == (
-        {"e0": "d0", "e1": "d0"}, {"e0": "d1", "e1": "d1"}, "e0")
 
 
 def test_epi_check_examples():
@@ -636,8 +521,11 @@ def test_epi_check_examples():
     incl = Homomorphism(sub, CH3, {"e0": "e0", "e2": "e2"})
     rep = epi_check(incl, 3)
     assert rep.verdict == "NotEpi" and rep.separator.element == "e1"
+    assert len(rep.separator.codomain.carrier) == 2
+    # No regular quotient of one element separates; the completion does.
     tight = epi_check(incl, 1)
-    assert tight.verdict == "Inconclusive"
+    assert tight.verdict == "NotEpi" and tight.separator.element == "e1"
+    assert tight.separator.codomain.carrier == ["e0<1>", "e1<1>", "e2<1>", "e1<2>"]
     swap = Homomorphism(sub, CH3, {"e0": "e2", "e2": "e0"})
     with pytest.raises(NotAHomomorphism):
         epi_check(swap, 3)
@@ -994,6 +882,117 @@ def _pool_amalgams(rng: random.Random):
                 yield random_special_amalgam(rng, sig, max_size), width
                 if sig is not SIG1:
                     yield _two_table_amalgam(rng, sig, rng.randrange(2, max_size + 1)), width
+
+
+def _redrawn_amalgam(rng: random.Random, sig: Signature, size: int) -> Amalgam:
+    """A general amalgam over the constants' subalgebra of an ordered algebra
+    and a copy of it with a few off-core table entries redrawn; a draw is
+    kept only when the amalgam is valid, else the copy is left as it is."""
+    a1 = random_algebra(rng, sig, size)
+    core = generated_subalgebra(a1, [])
+    ident = {e: e for e in core}
+    off = [(f, args) for f, tbl in a1.op_tables.items() for args in tbl
+           if not set(args) <= set(core)]
+    for _ in range(40):
+        tables = {f: dict(tbl) for f, tbl in a1.op_tables.items()}
+        for f, args in rng.sample(off, min(len(off), rng.randrange(1, 4))):
+            tables[f][args] = rng.choice(a1.carrier)
+        a2 = OrderedAlgebra(sig, a1.carrier, a1.order, tables, a1.const_vals, name="R2")
+        am = Amalgam(subalgebra(a1, core), a1, a2, ident, ident)
+        if validate_amalgam(am) == []:
+            return am
+    return Amalgam(subalgebra(a1, core), a1, a1, ident, ident)
+
+
+def test_the_glued_completion_is_a_cocone_in_which_the_sides_meet_in_the_core():
+    rng = random.Random(90)
+    kinds = Counter()
+    for i in range(330):
+        sig = (SIG1, SIG_UNARY, SIG_BINARY)[i % 3]
+        kind = rng.choice(["special", "redrawn"] + ["two tables"] * (sig is not SIG1))
+        am = (random_special_amalgam(rng, sig, 4) if kind == "special" else
+              _redrawn_amalgam(rng, sig, rng.randrange(2, 5)) if kind == "redrawn" else
+              _two_table_amalgam(rng, sig, rng.randrange(2, 5)))
+        L, g1, g2 = glued_completion(am)
+        kinds[kind] += 1
+        kinds["differing tables"] += am.a1.coded.tables != am.a2.coded.tables
+        assert validate_algebra(L) == []
+        for g in (g1, g2):
+            assert check_homomorphism(g) == dict.fromkeys(
+                ("is_hom", "is_monotone", "reflects_order"), True)
+        mediate(am, L, g1.map, g2.map)
+        for x, y in itertools.product(am.a1.carrier, am.a2.carrier):
+            core = am.c.carrier
+            assert L.leq(g1.map[x], g2.map[y]) == any(
+                am.a1.leq(x, am.phi1[c]) and am.a2.leq(am.phi2[c], y) for c in core)
+            assert L.leq(g2.map[y], g1.map[x]) == any(
+                am.a2.leq(y, am.phi2[c]) and am.a1.leq(am.phi1[c], x) for c in core)
+        if kind == "special":
+            for x in am.base.carrier:
+                if x not in am.c.index:
+                    assert g1.map[am.alpha1[x]] != g2.map[am.alpha2[x]]
+    assert min(kinds[k] for k in ("special", "redrawn", "two tables")) >= 60
+    assert kinds["differing tables"] >= 60
+
+
+def _standard_example(n: int) -> OrderedAlgebra:
+    """S_n: a_i < b_j for i != j, with h the identity and no constants."""
+    carrier = [f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)]
+    order = {(f"a{i}", f"b{j}") for i in range(n) for j in range(n) if i != j}
+    return OrderedAlgebra(Signature({"h": 1}), carrier, order,
+                          {"h": {(e,): e for e in carrier}}, {}, name=f"S{n}")
+
+
+def test_the_completion_builds_only_the_generated_subalgebra():
+    L, g1, g2 = glued_completion(make_special(_standard_example(6), []))
+    assert len(L.carrier) == len(set(g1.map.values()) | set(g2.map.values())) == 24
+    # All the cuts: the intersections of the principal down-sets, and D0.
+    cuts = {frozenset(L.carrier)}
+    for x in L.carrier:
+        down = frozenset(y for y in L.carrier if L.leq(y, x))
+        cuts |= {down & cut for cut in cuts}
+    assert len(cuts) == 126
+
+
+def test_the_completion_stops_at_the_carrier_cap(monkeypatch):
+    monkeypatch.setattr(algebra, "MAX_CARRIER", 11)
+    with pytest.raises(SizeLimit, match="the glued poset has 12 elements"):
+        glued_completion(make_special(_standard_example(3), []))
+    # D0 has 4 elements and L 5, so the cap stops the operations' closure,
+    # and epi answers Inconclusive.
+    monkeypatch.setattr(algebra, "MAX_CARRIER", 4)
+    base = with_trivial_order(chain(3, PLAIN))
+    with pytest.raises(SizeLimit, match="the glued completion passes 4 elements"):
+        exhaustive_separator(base, ["e0", "e2"], "e1")
+    incl = Homomorphism(subalgebra(base, ["e0", "e2"]), base, {"e0": "e0", "e2": "e2"})
+    assert epi_check(incl, 1) == amalgam.EpiReport("Inconclusive", missing=["e1"])
+
+
+def test_every_proper_subalgebra_inclusion_of_an_unordered_algebra_is_not_epi():
+    # The paper's corollary for the unordered variety: epimorphisms are
+    # surjective.  The separators, their order forgotten, are unordered.
+    rng = random.Random(93)
+    proper, completed = 0, 0
+    for i in range(600):
+        sig = (PLAIN, SIG_UNARY, SIG_BINARY)[i % 3]
+        base = with_trivial_order(random_algebra(rng, sig, rng.randrange(2, 6), name=f"U{i}"))
+        core = generated_subalgebra(base, rng.sample(base.carrier, rng.randrange(2)))
+        if len(core) == len(base.carrier):
+            continue
+        if proper == 120:
+            break
+        proper += 1
+        rep = epi_check(Homomorphism(subalgebra(base, core), base, {e: e for e in core}), 2)
+        assert rep.verdict == "NotEpi"
+        sep = rep.separator
+        completed += sep.codomain.name == "L"
+        flat = with_trivial_order(sep.codomain)
+        assert validate_algebra(flat) == []
+        for h in (sep.f, sep.g):
+            assert check_homomorphism(Homomorphism(base, flat, h.map))["is_hom"]
+        assert sep.f.map[sep.element] != sep.g.map[sep.element]
+        assert all(sep.f.map[z] == sep.g.map[z] for z in core)
+    assert proper == 120 and completed >= 10, (proper, completed)
 
 
 def test_unfold_counts_and_groups_are_the_eager_pool_on_every_side():

@@ -553,7 +553,10 @@ def _pinned_runs(workspace):
 
 # sha256 over every pinned run's argument list, exit code, stdout and
 # stderr (with the workspace path replaced), in `--format structured`.
-STRUCTURED_OUTPUTS_DIGEST = "7aaee275b2865fde111396faf71217284aa63f86f87c6e897e5fd88ebb49bf83"
+# `epi --hom r1.hom` and `epi --hom r9.hom` (cap 2) read NotEpi with a
+# glued-completion separator of 7 and 8 elements, where a search of all
+# codomains within the cap read Inconclusive.
+STRUCTURED_OUTPUTS_DIGEST = "90bc2de301f8f5b4932508070955ef2921dee68c3a183893e32f4993183d3076"
 
 
 def test_structured_outputs_are_pinned(workspace):

@@ -10,6 +10,7 @@ is left that nothing calls.
 """
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -143,3 +144,16 @@ def test_only_the_derivation_closures_call_the_closure_engine():
                if isinstance(stmt, ast.FunctionDef)}
     assert not defined & {"close", "_close"}
     assert [p.stem for p in sorted(SRC.glob("*.py")) if reads_name(p, "_close")] == ["closure"]
+
+
+def test_every_boundary_the_benchmark_tracer_wraps_exists():
+    # The tracer looks each boundary up with `vars(owner)[attr]`, so a
+    # deleted or renamed one breaks `perfbench/run.py --trace 1`.
+    path = SRC.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _, _ in tracing.BOUNDARIES if attr not in vars(owner)]
+    assert missing == []
+    assert "separator_candidates" in vars(tracing.amalgam)
