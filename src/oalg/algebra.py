@@ -69,9 +69,11 @@ class OrderedAlgebra:
         self.op_tables = {f: dict(tbl) for f, tbl in op_tables.items()}
         self.const_vals = dict(const_vals)
         self._check_totality()
-        # The elements above each element, in carrier order.
+        # The elements above, and below, each element, in carrier order.
         self._up_sets = {a: [b for b in self.carrier if (a, b) in self.order]
                          for a in self.carrier}
+        self._down_sets = {b: [a for a in self.carrier if (a, b) in self.order]
+                           for b in self.carrier}
 
     def _check_totality(self):
         for f, k in self.sig.ops.items():
@@ -101,6 +103,9 @@ class OrderedAlgebra:
 
     def up_set(self, a: str) -> list[str]:
         return self._up_sets[a]
+
+    def down_set(self, b: str) -> list[str]:
+        return self._down_sets[b]
 
     @cached_property
     def coded(self) -> Coded:

@@ -10,7 +10,6 @@ as a refutation.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache, partial, reduce
@@ -53,11 +52,10 @@ from .schemes import (
 from .syntax import match, records
 from .terms import (
     Term,
-    compositions,
     leaf,
     leaves,
-    op_count,
     replace_at,
+    skeleton,
 )
 from .termorder import VarPoset, extend_monotone_map, leaf_leq, term_leq
 
@@ -82,8 +80,6 @@ class Amalgam:
         self.c = center
         self.a1, ren1 = tag_algebra(a1, 1)
         self.a2, ren2 = tag_algebra(a2, 2)
-        # The untagged algebras, whose coded tables the unfold pool counts.
-        self.untagged = {1: a1, 2: a2}
         self.phi1 = {c: ren1[phi1[c]] for c in center.carrier}
         self.phi2 = {c: ren2[phi2[c]] for c in center.carrier}
         self._img1 = {v: k for k, v in self.phi1.items()}
@@ -215,14 +211,14 @@ class SpecialAmalgam(Amalgam):
             return self.nu_inv[label]
         return self.a1.const(label)
 
-    def collapse_eval(self, t: Term, memo: dict[Term, str] | None = None) -> str:
+    def collapse_eval(self, t: Term) -> str:
         """Evaluate a mixed term in side 1 after collapsing the copies.
 
         Any scheme from s to t forces collapse_eval(s) <= collapse_eval(t),
-        which is what makes this map a sound search prune.  `memo` is
-        passed on to `evaluate`.
+        which is what makes this map a sound check at the root of the
+        search.
         """
-        return evaluate(self.a1, t, self._collapse_env, memo)
+        return evaluate(self.a1, t, self._collapse_env)
 
     def center_of_side1(self, label: str) -> str | None:
         return self._img1.get(label)
@@ -237,20 +233,16 @@ def make_special(base: OrderedAlgebra, seed) -> SpecialAmalgam:
 
 @dataclass
 class Budget:
-    """Search budget.  The first two fields bound what a witness may look
-    like; the last two bound the work spent looking for one.  Exceeding a
-    work cap is folded into Unknown together with the statistics.  Deeper
-    unfoldings than max_unfold_ops are still reachable through several
-    consecutive unfold steps.
+    """Search budget.  max_scheme_len bounds the moves of a certificate,
+    both ends of the search together (each raise or lower fused with one
+    relation step; the inequality where the ends meet is free); max_nodes
+    bounds the candidates generated over both ends, repeats included.
+    Exceeding the node cap is folded into Unknown together with the
+    statistics.
 
-    max_nodes bounds the candidates generated, pruned ones included.  The
-    search decides the unfolds of one leaf path to one value as a group,
-    but counts every member of it, and a group that crosses the cap counts
-    only the members up to it; so the cap falls where it would if each
-    candidate were decided alone.  The terms of the unfold pool are built
-    only for the members that the search expands and the one member a goal
-    test finds, so a wide max_unfold_ops costs counts, once per base
-    algebra, not terms, until the search takes the members up."""
+    No search reads max_term_ops or max_unfold_ops, since no move makes
+    a term larger; they keep their defaults because the benchmark's
+    workloads build a Budget with both, until that pin is dropped."""
 
     max_term_ops: int = 4
     max_scheme_len: int = 8
@@ -260,6 +252,14 @@ class Budget:
 
 @dataclass
 class SearchStats:
+    """What a search did, over both of its ends: `nodes_expanded` counts
+    the states whose moves were generated, `nodes_generated` the moves,
+    repeats of a reached state included (max_nodes + 1 when the cap ended
+    the search); `depth_reached` is the deeper end's depth, at most
+    max_scheme_len; `capped` says that the node cap ended the search.
+    `pruned` reads 0, since nothing is pruned below the root; the
+    benchmark's workloads sum it, until that pin is dropped."""
+
     nodes_expanded: int = 0
     nodes_generated: int = 0
     depth_reached: int = 0
@@ -296,14 +296,15 @@ class Unknown:
         return False
 
 
-def _achievable_values(am: Amalgam, t: Term, side: int) -> dict[str, Term]:
-    """Values reachable by raising leaves of t and evaluating on `side`,
-    with one witness raised term per value.  Symbol leaves stay fixed.
+def _achievable_values(am: Amalgam, t: Term, side: int, up: bool) -> dict[str, Term]:
+    """Values reachable by raising leaves of t (lowering, when not `up`)
+    and evaluating on `side`, with one witness raised term per value.
+    Symbol leaves stay fixed.
 
     A composite term's map is built from its children's, taken from
     `_achievable_cached`, so each subterm's values are worked out once
-    per amalgam and side; a side leaf's witnesses are the amalgam's
-    shared leaves."""
+    per amalgam, side and direction; a side leaf's witnesses are the
+    amalgam's shared leaves."""
     alg = am.side(side)
     if t.is_leaf:
         cls = am.label_class(t.label)
@@ -311,8 +312,8 @@ def _achievable_values(am: Amalgam, t: Term, side: int) -> dict[str, Term]:
             return {alg.const(t.label): t}
         if cls != side:
             return {}
-        return {b: am.leaf_of[b] for b in alg.up_set(t.label)}
-    child_items = [_achievable_cached(am, c, side) for c in t.children]
+        return {b: am.leaf_of[b] for b in (alg.up_set if up else alg.down_set)(t.label)}
+    child_items = [_achievable_cached(am, c, side, up) for c in t.children]
     if not all(child_items):
         return {}
     table = alg.op_tables[t.label]
@@ -324,414 +325,157 @@ def _achievable_values(am: Amalgam, t: Term, side: int) -> dict[str, Term]:
     return out
 
 
-def _unfold_counts(alg: OrderedAlgebra, n: int) -> dict[int, int]:
-    """For each value index of the composite terms over alg's elements
-    with exactly n operations, how many such terms there are, in the order
-    the values first occur.  One pass over each coded table per split of
-    the other n - 1 operations, each entry weighted by its children's
-    counts; no term is built.  Cached on alg, which both copies of a
-    special amalgam's base share."""
-    cache = alg.__dict__.setdefault("_unfold_counts", {})
-    counts = cache.get(n)
-    if counts is None:
-        weights = [[1] * len(alg.carrier)]
-        for m in range(1, n):
-            lower = _unfold_counts(alg, m)
-            weights.append([lower.get(v, 0) for v in range(len(alg.carrier))])
-        counts = {}
-        for f, k in alg.sig.operations():
-            table = alg.coded.tables[f]
-            for split in compositions(n - 1, k):
-                # The entries' weights in code order, as `_codes` builds codes.
-                sizes = [1]
-                for m in split:
-                    sizes = [x * y for x in sizes for y in weights[m]]
-                for size, value in zip(sizes, table):
-                    if size:
-                        counts[value] = counts.get(value, 0) + size
-        cache[n] = counts
-    return counts
-
-
-def _unfold_shapes(alg: OrderedAlgebra, n: int) -> dict[int, list[tuple]]:
-    """The shapes of the composite terms over alg's elements with exactly
-    n operations, by value index, in pool order: `(op, split, vals)` for
-    each operation, split of its other n - 1 operations over the children,
-    and children's value indices (in carrier order, among the values that
-    terms with that many operations take).  Built in one walk and cached
-    on alg."""
-    cache = alg.__dict__.setdefault("_unfold_shapes", {})
-    shapes = cache.get(n)
-    if shapes is None:
-        size = len(alg.carrier)
-        present = [range(size)] + [sorted(_unfold_counts(alg, m)) for m in range(1, n)]
-        shapes = {}
-        for f, k in alg.sig.operations():
-            table = alg.coded.tables[f]
-            for split in compositions(n - 1, k):
-                digits = [present[m] for m in split]
-                for vals, code in zip(itertools.product(*digits), _codes(digits, size)):
-                    shapes.setdefault(table[code], []).append((f, split, vals))
-        cache[n] = shapes
-    return shapes
-
-
-def _unfold_layer(am: Amalgam, side: int, n: int, value: str) -> list[Term]:
-    """The composite terms over one side's elements with exactly n
-    operations and the given value, in pool order: by shape, then by the
-    children's terms.  Built on first use and cached per amalgam, so
-    every width and every search on the amalgam shares them."""
-    cache = am.__dict__.setdefault("_unfold_cache", {})
-    key = (side, n, value)
-    terms = cache.get(key)
-    if terms is None:
-        alg, terms = am.side(side), []
-        for f, split, vals in _unfold_shapes(am.untagged[side], n).get(alg.index[value], ()):
-            options = [[am.leaf_of[alg.carrier[v]]] if m == 0
-                       else _unfold_layer(am, side, m, alg.carrier[v]) for m, v in zip(split, vals)]
-            terms.extend(Term(f, kids) for kids in itertools.product(*options))
-        cache[key] = terms
-    return terms
-
-
-def _first_below(am: Amalgam, side: int, n: int, value: int, ctx: Term) -> tuple[int, Term | None]:
-    """The position in `_unfold_layer(am, side, n, carrier[value])` of its
-    first term below ctx, and that term; or the layer's size and None.
-    Read off the shapes: a term `f(kids)` is below ctx exactly when f is
-    ctx's label and each kid is below ctx's child, so within one shape the
-    first hit takes each child's first hit.  Only the term found is built."""
-    alg, carrier = am.untagged[side], am.side(side).carrier
-    lower = [None] + [_unfold_counts(alg, m) for m in range(1, n)]
-    at = 0
-    for f, split, vals in _unfold_shapes(alg, n)[value]:
-        if f == ctx.label and len(split) == len(ctx.children):
-            pos, kids = 0, []
-            for m, v, c in zip(split, vals, ctx.children):
-                if m == 0:
-                    kid = am.leaf_of[carrier[v]]
-                    if c.children or not am.leaf_leq(kid.label, c.label):
-                        break
-                else:
-                    p, kid = _first_below(am, side, m, v, c) if op_count(c) == m else (0, None)
-                    if kid is None:
-                        break
-                    pos = pos * lower[m][v] + p
-                kids.append(kid)
-            else:
-                return at + pos, Term(f, tuple(kids))
-        at += math.prod([lower[m][v] for m, v in zip(split, vals) if m])
-    return at, None
-
-
-class _UnfoldGroup:
-    """The unfold pool's terms of one value on one side, with one to
-    `len(sizes)` operations, in pool order; `sizes[n - 1]` members have n
-    operations.  The sizes come from `_unfold_counts`; the terms are
-    built, a layer at a time, only when they are iterated.  `size` may
-    exceed what `len()` can return.  Every member is a composite term."""
-
-    __slots__ = ("am", "side", "value", "sizes", "size")
-
-    def __init__(self, am: Amalgam, side: int, value: str, sizes: tuple[int, ...]):
-        self.am, self.side, self.value, self.sizes = am, side, value, sizes
-        self.size = sum(sizes)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self):
-        for n in range(1, len(self.sizes) + 1):
-            yield from _unfold_layer(self.am, self.side, n, self.value)
-
-    def first_below(self, ctx: Term) -> tuple[int, Term | None]:
-        """The position of the first member below ctx and that member, or
-        the group's size and None.  A member is below ctx only if it has
-        as many operations, so only that layer is read, from its shapes."""
-        n = op_count(ctx)
-        if 1 <= n <= len(self.sizes) and self.sizes[n - 1]:
-            at, new = _first_below(self.am, self.side, n,
-                                   self.am.side(self.side).index[self.value], ctx)
-            if new is not None:
-                return sum(self.sizes[:n - 1]) + at, new
-        return self.size, None
-
-
-def _unfold_groups(am: Amalgam, side: int, width: int) -> dict[str, _UnfoldGroup]:
-    """One lazy group per value that a composite term of at most `width`
-    operations over one side's elements takes, in the order the values
-    first occur.  Cached per amalgam."""
-    cache = am.__dict__.setdefault("_unfold_groups", {})
-    key = (side, width)
-    if key not in cache:
-        layers = [_unfold_counts(am.untagged[side], n) for n in range(1, width + 1)]
-        carrier = am.side(side).carrier
-        values = dict.fromkeys(v for counts in layers for v in counts)
-        cache[key] = {carrier[v]: _UnfoldGroup(am, side, carrier[v],
-                                               tuple(counts.get(v, 0) for counts in layers))
-                      for v in values}
-    return cache[key]
-
-
-def _achievable_cached(am: Amalgam, sub: Term, side: int) -> list[tuple[str, Term]]:
+def _achievable_cached(am: Amalgam, sub: Term, side: int, up: bool) -> list[tuple[str, Term]]:
     """The items of `_achievable_values`, sorted by value.  Cached per
-    amalgam, one entry per subterm and side: the maps of a subterm's
-    children, leaves included, are entries too."""
+    amalgam, one entry per subterm, side and direction: the maps of a
+    subterm's children, leaves included, are entries too."""
     cache = am.__dict__.setdefault("_achievable_cache", {})
-    key = (sub, side)
+    key = (sub, side, up)
     items = cache.get(key)
     if items is None:
-        items = cache[key] = sorted(_achievable_values(am, sub, side).items())
+        items = cache[key] = sorted(_achievable_values(am, sub, side, up).items())
     return items
 
 
-def _nodes(am: Amalgam, u: Term, t: Term, top: frozenset[str] | None,
-           memo: dict[Term, str]) -> list[tuple]:
-    """`(path, subterm, accepted, context)` for every node of u, in
-    preorder (the order of `terms.all_paths`), from one walk down from
-    the root.
-
-    `accepted`: the side-1 values that, put at the path, give u a
-    collapsed value in `top`; None when `top` is (no prune).  The root
-    accepts `top`, a child what its parent's table, with the siblings'
-    collapsed values from `memo`, maps into what its parent accepts.
-
-    `context`: t's subterm at the path if u agrees with t off the path
-    (the labels along it are the same and every subterm beside it is
-    below t's), else None.  Then `replace_at(u, path, new)` is below t
-    exactly when `new` is below the context.  One sibling comparison
-    decides each child.
-    """
-    if top is not None:
-        am.collapse_eval(u, memo)
-    a1 = am.a1
-    out = []
-    todo = [((), u, top, t)]
+def _subterms(u: Term) -> list[tuple[tuple[int, ...], Term]]:
+    """`(path, subterm)` for every node of u, in preorder (the order of
+    `terms.all_paths`), from one walk down from the root."""
+    out, todo = [], [((), u)]
     while todo:
-        node = todo.pop()
-        out.append(node)
-        path, sub, accepted, ctx = node
-        kids = sub.children
-        if not kids:
-            continue
-        if accepted is not None:
-            # Its own slot loop: reading `a1.translations` here was slower.
-            table = a1.op_tables[sub.label]
-            args = [memo[c] for c in kids]
-        agrees = ctx is not None and sub.label == ctx.label and len(kids) == len(ctx.children)
-        if agrees:
-            below = [am.term_leq(a, b) for a, b in zip(kids, ctx.children)]
-            misses = below.count(False)
-        for i in range(len(kids) - 1, -1, -1):
-            ok = None
-            if accepted is not None:
-                row = list(args)
-                hits = []
-                for x in a1.carrier:
-                    row[i] = x
-                    if table[tuple(row)] in accepted:
-                        hits.append(x)
-                ok = frozenset(hits)
-            inner = (ctx.children[i] if agrees and (misses == 0 or misses == 1 and not below[i])
-                     else None)
-            todo.append((path + (i,), kids[i], ok, inner))
+        path, sub = todo.pop()
+        out.append((path, sub))
+        todo.extend((path + (i,), c) for i, c in reversed(tuple(enumerate(sub.children))))
     return out
 
 
-def _moves(am: Amalgam, nodes: list[tuple], budget: Budget):
-    """Candidate successors of u, given as its `_nodes`, each a raise
-    step fused with one relation step, in groups.  Deterministic order:
-    folds on side 1 then side 2, glue swaps, unfolds.
+def _moves(am: Amalgam, u: Term, up: bool):
+    """The moves out of u, `(path, witness, tag, new)`: the subterm of u at
+    `path` is raised to `witness` (lowered, when not `up`), which `tag`
+    rewrites to the leaf `new`; the successor is `replace_at(u, path, new)`.
+    Deterministic order: folds on side 1 then side 2, each over u's
+    composite subterms in preorder and their values in carrier order, then
+    glue swaps at side leaves in preorder.  No move makes a term larger.
 
-    A group is `(node, witness, tag, news)`: the subterm of u at the
-    node's path is raised to `witness`, which `tag` rewrites to each
-    member `new` of `news`.  A member's successor is
-    `replace_at(u, path, new)`, since both rewrites act at the same path.
-    Folds and glue swaps come one to a group, `news` a 1-tuple holding a
-    leaf.  Unfolds come as one group per (side, leaf path, unfolded
-    value): `witness` is the leaf of that value and `news` an
-    `_UnfoldGroup`, whose size is known without its terms and whose
-    members, composite terms, are built only when it is iterated.  No
-    successor term is built here: the search decides a group from its
-    node and witness, builds a successor when it expands it, and
-    `_fused_steps` builds the steps of the path found.  On a special
-    amalgam every member has its witness's collapsed value.
-
-    What does not depend on u is cached per amalgam: the fold values of
-    each subterm and side (`_achievable_cached`) and the unfold groups
-    (`_unfold_groups`); the up-sets are the sides' tables, the glue
-    partners the amalgam's.
+    Lowered moves are the order dual, read from the same amalgam's
+    down-sets: they are the backward search's, whose steps are reversed
+    when its certificate is built.  The fold values of each subterm, side
+    and direction are cached per amalgam (`_achievable_cached`); the up-
+    and down-sets are the sides' tables, the glue partners the amalgam's.
     """
-    leaf_of = am.leaf_of
-    composite = [node for node in nodes if node[1].children]
-    # Folds of raised subterms, sides 1 then 2.
+    leaf_of, nodes = am.leaf_of, _subterms(u)
     for side, tag in ((1, "EV1"), (2, "EV2")):
-        for node in composite:
-            for value, witness in _achievable_cached(am, node[1], side):
-                yield node, witness, tag, (leaf_of[value],)
-    ops_left = budget.max_term_ops - len(composite)
-    # The side leaves: (node, label, side).
-    side_leaves = []
-    for node in nodes:
-        sub = node[1]
+        for path, sub in nodes:
+            if sub.children:
+                for value, witness in _achievable_cached(am, sub, side, up):
+                    yield path, witness, tag, leaf_of[value]
+    for path, sub in nodes:
         if not sub.children:
             cls = am.label_class(sub.label)
             if cls:
-                side_leaves.append((node, sub.label, cls))
-    # Glue swaps at raised leaves.
-    glue = am.glue
-    for node, a, cls in side_leaves:
-        for b in am.side(cls).up_set(a):
-            partner = glue.get(b)
-            if partner is not None:
-                yield node, leaf_of[b], partner[0], (leaf_of[partner[1]],)
-    # Unfolds at raised leaves, cheapest terms first.
-    if ops_left > 0:
-        width = min(ops_left, budget.max_unfold_ops)
-        for side, tag in ((1, "EV1INV"), (2, "EV2INV")):
-            groups = _unfold_groups(am, side, width)
-            for node, a, cls in side_leaves:
-                if cls != side:
-                    continue
-                for b in am.side(side).up_set(a):
-                    group = groups.get(b)
-                    if group is not None:
-                        yield node, leaf_of[b], tag, group
+                alg = am.side(cls)
+                for b in alg.up_set(sub.label) if up else alg.down_set(sub.label):
+                    partner = am.glue.get(b)
+                    if partner is not None:
+                        yield path, leaf_of[b], partner[0], leaf_of[partner[1]]
+
+
+# The relation read backwards: a fold is an unfold, a glue swap the other.
+_INVERSE = {"EV1": "EV1INV", "EV2": "EV2INV", "GLUE": "GLUEINV", "GLUEINV": "GLUE"}
 
 
 def _fused_steps(u: Term, path: tuple[int, ...], witness: Term, tag: str,
-                 new: Term) -> list[Step]:
+                 new: Term, up: bool) -> list[Step]:
     """The certificate steps of one move out of u: the raise of the subterm
-    at `path` to `witness`, unless it is trivial, then the relation step."""
-    raised = replace_at(u, path, witness)
-    steps: list[Step] = [IneqStep(u, raised)] if raised != u else []
-    steps.append(make_rel(tag, raised, path, new))
-    return steps
+    at `path` to `witness`, unless it is trivial, then the relation step.
+    A lowered move is read backwards, from its successor to u: the inverse
+    relation step to `witness`, then the inequality up to u."""
+    moved = replace_at(u, path, witness)
+    ineq = [IneqStep(u, moved) if up else IneqStep(moved, u)] if moved != u else []
+    if up:
+        return ineq + [make_rel(tag, moved, path, new)]
+    return [make_rel(_INVERSE[tag], replace_at(u, path, new), path, witness)] + ineq
 
 
 def pushout_leq(am: Amalgam, s: Term, t: Term,
                 budget: Budget | None = None) -> Proven | Unknown:
     """Search for a certificate that s precedes t in the pushout order.
 
-    Breadth-first over fused raise-and-rewrite moves.  Each reached state
-    remembers only the move that reached it; the steps of the one path
-    found are built at the end and returned as a validated scheme.
-    Unknown covers both a genuinely exhausted budget and hitting the node
-    cap; the stats say which.
+    A search from both ends (Pohl, *Bi-directional search*, 1971) over the
+    fused moves of `_moves`, which only fold and glue: the forward end
+    grows from s by raising moves, the backward end from t by lowering
+    ones, the order dual.  Each step expands one whole level of the end
+    whose frontier is smaller (the forward end on a tie), and each end may
+    go to depth `max_scheme_len`.  Every reached state remembers only the
+    move that first reached it.  The ends meet at the first new state f of
+    the forward end below (`term_leq`) a state b of the backward end of
+    the same skeleton, or b above such an f, where f's depth plus b's is
+    at most `max_scheme_len`; the certificate is f's steps, the inequality
+    f <= b, then b's steps reversed (`_fused_steps`), checked by
+    `assert_valid`.  No move makes a term larger, so both ends are finite.
+    Unknown covers both ends exhausted and the node cap hit; the stats say
+    which.
 
-    Candidates are decided a group of `_moves` at a time: a fold or glue
-    swap alone, the unfolds of one leaf path to one value together.  The
-    statistics are those of deciding every member one at a time:
-    `nodes_generated` and `pruned` count each member, and a group that
-    crosses the node cap counts only the members up to it.  The frontier
-    holds groups, not terms: a successor's term is built when the search
-    takes its group up for expansion, member by member, and dropped there
-    if it repeats a reached term, in the same breadth-first order as if
-    it were built when generated.  So the same states are expanded, and
-    a candidate that is never expanded costs no term.
-
-    Each expanded state u is walked once (`_nodes`), and a move reads
-    the prune values and goal context of its path off its node.  A move
-    keeps u's subterms beside its path, so both tests are decided from
-    the path and the new subterm alone, before its term is built.  Only
-    a candidate that reaches t has its term built.  An unfold group is
-    goal-tested from its shapes (`_UnfoldGroup.first_below`), which
-    builds only the member found; a group's size is read from `size`,
-    which may exceed what `len()` can return.
-
-    On a special amalgam, a candidate whose collapsed value is not below
-    t's is pruned.  The new subterm's value is read from the group's
-    leaf side: an unfold's new subterm is a composite term, but its
-    witness is a leaf with the same collapsed value, so one lookup
-    decides the whole group.  Every reached state passed the prune, so a
-    pruned candidate is never a repeat.  One memo of collapsed subterm
-    values serves the whole search; it starts with the amalgam's shared
-    leaves, which the groups carry.
+    On a special amalgam, collapse(s) not below collapse(t) (both copies
+    mapped to the first, `SpecialAmalgam.collapse_eval`) ends the search
+    at the root, since no scheme can then reach t.
     """
     budget = budget or Budget()
     stats = SearchStats()
-    prune = getattr(am, "collapse_eval", None)
-    memo: dict[Term, str] = {}
-    top = None
-    if prune:
-        for one_leaf in am.leaf_of.values():
-            prune(one_leaf, memo)
-        target = prune(t, memo)
-        top = frozenset(x for x in am.a1.carrier if am.a1.leq(x, target))
-    back: dict[Term, tuple | None] = {s: None}
+    collapse = getattr(am, "collapse_eval", None)
+    if collapse and not am.a1.leq(collapse(s), collapse(t)):
+        return Unknown(stats)
+    # Per end (forward, backward): each reached state's move and depth,
+    # the reached states by skeleton, the frontier and its depth.
+    back: tuple[dict, dict] = ({s: None}, {t: None})
+    depth: tuple[dict, dict] = ({s: 0}, {t: 0})
+    shapes: tuple[dict, dict] = ({skeleton(s): [s]}, {skeleton(t): [t]})
+    frontier, level = [[s], [t]], [0, 0]
 
-    def finish(u: Term) -> Proven:
-        steps: list[Step] = []
-        cur = u
-        while back[cur] is not None:
-            steps = _fused_steps(*back[cur]) + steps
-            cur = back[cur][0]
-        if u != t:
-            steps.append(IneqStep(u, t))
+    def finish(f: Term, b: Term) -> Proven:
+        steps: list[Step] = [IneqStep(f, b)] if f != b else []
+        for end, cur in enumerate((f, b)):
+            while back[end][cur] is not None:
+                part = _fused_steps(*back[end][cur], up=not end)
+                steps = part + steps if end == 0 else steps + part
+                cur = back[end][cur][0]
         sch = Scheme(s, t, tuple(steps))
         assert_valid(am, sch, "search result")
         return Proven(sch, stats)
 
-    def capped(pruned: int) -> Unknown:
-        # A group crossed the node cap; `pruned` of its members came before.
-        stats.nodes_generated = budget.max_nodes + 1
-        stats.pruned += pruned
-        stats.capped = True
-        return Unknown(stats)
-
-    def taken_up(entry: tuple | None):
-        # The states a frontier entry reaches for the first time.
-        if entry is None:
-            yield s
-            return
-        u, path, witness, tag, news = entry
-        for new in news:
-            v = replace_at(u, path, new)
-            if v not in back:
-                back[v] = (u, path, witness, tag, new)
-                yield v
-
-    if prune and prune(s, memo) not in top:
-        return Unknown(stats)
     if am.term_leq(s, t):
-        return finish(s)
-    # The start, then groups (u, path, witness, tag, news) out of expanded
-    # states; a member's successor is replace_at(u, path, new).
-    frontier: list[tuple | None] = [None]
-    for depth in range(1, budget.max_scheme_len + 1):
-        new_frontier: list[tuple | None] = []
-        for entry in frontier:
-            for u in taken_up(entry):
-                stats.depth_reached = depth
-                stats.nodes_expanded += 1
-                for node, witness, tag, news in _moves(am, _nodes(am, u, t, top, memo), budget):
-                    path, _, accepted, ctx = node
-                    room = budget.max_nodes - stats.nodes_generated
-                    group = isinstance(news, _UnfoldGroup)
-                    size = news.size if group else 1
-                    one_leaf = witness if witness.is_leaf else news[0]
-                    if accepted is not None and memo[one_leaf] not in accepted:
-                        if size > room:
-                            return capped(room)
-                        stats.nodes_generated += size
-                        stats.pruned += size
-                        continue
-                    if ctx is not None:
-                        at, new = (news.first_below(ctx) if group
-                                   else (0, news[0]) if am.term_leq(news[0], ctx) else (1, None))
-                        if new is not None and at < room:
-                            stats.nodes_generated += at + 1
-                            v = replace_at(u, path, new)
-                            back[v] = (u, path, witness, tag, new)
-                            return finish(v)
-                    if size > room:
-                        return capped(0)
-                    stats.nodes_generated += size
-                    new_frontier.append((u, path, witness, tag, news))
-        if stats.depth_reached < depth:
-            # The level had no entry, or each repeated a reached term.
+        return finish(s, t)
+    while True:
+        open_ends = [end for end in (0, 1)
+                     if frontier[end] and level[end] < budget.max_scheme_len]
+        if not open_ends:
             return Unknown(stats)
-        frontier = new_frontier
-    return Unknown(stats)
+        end = min(open_ends, key=lambda e: len(frontier[e]))
+        other, d = 1 - end, level[end] + 1
+        level[end] = d
+        stats.depth_reached = max(stats.depth_reached, d)
+        reached, grown = back[end], []
+        for u in frontier[end]:
+            stats.nodes_expanded += 1
+            for path, witness, tag, new in _moves(am, u, end == 0):
+                if stats.nodes_generated == budget.max_nodes:
+                    stats.nodes_generated += 1
+                    stats.capped = True
+                    return Unknown(stats)
+                stats.nodes_generated += 1
+                v = replace_at(u, path, new)
+                if v in reached:
+                    continue
+                reached[v] = (u, path, witness, tag, new)
+                depth[end][v] = d
+                grown.append(v)
+                key = skeleton(v)
+                shapes[end].setdefault(key, []).append(v)
+                for w in shapes[other].get(key, ()):
+                    if depth[other][w] + d <= budget.max_scheme_len:
+                        f, b = (v, w) if end == 0 else (w, v)
+                        if am.term_leq(f, b):
+                            return finish(f, b)
+        frontier[end] = grown
 
 
 @dataclass

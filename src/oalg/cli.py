@@ -124,9 +124,7 @@ def cmd_quotient(args, rep: Reporter) -> int:
 
 
 def _budget(args) -> Budget:
-    return Budget(max_term_ops=args.max_term_ops,
-                  max_scheme_len=args.max_scheme_len,
-                  max_nodes=args.max_nodes)
+    return Budget(max_scheme_len=args.max_scheme_len, max_nodes=args.max_nodes)
 
 
 def cmd_pushout_eq(args, rep: Reporter) -> int:
@@ -279,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for cmd in (pe, d):
         cmd.add_argument("--max-scheme-len", type=nonnegative, default=8)
-        cmd.add_argument("--max-term-ops", type=nonnegative, default=4)
         cmd.add_argument("--max-nodes", type=nonnegative, default=20_000)
     return p
 

@@ -17,10 +17,10 @@ from .algebra import (
     chain,
     validate_algebra,
 )
-from .amalgam import SpecialAmalgam, _unfold_groups, make_special
+from .amalgam import SpecialAmalgam, make_special
 from .schemes import IneqStep, RelStep, Scheme, Step, make_rel, validate_scheme
 from .signature import Signature
-from .terms import Term, leaf, subterm_at
+from .terms import Term, compositions, leaf, subterm_at
 from .termorder import VarPoset
 
 
@@ -210,6 +210,28 @@ def commuting_cocones(rng: random.Random, sp: SpecialAmalgam, count: int,
 
 # -- Padded certificates -------------------------------------------------------
 
+def unfold_pool(alg: OrderedAlgebra, width: int) -> dict[str, list[Term]]:
+    """Every composite term of 1 to width operations over alg's elements,
+    by value, each list by operation count, then operation, split of the
+    other operations over the children, children's values in carrier order
+    and children's terms.  Each count's terms of one value are built once,
+    from a shape (operation, split, children's values) at a time."""
+    layers: dict[tuple[int, str], list[Term]] = {(0, e): [leaf(e)] for e in alg.carrier}
+    for n in range(1, width + 1):
+        for f, k in alg.sig.operations():
+            for split in compositions(n - 1, k):
+                for vals in itertools.product(alg.carrier, repeat=k):
+                    kids = [layers.get((m, v)) for m, v in zip(split, vals)]
+                    if all(kids):
+                        layers.setdefault((n, alg.op(f, vals)), []).extend(
+                            Term(f, ks) for ks in itertools.product(*kids))
+    pool: dict[str, list[Term]] = {}
+    for (n, value), terms in layers.items():
+        if n:
+            pool.setdefault(value, []).extend(terms)
+    return pool
+
+
 def _glue_step(sp: SpecialAmalgam, t: Term, path) -> RelStep:
     tag, other = sp.glue[subterm_at(t, path).label]
     return make_rel(tag, t, path, leaf(other))
@@ -226,7 +248,10 @@ def padded_glue_scheme(rng: random.Random, sp: SpecialAmalgam, z: str,
     """
     def unfolds(value: str, width: int) -> list[Term]:
         """The side-1 terms of value with 1 to width operations."""
-        return list(_unfold_groups(sp, 1, width).get(value, ()))
+        pools = sp.__dict__.setdefault("_unfold_pools", {})
+        if width not in pools:
+            pools[width] = unfold_pool(sp.a1, width)
+        return pools[width].get(value, [])
 
     x1 = sp.phi1[z]
     x2 = sp.phi2[z]

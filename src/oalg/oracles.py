@@ -6,8 +6,8 @@ breadth-first search over translated generator steps) and a recheck of
 closure witnesses by raw walks over the tables, sharing no code with
 `closure.py` or `OrderedAlgebra.translations`; the term order as the
 quasiorder generated by single-leaf raises, and an exhaustive check of
-`termorder.term_leq`; the pushout search's unfold pool built eagerly,
-layer by layer, and its moves generated path by path.
+`termorder.term_leq`; the padded schemes' unfold pool built eagerly,
+layer by layer, and the pushout search's moves generated path by path.
 """
 
 from __future__ import annotations
@@ -384,11 +384,10 @@ def _check_op_compat(sig: Signature, xp: VarPoset, pool: list[Term],
 def unfold_pool_by_layers(alg: OrderedAlgebra, max_ops: int) -> dict[str, list[Term]]:
     """Every composite term of at most max_ops operations over the
     carrier, grouped by value, each layer of one more operation built in
-    full from the ones below: the reference for the search's lazy unfold
-    groups (`amalgam._unfold_groups`), their counts from the coded tables
-    and their goal test by shape, same lists in the same order (by
-    operation count, then operation, split of the operations over the
-    children, children's values in carrier order, children's terms)."""
+    full from the ones below: the reference for `generators.unfold_pool`,
+    same lists in the same order (by operation count, then operation,
+    split of the operations over the children, children's values in
+    carrier order, children's terms)."""
     by_ops: list[dict[str, list[Term]]] = [{e: [leaf(e)] for e in alg.carrier}]
     for n in range(1, max_ops + 1):
         layer: dict[str, list[Term]] = {}
@@ -410,16 +409,18 @@ def unfold_pool_by_layers(alg: OrderedAlgebra, max_ops: int) -> dict[str, list[T
 
 # -- The search's moves ---------------------------------------------------------
 
-def _up_set_by_filter(alg: OrderedAlgebra, a: str) -> list[str]:
-    """The elements above a, in carrier order, filtered from the order."""
-    return [b for b in alg.carrier if (a, b) in alg.order]
+def _up_set_by_filter(alg: OrderedAlgebra, a: str, up: bool) -> list[str]:
+    """The elements above a (below a, when not `up`), in carrier order,
+    filtered from the order."""
+    return [b for b in alg.carrier if ((a, b) if up else (b, a)) in alg.order]
 
 
-def _fold_values_by_recursion(am, t: Term, side: int) -> dict[str, Term]:
-    """Values reachable by raising the side leaves of t within their
-    up-sets and evaluating on `side`, with the first witness per value in
-    the order of the children's sorted values; every child's map is
-    recomputed and every witness built afresh."""
+def _fold_values_by_recursion(am, t: Term, side: int, up: bool) -> dict[str, Term]:
+    """Values reachable by raising (lowering, when not `up`) the side
+    leaves of t within their up-sets (down-sets) and evaluating on `side`,
+    with the first witness per value in the order of the children's sorted
+    values; every child's map is recomputed and every witness built
+    afresh."""
     alg = am.side(side)
     if t.is_leaf:
         cls = am.label_class(t.label)
@@ -427,8 +428,8 @@ def _fold_values_by_recursion(am, t: Term, side: int) -> dict[str, Term]:
             return {alg.const(t.label): t}
         if cls != side:
             return {}
-        return {b: leaf(b) for b in _up_set_by_filter(alg, t.label)}
-    child_maps = [_fold_values_by_recursion(am, c, side) for c in t.children]
+        return {b: leaf(b) for b in _up_set_by_filter(alg, t.label, up)}
+    child_maps = [_fold_values_by_recursion(am, c, side, up) for c in t.children]
     if any(not m for m in child_maps):
         return {}
     out: dict[str, Term] = {}
@@ -439,11 +440,11 @@ def _fold_values_by_recursion(am, t: Term, side: int) -> dict[str, Term]:
     return out
 
 
-def moves_by_path_walk(am, u: Term, budget) -> list[tuple]:
-    """The search's moves out of u, `(path, witness, tag, news)` with
-    `news` a list, generated path by path: every subterm looked up from
-    the root, the fold values recomputed, the up-sets filtered from the
-    order and the unfold pool built eagerly.  The reference for
+def moves_by_path_walk(am, u: Term, up: bool) -> list[tuple]:
+    """The search's moves out of u, `(path, witness, tag, new)`, raising
+    (lowering, when not `up`), generated path by path: every subterm
+    looked up from the root, the fold values recomputed and the up-sets
+    (down-sets) filtered from the order.  The reference for
     `amalgam._moves`, same moves in the same order."""
     out = []
     for side, tag in ((1, "EV1"), (2, "EV2")):
@@ -451,10 +452,9 @@ def moves_by_path_walk(am, u: Term, budget) -> list[tuple]:
             sub = subterm_at(u, path)
             if sub.is_leaf:
                 continue
-            for value, witness in sorted(_fold_values_by_recursion(am, sub, side).items()):
-                out.append((path, witness, tag, [leaf(value)]))
-    lpaths = leaf_paths(u)
-    for path in lpaths:
+            for value, witness in sorted(_fold_values_by_recursion(am, sub, side, up).items()):
+                out.append((path, witness, tag, leaf(value)))
+    for path in leaf_paths(u):
         a = subterm_at(u, path).label
         cls = am.label_class(a)
         if cls == 0:
@@ -462,21 +462,8 @@ def moves_by_path_walk(am, u: Term, budget) -> list[tuple]:
         phi, other = (am.phi1, am.phi2) if cls == 1 else (am.phi2, am.phi1)
         images = {v: z for z, v in phi.items()}
         tag = "GLUE" if cls == 1 else "GLUEINV"
-        for b in _up_set_by_filter(am.side(cls), a):
+        for b in _up_set_by_filter(am.side(cls), a, up):
             z = images.get(b)
             if z is not None:
-                out.append((path, leaf(b), tag, [leaf(other[z])]))
-    ops_left = budget.max_term_ops - op_count(u)
-    if ops_left > 0:
-        width = min(ops_left, budget.max_unfold_ops)
-        for side, tag in ((1, "EV1INV"), (2, "EV2INV")):
-            alg = am.side(side)
-            pool = unfold_pool_by_layers(alg, width)
-            for path in lpaths:
-                a = subterm_at(u, path).label
-                if am.label_class(a) != side:
-                    continue
-                for b in _up_set_by_filter(alg, a):
-                    if b in pool:
-                        out.append((path, leaf(b), tag, pool[b]))
+                out.append((path, leaf(b), tag, leaf(other[z])))
     return out

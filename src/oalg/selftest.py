@@ -344,7 +344,7 @@ def criterion_7(seed: int = 4, count: int = 50):
     """Copies meet exactly in the shared subalgebra; the glued completion
     separates every element outside it."""
     _, corpus = _amalgam_corpus(seed, count)
-    budget = Budget(max_term_ops=4, max_scheme_len=8)
+    budget = Budget(max_scheme_len=8)
     outside = 0
     separated = 0
     inconclusive = []
